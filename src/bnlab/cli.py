@@ -8,6 +8,7 @@ verdicts; identical config and seed reproduce byte-identical data files.
 Exit codes: 0 ok, 1 validation error, 2 numerical refusal, 3 internal error.
 """
 
+import functools
 import hashlib
 import os
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .convolution import (ConfigurationError, NumericalRefusal, invariant_diagnostics,
                           j_integral, simulate_convolution)
-from .geometry import half_line, interval01
+from .geometry import UnsupportedDomainError, half_line, interval01
 from .kernels import (HeatKernel, difference_bound_report, far_weight_constants,
                       fit_boundary_mass_constant, fit_singular_moment_exponent,
                       halfline_resolvent_exact, verify_kernel_upper_bounds)
@@ -240,6 +241,27 @@ def write_run(cfg, manifest, files, root):
     return run_dir
 
 
+def _exit_codes(command):
+    """Map failures of a command to the documented exit codes, without a traceback."""
+
+    @functools.wraps(command)
+    def wrapper(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except (ConfigError, NoPrediction, ConfigurationError, UnsupportedDomainError) as exc:
+            for e in getattr(exc, "errors", [str(exc)]):
+                click.echo(f"validation: {e}", err=True)
+            sys.exit(1)
+        except NumericalRefusal as exc:
+            click.echo(f"numerical refusal: {exc}", err=True)
+            sys.exit(2)
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(3)
+
+    return wrapper
+
+
 @click.group()
 def main():
     """Numerical laboratory for heat equations with white-noise boundary data."""
@@ -247,32 +269,16 @@ def main():
 
 @main.command("run")
 @click.argument("config_path", type=click.Path(exists=True))
+@_exit_codes
 def run_cmd(config_path):
     """Run the pipeline described by a config file."""
-    try:
-        cfg = parse_config(Path(config_path).read_text())
-        manifest, files = run_scenario(cfg)
-        run_dir = write_run(cfg, manifest, files, out_root(cfg))
-        click.echo(f"run written to {run_dir}")
-        for line in manifest.splitlines():
-            if line.startswith("verdicts:"):
-                click.echo(line)
-    except (ConfigError, NoPrediction) as exc:
-        if isinstance(exc, ConfigError):
-            for e in exc.errors:
-                click.echo(f"validation: {e}", err=True)
-        else:
-            click.echo(f"validation: {exc}", err=True)
-        sys.exit(1)
-    except (NumericalRefusal,) as exc:
-        click.echo(f"numerical refusal: {exc}", err=True)
-        sys.exit(2)
-    except (ConfigurationError,) as exc:
-        click.echo(f"validation: {exc}", err=True)
-        sys.exit(1)
-    except Exception as exc:        # pragma: no cover - internal failures
-        click.echo(f"internal error: {exc}", err=True)
-        sys.exit(3)
+    cfg = parse_config(Path(config_path).read_text())
+    manifest, files = run_scenario(cfg)
+    run_dir = write_run(cfg, manifest, files, out_root(cfg))
+    click.echo(f"run written to {run_dir}")
+    for line in manifest.splitlines():
+        if line.startswith("verdicts:"):
+            click.echo(line)
 
 
 @main.command("list")
@@ -289,17 +295,14 @@ def list_cmd(p):
 @click.option("--scenario", default="p71", show_default=True)
 @click.option("--theta", default=2.0, show_default=True)
 @click.option("--seed", default=2024, show_default=True)
+@_exit_codes
 def verify_cmd(suite, scenario, theta, seed):
     """Run a named verifier suite with default settings."""
     pipe = {"kernels": "verify-kernels", "schur": "schur", "appendix": "appendix-checks",
             "j": "j-diagnose", "simulate": "simulate", "invariant": "invariant"}[suite]
     cfg = parse_config(f"pipeline = {pipe}\nscenario = {scenario}\n"
                        f"theta = {theta}\nseed = {seed}\n")
-    try:
-        manifest, files = run_scenario(cfg)
-    except NumericalRefusal as exc:
-        click.echo(f"numerical refusal: {exc}", err=True)
-        sys.exit(2)
+    manifest, files = run_scenario(cfg)
     run_dir = write_run(cfg, manifest, files, out_root(cfg))
     click.echo(f"suite written to {run_dir}")
     for line in manifest.splitlines():
@@ -309,6 +312,7 @@ def verify_cmd(suite, scenario, theta, seed):
 
 @main.command("replay")
 @click.argument("manifest_path", type=click.Path(exists=True))
+@_exit_codes
 def replay_cmd(manifest_path):
     """Re-run a manifest's embedded config and compare data file hashes."""
     text = Path(manifest_path).read_text()
@@ -321,13 +325,7 @@ def replay_cmd(manifest_path):
         if line.startswith("file: "):
             name, sha = line[6:].split(" sha256=")
             recorded[name.strip()] = sha.strip()
-    try:
-        cfg = parse_config(ctext)
-        _, files = run_scenario(cfg)
-    except ConfigError as exc:
-        for e in exc.errors:
-            click.echo(f"validation: {e}", err=True)
-        sys.exit(1)
+    _, files = run_scenario(parse_config(ctext))
     mismatches = [name for name, sha in recorded.items()
                   if _sha(files.get(name, "")) != sha]
     if mismatches:

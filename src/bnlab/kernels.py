@@ -20,6 +20,7 @@ from .reports import EstimateReport, loglog_slope
 
 SERIES_TAIL = 1e-16     # first omitted series term below this is dropped
 IMAGE_SINE_SWITCH = 0.05  # auto representation: images for small t, sine series otherwise
+_LOG_TAIL = np.log(1.0 / SERIES_TAIL)
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ def gauss_density(z, t, d=1):
     For d > 1 the coordinates run along the last axis of z; for d = 1 the
     argument is used entrywise (so broadcast matrices of differences work).
     """
-    if t <= 0:
+    if np.any(np.asarray(t) <= 0):
         raise ValueError("t must be positive")
     z = np.asarray(z, dtype=float)
     sq = z * z if d == 1 else np.sum(z ** 2, axis=-1)
@@ -58,13 +59,13 @@ def barrier_factor(domain, t, z):
 
 def _n_images(t):
     # first omitted image sits at distance >= 2n-2; Gaussian scale 2t per image
-    return 2 + int(np.ceil(np.sqrt(max(t, 1e-12) * np.log(1.0 / SERIES_TAIL))))
+    return 2 + np.ceil(np.sqrt(np.maximum(t, 1e-12) * _LOG_TAIL)).astype(int)
 
 
 def _n_modes(t):
     # sine series tail exp(-k^2 pi^2 t)
-    k = np.sqrt(np.log(1.0 / SERIES_TAIL) / (np.pi ** 2 * max(t, 1e-12)))
-    return min(6000, 1 + int(np.ceil(k)))
+    k = np.sqrt(_LOG_TAIL / (np.pi ** 2 * np.maximum(t, 1e-12)))
+    return np.minimum(6000, 1 + np.ceil(k).astype(int))
 
 
 def _g1(z, s):
@@ -95,6 +96,26 @@ class HeatKernel:
         if self.representation != "auto":
             return self.representation
         return "image" if t < IMAGE_SINE_SWITCH else "sine"
+
+    def _series_groups(self, t):
+        """Split interval times into (is_image, n_terms, cols) groups.
+
+        Every node keeps the representation and term count it gets as a
+        scalar time; nodes that share both are summed together.  A group
+        that holds every node has cols = Ellipsis.
+        """
+        if t.ndim == 0:     # scalar quadrature callers skip the array bookkeeping
+            image = self._rep(float(t)) == "image"
+            return [(image, int(_n_images(t) if image else _n_modes(t)), ...)]
+        if self.representation == "auto":
+            image = t < IMAGE_SINE_SWITCH
+        else:
+            image = np.full(t.shape, self.representation == "image")
+        key = np.where(image, -_n_images(t), _n_modes(t))     # image groups negative
+        keys = np.unique(key)
+        if keys.size == 1:
+            return [(bool(keys[0] < 0), abs(int(keys[0])), ...)]
+        return [(bool(k < 0), abs(int(k)), key == k) for k in keys]
 
     # -- kernel value -------------------------------------------------------
 
@@ -186,37 +207,54 @@ class HeatKernel:
         """dG/dn_y(t, x, b) with outward normal at the boundary point b.
 
         Nonpositive everywhere (the kernel vanishes at the boundary from
-        positive values), so -dG/dn is the heat influx density.
+        positive values), so -dG/dn is the heat influx density.  The times
+        broadcast against the points: a scalar t keeps the point shape, an
+        array of times appends its axes after the point axes.
         """
         kind = self.domain.kind
+        t = np.asarray(t, float)
         x = np.asarray(x, float)
+        if kind == "halfspace":
+            lead = x.shape[:-1] + (1,) * t.ndim
+            diff = (x - np.asarray(b, float)).reshape(lead + x.shape[-1:])
+            return -(x[..., 0].reshape(lead) / t) * gauss_density(diff, 2 * t, self.domain.dim)
+        xe = x.reshape(x.shape + (1,) * t.ndim)
         if kind == "halfline":
             if float(np.max(np.abs(np.asarray(b, float)))) > 1e-14:
                 raise ValueError("the half line boundary is the origin")
-            return -(x / t) * _g1(x, 2 * t)
-        if kind == "halfspace":
-            b = np.asarray(b, float)
-            d = self.domain.dim
-            diff = np.array(x, float, copy=True)
-            diff = diff - b
-            x0 = np.asarray(x, float)[..., 0]
-            return -(x0 / t) * gauss_density(diff, 2 * t, d)
+            return -(xe / t) * _g1(xe, 2 * t)
         bval = float(b)
         if abs(bval) > 1e-14 and abs(bval - 1.0) > 1e-14:
             raise ValueError("interval boundary points are 0 and 1")
-        rep = self._rep(t)
-        if rep == "image":
-            out = np.zeros(np.shape(x))
+        groups = self._series_groups(t)
+        if len(groups) == 1:
+            image, n, _ = groups[0]
+            return self._flux_series(image, n, t, xe, bval)
+        out = np.empty(x.shape + t.shape)
+        for image, n, cols in groups:
+            out[..., cols] = self._flux_series(image, n, t[cols], x[..., None], bval)
+        return out
+
+    @staticmethod
+    def _flux_series(image, n, t, x, bval):
+        # interval dG/dn at boundary point bval; the point and time axes of x
+        # and t broadcast into one 2-d accumulator, summed term by term
+        t, x = t[()], x[()]     # a single node computes in numpy scalars
+        acc = 0.0
+        if image:
             base = x if bval == 0.0 else x - 1.0
-            for n in range(-_n_images(t), _n_images(t) + 1):
-                u = base - 2 * n
-                out = out + (u / t) * _g1(u, 2 * t)
-            return -out if bval == 0.0 else out
-        out = np.zeros(np.shape(x))
-        for k in range(1, _n_modes(t) + 1):
-            sgn = 1.0 if bval == 0.0 else (-1.0) ** k
-            out = out + 2 * k * np.pi * sgn * np.sin(k * np.pi * x) * np.exp(-k * k * np.pi ** 2 * t)
-        return -out if bval == 0.0 else out
+            # _g1(u, 2t) with its normaliser hoisted; sqrt rounds alike for numpy
+            # scalars and arrays, ** -0.5 does not, and the image sum cancels
+            s = 2 * t
+            norm = 1.0 / np.sqrt(2 * np.pi * s)
+            for m in range(-n, n + 1):
+                u = base - 2 * m
+                acc += (u / t) * (norm * np.exp(-u * u / (2 * s)))
+        else:
+            for k in range(1, n + 1):
+                sgn = 1.0 if bval == 0.0 else (-1.0) ** k
+                acc += 2 * k * np.pi * sgn * np.sin(k * np.pi * x) * np.exp(-k * k * np.pi ** 2 * t)
+        return -acc if bval == 0.0 else acc
 
     # -- resolvent ----------------------------------------------------------
 

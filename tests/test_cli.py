@@ -123,3 +123,45 @@ def test_cli_verify_suites(tmp_path, monkeypatch):
     assert res.exit_code == 0, res.output
     rep = next((tmp_path / "out").glob("*/appendix_report.txt")).read_text()
     assert "N: 3.544907" in rep
+
+
+def _assert_clean_exit(res, code):
+    assert res.exit_code == code, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+
+
+def test_cli_verify_simulate_without_default_probes_is_validation(tmp_path, monkeypatch):
+    monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
+    res = CliRunner().invoke(cli.main, ["verify", "simulate", "--scenario", "p78"])
+    _assert_clean_exit(res, 1)
+    assert "validation" in res.output
+
+
+def test_cli_verify_invariant_on_half_space_is_validation(tmp_path, monkeypatch):
+    monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
+    res = CliRunner().invoke(cli.main, ["verify", "invariant", "--scenario", "p717"])
+    _assert_clean_exit(res, 1)
+    assert "validation" in res.output and "interval or half line" in res.output
+
+
+def test_cli_replay_of_refused_config_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("# bnlab run manifest\n-- config --\n"
+                        "pipeline = simulate\nscenario = p71\nbase_steps = 32\nn_paths = 50\n")
+    res = CliRunner().invoke(cli.main, ["replay", str(manifest)])
+    _assert_clean_exit(res, 2)
+    assert "numerical refusal" in res.output
+
+
+def test_cli_internal_error_is_one_line(tmp_path, monkeypatch):
+    monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
+
+    def boom(cfg):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "run_scenario", boom)
+    res = CliRunner().invoke(cli.main, ["verify", "schur"])
+    _assert_clean_exit(res, 3)
+    assert res.output.strip() == "internal error: ZeroDivisionError: division by zero"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats as stats_mod
 
 from bnlab import convolution as cv
 from bnlab import geometry as geo
@@ -116,6 +117,36 @@ def test_simulate_convolution_isometry_small():
     assert np.max(np.abs(z)) < 3.0
     assert np.max(np.abs(stats["mean"] / stats["mean_se"])) < 3.5
     assert np.allclose(stats["fourth_moment_ratio"], 3.0, atol=0.4)
+
+
+def test_fourth_moment_ratio_is_centred_kurtosis():
+    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
+    probes = [(t, x) for t in (0.1, 0.3) for x in (0.25, 0.5, 0.8)]
+    ens, stats = cv.simulate_convolution(setup, probes, n_paths=800, base_steps=128,
+                                         root_seed=11, return_paths=True)
+    kurt = stats_mod.kurtosis(ens.values, axis=0, fisher=False, bias=True)
+    assert np.allclose(stats["fourth_moment_ratio"], kurt, rtol=1e-12, atol=0)
+
+
+def test_simulate_probes_sharing_a_time_match_a_subset_run():
+    # extra probes at the same times (no closer to the boundary) leave the schedule and
+    # the draws unchanged, so the shared coefficient rows reproduce the smaller run
+    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
+    small = [(0.3, 0.5), (0.1, 0.35)]
+    large = [(0.1, 0.6), (0.3, 0.5), (0.3, 0.7), (0.1, 0.35), (0.3, 0.4)]
+    ens_s, st_s = cv.simulate_convolution(setup, small, n_paths=300, base_steps=128,
+                                          root_seed=3, return_paths=True)
+    ens_l, st_l = cv.simulate_convolution(setup, large, n_paths=300, base_steps=128,
+                                          root_seed=3, return_paths=True)
+    assert ens_s.meta["n_steps"] == ens_l.meta["n_steps"]
+    assert np.allclose(ens_l.values[:, [1, 3]], ens_s.values, rtol=1e-12, atol=1e-15)
+    assert np.allclose(st_l["var_oracle"][[1, 3]], st_s["var_oracle"], rtol=1e-14)
+
+
+def test_invariant_diagnostics_refuses_half_space_before_grid():
+    setup, _ = sc.build_setup("p717", p=2.0, theta=2.0)
+    with pytest.raises(geo.UnsupportedDomainError):
+        cv.invariant_diagnostics(setup)
 
 
 def test_simulate_convolution_replay():
