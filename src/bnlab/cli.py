@@ -168,6 +168,7 @@ def run_scenario(cfg):
         ok = bool(np.all(np.abs(z) <= 3.0))
         verdicts.append(f"isometry_within_3se={ok}")
         resolved["n_steps"] = ens.meta["n_steps"]
+        resolved["normals_drawn"] = ens.meta["normals_drawn"]
     elif pipe == "invariant":
         inv = invariant_diagnostics(setup)
         files["invariant_report.txt"] = (

@@ -501,41 +501,16 @@ def _step_schedule(t_max, probe_times, base_steps, rho_min, per_octave=10):
     return edges[keep]
 
 
-def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed=2024,
-                         per_octave=10, return_paths=False, law="gaussian", df=3.0):
-    """One-shot ensemble of M(t, x) at (t, x) probe pairs.
+def _coefficient_tensor(flux, probe_t, xs, edges):
+    """Ito coefficients (mode, probe, step): psi_k(t_i - s_mid, x_i) sqrt(ds) for s < t_i.
 
-    Gaussian by construction; the Ito sums use the global step schedule with
-    geometric refinement toward every probe time.  Returns probe statistics
-    plus the quadrature variance at each probe (the isometry oracle).
-    law "student_t" swaps variance-matched heavy-tailed increments in as the
-    negative control for tail diagnostics.
+    Probes sharing a time share u = t - s, so one flux call covers them all; the
+    cell adjacent to a probe time carries its exact local variance.
     """
-    if setup.mode != "exact":
-        raise ConfigurationError("simulation requires exact mode")
-    flux = flux_for(setup)
-    times = sorted({float(t) for t, _ in probes})
-    pts = [p for _, p in probes]
-    dom1d = setup.domain.dim == 1
-    xs = np.array([float(p) for p in pts]) if dom1d else np.atleast_2d(np.asarray(pts, float))
-    rho = distance_to_boundary(setup.domain, xs.reshape(-1, 1) if dom1d else xs)
-    rho_min = float(np.min(rho))
-    t_max = max(times)
-    if base_steps < 64 or t_max / base_steps > min(times) / 4.0:
-        raise NumericalRefusal(
-            f"base step {t_max / base_steps:.3g} too coarse for probe times down to "
-            f"{min(times):.3g}; need base_steps >= 64 and step <= t_min/4")
-    edges = _step_schedule(t_max, times, base_steps, rho_min, per_octave)
     smid = 0.5 * (edges[:-1] + edges[1:])
     ds = np.diff(edges)
-    n_steps = len(smid)
-    n_probes = len(probes)
-    # coefficient tensor per mode: psi_k(t_i - s_mid, x_i) sqrt(ds) for s < t_i;
-    # probes sharing a time share u = t - s, so one flux call covers them all
-    truncated = setup.noise.kind == "homogeneous"
-    probe_t = np.array([float(t) for t, _ in probes])
-    coeff = np.zeros((flux.n_modes, n_probes, n_steps))
-    for ti in times:
+    coeff = np.zeros((flux.n_modes, len(probe_t), len(smid)))
+    for ti in np.unique(probe_t):
         rows = np.flatnonzero(probe_t == ti)
         n_live = int(np.count_nonzero(smid < ti))       # a prefix: smid increases
         u = ti - smid[:n_live]
@@ -558,20 +533,66 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
             last *= s_w
             coeff[:, rows, jlast] = np.sqrt(np.maximum(last.sum(axis=2), 0.0))
         del pv, live, last
+    return coeff
+
+
+# bytes of one block of variates; draws are path-major, so the block size
+# bounds memory without entering the bitstream
+_CHUNK_BYTES = 64 * 2 ** 20
+
+
+def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed=2024,
+                         per_octave=10, return_paths=False, law="gaussian", df=3.0):
+    """One-shot ensemble of M(t, x) at (t, x) probe pairs.
+
+    Gaussian by construction; the Ito sums use the global step schedule with
+    geometric refinement toward every probe time.  Returns probe statistics
+    plus the quadrature variance at each probe (the isometry oracle).
+    law "student_t" swaps variance-matched heavy-tailed increments in as the
+    negative control for tail diagnostics.
+
+    Gaussian sums are drawn at reduced rank: with C_k^T = Q_k R_k (thin QR of
+    mode k's (probe, step) coefficients), R_k^T z with z ~ N(0, I_r), r =
+    min(probes, steps), has the law of C_k xi, since R_k^T R_k = C_k C_k^T.
+    Student-t increments keep one variate per step, because rotating them would
+    change their law.  Each mode draws its own substream path by path, so the
+    values do not depend on how paths are chunked.
+    """
+    if setup.mode != "exact":
+        raise ConfigurationError("simulation requires exact mode")
+    flux = flux_for(setup)
+    times = sorted({float(t) for t, _ in probes})
+    pts = [p for _, p in probes]
+    dom1d = setup.domain.dim == 1
+    xs = np.array([float(p) for p in pts]) if dom1d else np.atleast_2d(np.asarray(pts, float))
+    rho = distance_to_boundary(setup.domain, xs.reshape(-1, 1) if dom1d else xs)
+    rho_min = float(np.min(rho))
+    t_max = max(times)
+    if base_steps < 64 or t_max / base_steps > min(times) / 4.0:
+        raise NumericalRefusal(
+            f"base step {t_max / base_steps:.3g} too coarse for probe times down to "
+            f"{min(times):.3g}; need base_steps >= 64 and step <= t_min/4")
+    edges = _step_schedule(t_max, times, base_steps, rho_min, per_octave)
+    n_steps = len(edges) - 1
+    n_probes = len(probes)
+    truncated = setup.noise.kind == "homogeneous"
+    coeff = _coefficient_tensor(flux, np.array([float(t) for t, _ in probes]), xs, edges)
+    gaussian = law == "gaussian"
+    width = min(n_probes, n_steps) if gaussian else n_steps
+    chunk = max(1, min(n_paths, _CHUNK_BYTES // (8 * width)))
     M = np.zeros((n_paths, n_probes))
-    chunk = max(1, min(n_paths, int(2e8 // max(n_steps, 1))))
     for k in range(flux.n_modes):
+        # row i of xi @ factor is path i's sum; coeff already carries sqrt(ds)
+        factor = np.linalg.qr(coeff[k].T, mode="r") if gaussian else coeff[k].T
         gen = substream(root_seed, k)
-        done = 0
-        while done < n_paths:
-            m = min(chunk, n_paths - done)
-            # coeff already carries sqrt(ds); the increments are standard normals
-            if law == "gaussian":
-                xi = gen.normal(size=(n_steps, m))
+        for start in range(0, n_paths, chunk):
+            m = min(chunk, n_paths - start)
+            if gaussian:
+                xi = gen.normal(size=(m, width))
             else:
-                xi = gen.standard_t(df, size=(n_steps, m)) * np.sqrt((df - 2.0) / df)
-            M[done:done + m] += (coeff[k] @ xi).T
-            done += m
+                xi = gen.standard_t(df, size=(m, width))
+                xi *= np.sqrt((df - 2.0) / df)
+            M[start:start + m] += xi @ factor
     var_oracle = np.array([
         variance_profile(flux, ti, np.array([xp]) if dom1d else np.atleast_2d(xp),
                          pts_per_octave=12, truncated=truncated)[0]
@@ -586,7 +607,9 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
         "mean_se": M.std(axis=0, ddof=1) / np.sqrt(n_paths),
     }
     ens = PathEnsemble(M if return_paths else M[:0], probes, root_seed,
-                       meta={"n_steps": n_steps, "schedule_edges": len(edges), "stats": stats})
+                       meta={"n_steps": n_steps, "schedule_edges": len(edges),
+                             "normals_drawn": flux.n_modes * width * n_paths,
+                             "chunk_paths": chunk, "stats": stats})
     return ens, stats
 
 

@@ -114,6 +114,12 @@ def test_cli_simulate_pipeline(tmp_path, monkeypatch):
     stats = next((tmp_path / "out").glob("*/probe_stats.txt")).read_text()
     assert stats.startswith("#")
     assert "isometry_within_3se=True" in res.output
+    # draw counts go to the manifest, never into the hashed data files
+    manifest = next((tmp_path / "out").glob("*/manifest.txt"))
+    assert "resolved normals_drawn: " in manifest.read_text()
+    res2 = runner.invoke(cli.main, ["replay", str(manifest)])
+    assert res2.exit_code == 0, res2.output
+    assert "replay ok: 1 data file(s) byte-identical" in res2.output
 
 
 def test_cli_verify_suites(tmp_path, monkeypatch):

@@ -129,18 +129,63 @@ def test_fourth_moment_ratio_is_centred_kurtosis():
 
 
 def test_simulate_probes_sharing_a_time_match_a_subset_run():
-    # extra probes at the same times (no closer to the boundary) leave the schedule and
-    # the draws unchanged, so the shared coefficient rows reproduce the smaller run
+    # extra probes at the same times (no closer to the boundary) leave the schedule
+    # unchanged, and the shared-time rows of the coefficient tensor are the smaller
+    # run's tensor.  Student-t keeps one variate per step, so the draws coincide too
+    # and the shared rows reproduce the smaller run path by path; Gaussian draws are
+    # reduced-rank, keyed to the probe set, and give up this coupling by design
     setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
     small = [(0.3, 0.5), (0.1, 0.35)]
     large = [(0.1, 0.6), (0.3, 0.5), (0.3, 0.7), (0.1, 0.35), (0.3, 0.4)]
+    edges = cv._step_schedule(0.3, [0.1, 0.3], 128, rho_min=0.3)
+    flux = cv.flux_for(setup)
+    coeff_s = cv._coefficient_tensor(flux, np.array([t for t, _ in small]),
+                                     np.array([x for _, x in small]), edges)
+    coeff_l = cv._coefficient_tensor(flux, np.array([t for t, _ in large]),
+                                     np.array([x for _, x in large]), edges)
+    assert np.array_equal(coeff_l[:, [1, 3]], coeff_s)
     ens_s, st_s = cv.simulate_convolution(setup, small, n_paths=300, base_steps=128,
-                                          root_seed=3, return_paths=True)
+                                          root_seed=3, return_paths=True, law="student_t")
     ens_l, st_l = cv.simulate_convolution(setup, large, n_paths=300, base_steps=128,
-                                          root_seed=3, return_paths=True)
-    assert ens_s.meta["n_steps"] == ens_l.meta["n_steps"]
+                                          root_seed=3, return_paths=True, law="student_t")
+    assert ens_s.meta["n_steps"] == ens_l.meta["n_steps"] == len(edges) - 1
     assert np.allclose(ens_l.values[:, [1, 3]], ens_s.values, rtol=1e-12, atol=1e-15)
     assert np.allclose(st_l["var_oracle"][[1, 3]], st_s["var_oracle"], rtol=1e-14)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "student_t"])
+def test_simulate_does_not_depend_on_chunking(law, monkeypatch):
+    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
+    probes = [(0.3, 0.5), (0.1, 0.35), (0.3, 0.7)]
+    ref, _ = cv.simulate_convolution(setup, probes, n_paths=700, base_steps=128,
+                                     root_seed=3, return_paths=True, law=law)
+    width = 3 if law == "gaussian" else ref.meta["n_steps"]
+    assert ref.meta["chunk_paths"] == 700
+    assert ref.meta["normals_drawn"] == cv.flux_for(setup).n_modes * width * 700
+    monkeypatch.setattr(cv, "_CHUNK_BYTES", 8 * width * 41)
+    small, _ = cv.simulate_convolution(setup, probes, n_paths=700, base_steps=128,
+                                       root_seed=3, return_paths=True, law=law)
+    assert small.meta["chunk_paths"] == 41
+    if law == "gaussian":
+        assert np.array_equal(small.values, ref.values)
+    else:
+        # BLAS may block the per-step sum differently for another row count: the
+        # terms move by an ulp of their own size, not of the (possibly tiny) sum
+        np.testing.assert_allclose(small.values, ref.values, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref.values).max())
+
+
+def test_simulate_more_probes_than_steps():
+    # rank-deficient coefficients: r = n_steps < n_probes normals per mode and path
+    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
+    probes = [(0.3, x) for x in np.linspace(0.2, 0.8, 300)]
+    ens, stats = cv.simulate_convolution(setup, probes, n_paths=4000, base_steps=64,
+                                         root_seed=29)
+    n_steps = ens.meta["n_steps"]
+    assert n_steps < len(probes)
+    assert ens.meta["normals_drawn"] == cv.flux_for(setup).n_modes * n_steps * 4000
+    z = (stats["var"] - stats["var_oracle"]) / stats["var_se"]
+    assert np.max(np.abs(z)) < 3.0
 
 
 def test_invariant_diagnostics_refuses_half_space_before_grid():
