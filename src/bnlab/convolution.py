@@ -17,17 +17,13 @@ import numpy as np
 
 from .geometry import (UnsupportedDomainError, WeightedSpaceParams, distance_to_boundary,
                        interior_grid, weight)
-from .kernels import HeatKernel, ball_boundary_mass_exact
+from .kernels import HeatKernel, NumericalRefusal, ball_boundary_mass_exact
 from .noise import NoiseSpec, frequency_cells, substream
 from .semigroup import Field, semigroup_matrix, weighted_norm
 
 
 class ConfigurationError(ValueError):
     """Setup inconsistent with the supported scenario combinations."""
-
-
-class NumericalRefusal(RuntimeError):
-    """Requested discretization cannot honor the declared tolerance."""
 
 
 @dataclass
@@ -558,6 +554,10 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     change their law.  Each mode draws its own substream path by path, so the
     values do not depend on how paths are chunked.
     """
+    if law not in ("gaussian", "student_t"):
+        raise ValueError(f"unknown law {law!r}; expected 'gaussian' or 'student_t'")
+    if law == "student_t" and not df > 2:
+        raise ValueError(f"student_t needs df > 2 for variance matching, got df={df}")
     if setup.mode != "exact":
         raise ConfigurationError("simulation requires exact mode")
     flux = flux_for(setup)

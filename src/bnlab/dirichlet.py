@@ -112,14 +112,13 @@ def dirichlet_map(domain, lam, gamma, out_grid):
         for b, gv in zip(_atom_scalar(gamma.points), gamma.values):
             if gv == 0.0:
                 continue
-            vals -= gv * np.asarray([ker.resolvent_normal(lam, xi, b) for xi in np.atleast_1d(x)]) \
-                if np.ndim(x) == 1 else gv * ker.resolvent_normal(lam, x, b)
+            vals -= gv * ker.resolvent_normal(lam, x, b)
     elif gamma.kind == "sampled":
         for b, gv, w in zip(gamma.grid.nodes, gamma.values, gamma.grid.weights):
             if gv == 0.0:
                 continue
             bb = b[0] if len(b) == 1 else b
-            vals -= gv * w * np.asarray([ker.resolvent_normal(lam, xi, bb) for xi in np.atleast_1d(x)])
+            vals -= gv * w * ker.resolvent_normal(lam, x, bb)
     else:
         raise ValueError("dirichlet map needs atoms or sampled data")
     return PropagatorField(domain, out_grid, vals, 0.0, datum=gamma, lam=lam)
@@ -135,7 +134,7 @@ def dirichlet_map_fn(domain, lam, gamma):
         for b, gv in zip(_atom_scalar(gamma.points), gamma.values):
             if gv == 0.0:
                 continue
-            out -= gv * np.asarray([ker.resolvent_normal(lam, xi, b) for xi in xs])
+            out -= gv * ker.resolvent_normal(lam, xs, b)
         return out if np.ndim(x) else float(out[0])
 
     return u

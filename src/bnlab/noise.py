@@ -365,6 +365,8 @@ def sample_increments(spec, dt, count, root_seed, stream_index=0, law="gaussian"
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if law == "student_t" and not df > 2:
+        raise ValueError(f"student_t needs df > 2 for variance matching, got df={df}")
     gen = substream(root_seed, stream_index)
     n = spec.n_modes if hasattr(spec, "n_modes") else int(spec)
     if law == "gaussian":

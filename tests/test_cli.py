@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bnlab import cli
+from bnlab import cli, kernels
 
 
 BASE_CFG = """
@@ -171,3 +173,13 @@ def test_cli_internal_error_is_one_line(tmp_path, monkeypatch):
     res = CliRunner().invoke(cli.main, ["verify", "schur"])
     _assert_clean_exit(res, 3)
     assert res.output.strip() == "internal error: ZeroDivisionError: division by zero"
+
+
+def test_cli_unconverged_resolvent_quadrature_is_a_refusal(tmp_path, monkeypatch):
+    monkeypatch.setattr(kernels.integrate, "quad_vec",
+                        lambda *args, **kwargs: (0.0, 0.0, SimpleNamespace(status=1)))
+    monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
+    res = CliRunner().invoke(cli.main, ["verify", "kernels"])
+    assert res.exit_code == 2
+    assert "numerical refusal" in res.output and "lambda=1" in res.output
+    assert "Traceback" not in res.output

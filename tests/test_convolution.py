@@ -175,6 +175,15 @@ def test_simulate_does_not_depend_on_chunking(law, monkeypatch):
                                    atol=1e-12 * np.abs(ref.values).max())
 
 
+@pytest.mark.parametrize("law, df, message", [("normal", 3.0, "unknown law 'normal'"),
+                                               ("student_t", 2.0, r"df > 2")])
+def test_simulate_rejects_unknown_law_and_small_df(law, df, message, monkeypatch):
+    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
+    monkeypatch.setattr(cv, "flux_for", lambda s: pytest.fail("work began before validation"))
+    with pytest.raises(ValueError, match=message):
+        cv.simulate_convolution(setup, [(0.3, 0.5)], n_paths=10, law=law, df=df)
+
+
 def test_simulate_more_probes_than_steps():
     # rank-deficient coefficients: r = n_steps < n_probes normals per mode and path
     setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -235,3 +237,14 @@ def test_boundary_mass_on_generic_polygon():
     side = np.exp(-1.0 / (c * t)) * integrate.quad(
         lambda s: np.exp(-s * s / (c * t)), -1, 1)[0]
     assert val == pytest.approx(4 * side, rel=1e-6)
+
+
+def test_resolvent_quadrature_refuses_when_not_converged(monkeypatch):
+    # quad_vec reports an unconverged mesh only through full_output's status
+    monkeypatch.setattr(K.integrate, "quad_vec",
+                        lambda *args, **kwargs: (0.0, 0.0, SimpleNamespace(status=1)))
+    ker = K.HeatKernel(geo.interval01())
+    with pytest.raises(K.NumericalRefusal, match=r"lambda=2\b.*boundary point 1\.0"):
+        ker.resolvent_normal(2.0, np.linspace(0.1, 0.9, 5), 1.0)
+    with pytest.raises(K.NumericalRefusal, match=r"lambda=0\.5\b"):
+        K.HeatKernel(geo.half_line()).resolvent(0.5, 1.0, 2.0)

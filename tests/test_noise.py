@@ -162,6 +162,12 @@ def test_student_t_increments_variance_matched():
     assert inc.coefficients.var() == pytest.approx(0.04, rel=0.05)
 
 
+def test_student_t_increments_need_df_above_two():
+    spec = nz.endpoint_noise(geo.half_line())
+    with pytest.raises(ValueError, match=r"df > 2"):
+        nz.sample_increments(spec, 0.04, 10, 9, law="student_t", df=2.0)
+
+
 def test_circle_truncation_rule_stable():
     for t, rho in ((0.05, 0.3), (0.01, 0.15)):
         out = nz.circle_truncation_check(t, rho)

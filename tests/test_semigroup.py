@@ -264,3 +264,34 @@ def test_field_serialization():
     txt = f.to_text()
     assert "time=0.25" in txt
     assert len(txt.strip().splitlines()) == 9
+
+
+def _count_calls(monkeypatch, ker, name):
+    calls = []
+    method = getattr(ker, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(ker, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("order, name", [(1, "grad_x"), (2, "dxx")])
+def test_gradient_smoothing_builds_one_matrix_per_time(order, name, monkeypatch):
+    # six witness fields and the SVD member share each time node's kernel matrix
+    ker = HeatKernel(geo.interval01())
+    calls = _count_calls(monkeypatch, ker, name)
+    ts = np.geomspace(1e-3, 2e-2, 5)
+    sg.gradient_smoothing_ratio(ker, geo.WeightedSpaceParams(2, 1.5, 0), t_grid=ts,
+                                order=order, level=8)
+    assert calls == list(ts)
+
+
+def test_extension_bound_builds_one_matrix_per_level_and_time(monkeypatch):
+    ker = HeatKernel(geo.interval01())
+    calls = _count_calls(monkeypatch, ker, "value")
+    ts = np.geomspace(1e-3, 1.0, 4)
+    sg.extension_bound(ker, geo.WeightedSpaceParams(2, 2, 0), t_grid=ts, levels=2)
+    assert calls == list(ts) * 2
