@@ -25,12 +25,11 @@ from .geometry import UnsupportedDomainError, half_line, interval01
 from .kernels import (HeatKernel, difference_bound_report, far_weight_constants,
                       fit_boundary_mass_constant, fit_singular_moment_exponent,
                       halfline_resolvent_exact, verify_kernel_upper_bounds)
-from .scenarios import NoPrediction, build_setup, catalog
+from .scenarios import NoPrediction, build_setup, catalog, unbuildable
 from .semigroup import schur_constants
 
 PIPELINES = ("j-diagnose", "simulate", "invariant", "verify-kernels", "schur",
              "appendix-checks")
-SCENARIOS = ("p71", "p72", "p74", "p78", "p713", "p717", "p718", "custom")
 
 SCHEMA = {
     # name: (converter, required, default)
@@ -41,7 +40,6 @@ SCHEMA = {
     "delta": (float, False, None),
     "horizon": (float, False, 0.5),
     "alpha": (float, False, 0.0),
-    "lam": (float, False, 1.0),
     "kappa": (float, False, 0.5),
     "n_paths": (int, False, 10000),
     "base_steps": (int, False, 512),
@@ -91,14 +89,23 @@ def parse_config(text):
             cfg[key] = default
     if cfg.get("pipeline") not in PIPELINES:
         errors.append(f"pipeline must be one of {PIPELINES}")
-    if cfg.get("scenario") not in SCENARIOS:
-        errors.append(f"scenario must be one of {SCENARIOS}")
+    why = unbuildable(cfg["scenario"])
+    if why:
+        errors.append(why)
     if cfg.get("p") is not None and cfg["p"] <= 1:
         errors.append("p must be > 1")
     if cfg.get("horizon") is not None and cfg["horizon"] <= 0:
         errors.append("horizon must be positive")
+    if cfg.get("c") is not None and cfg["c"] <= 0:
+        errors.append("c must be positive")
     if cfg.get("n_paths") is not None and cfg["n_paths"] < 2:
         errors.append("n_paths must be at least 2")
+    if cfg.get("grid_level") is not None and cfg["grid_level"] < 14:
+        errors.append("grid_level must be at least 14: J compares the levels 10 and 14")
+    if cfg.get("mode_count") is not None and cfg["mode_count"] < 1:
+        errors.append("mode_count must be at least 1")
+    if cfg.get("seed") is not None and cfg["seed"] < 0:
+        errors.append("seed must be nonnegative")
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -140,8 +147,6 @@ def run_scenario(cfg):
     resolved = {}
     pipe = cfg["pipeline"]
     if pipe in ("j-diagnose", "simulate", "invariant"):
-        if cfg["scenario"] == "custom":
-            raise ConfigError(["scenario pipelines need a catalogued scenario id"])
         setup, pred = build_setup(cfg["scenario"], p=cfg["p"], theta=cfg["theta"],
                                   delta=cfg["delta"], horizon=cfg["horizon"],
                                   alpha=cfg["alpha"], kappa=cfg["kappa"],

@@ -9,8 +9,6 @@ the Gaussian upper bounds with boundary decay that the whole construction rests
 on; the caller supplies the Gaussian scale c, the best constant is fitted.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import integrate, special
 
@@ -28,17 +26,6 @@ class NumericalRefusal(RuntimeError):
     """Requested discretization cannot honor the declared tolerance."""
 
 
-@dataclass(frozen=True)
-class GaussianParams:
-    c: float
-    t: float
-    d: int = 1
-
-    def __post_init__(self):
-        if self.t <= 0 or self.c <= 0:
-            raise ValueError("Gaussian parameters need positive c and t")
-
-
 def gauss_density(z, t, d=1):
     """Centered Gaussian density (2 pi t)^(-d/2) exp(-|z|^2 / (2 t)).
 
@@ -50,10 +37,6 @@ def gauss_density(z, t, d=1):
     z = np.asarray(z, dtype=float)
     sq = z * z if d == 1 else np.sum(z ** 2, axis=-1)
     return (2 * np.pi * t) ** (-0.5 * d) * np.exp(-sq / (2.0 * t))
-
-
-def gaussian_density(params, z):
-    return gauss_density(z, params.t, params.d)
 
 
 def barrier_factor(domain, t, z):
@@ -75,6 +58,16 @@ def _n_modes(t):
 
 def _g1(z, s):
     return (2 * np.pi * s) ** -0.5 * np.exp(-z * z / (2 * s))
+
+
+def _dg1(order, u, t):
+    # order-th u-derivative of the free kernel g_{2t}(u), as a polynomial factor times it
+    g = _g1(u, 2 * t)
+    if order == 0:
+        return g
+    if order == 1:
+        return -(u / (2 * t)) * g
+    return (u * u / (4 * t * t) - 1 / (2 * t)) * g
 
 
 class HeatKernel:
@@ -122,89 +115,50 @@ class HeatKernel:
             return [(bool(keys[0] < 0), abs(int(keys[0])), ...)]
         return [(bool(k < 0), abs(int(k)), key == k) for k in keys]
 
-    # -- kernel value -------------------------------------------------------
+    # -- kernel value and x-derivatives ---------------------------------------
 
     def value(self, t, x, y):
-        if t <= 0:
-            raise ValueError("t must be positive")
-        kind = self.domain.kind
-        if kind == "halfline":
-            x = np.asarray(x, float)
-            y = np.asarray(y, float)
-            return _g1(x - y, 2 * t) - _g1(x + y, 2 * t)
-        if kind == "halfspace":
-            x = np.asarray(x, float)
-            y = np.asarray(y, float)
-            d = self.domain.dim
-            xb = np.array(x, float, copy=True)
-            xb[..., 0] = -xb[..., 0]
-            return gauss_density(x - y, 2 * t, d) - gauss_density(xb - y, 2 * t, d)
-        rep = self._rep(t)
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        if rep == "image":
-            out = np.zeros(np.broadcast(x, y).shape)
-            for n in range(-_n_images(t), _n_images(t) + 1):
-                out += _g1(x - y - 2 * n, 2 * t) - _g1(x + y - 2 * n, 2 * t)
-            return out
-        out = np.zeros(np.broadcast(x, y).shape)
-        for k in range(1, _n_modes(t) + 1):
-            out += 2 * np.sin(k * np.pi * x) * np.sin(k * np.pi * y) * np.exp(-k * k * np.pi ** 2 * t)
-        return out
+        return self._series(0, t, x, y)
 
     def grad_x(self, t, x, y):
         """d/dx G (first coordinate only in the half space)."""
-        kind = self.domain.kind
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        if kind == "halfline":
-            return (-(x - y) / (2 * t) * _g1(x - y, 2 * t)
-                    + (x + y) / (2 * t) * _g1(x + y, 2 * t))
-        if kind == "halfspace":
-            d = self.domain.dim
-            xb = np.array(x, float, copy=True)
-            xb[..., 0] = -xb[..., 0]
-            u = x[..., 0] - y[..., 0]
-            ub = xb[..., 0] - y[..., 0]
-            return (-(u / (2 * t)) * gauss_density(x - y, 2 * t, d)
-                    + (ub / (2 * t)) * gauss_density(xb - y, 2 * t, d))
-        rep = self._rep(t)
-        if rep == "image":
-            out = np.zeros(np.broadcast(x, y).shape)
-            for n in range(-_n_images(t), _n_images(t) + 1):
-                u, v = x - y - 2 * n, x + y - 2 * n
-                out += -(u / (2 * t)) * _g1(u, 2 * t) + (v / (2 * t)) * _g1(v, 2 * t)
-            return out
-        out = np.zeros(np.broadcast(x, y).shape)
-        for k in range(1, _n_modes(t) + 1):
-            out += (2 * k * np.pi * np.cos(k * np.pi * x) * np.sin(k * np.pi * y)
-                    * np.exp(-k * k * np.pi ** 2 * t))
-        return out
+        return self._series(1, t, x, y)
 
     def dxx(self, t, x, y):
         """Second x-derivative (1-d domains)."""
+        return self._series(2, t, x, y)
+
+    def _series(self, order, t, x, y):
+        """d^order/dx^order G: image or sine series on the interval, reflection otherwise."""
+        if t <= 0:
+            raise ValueError("t must be positive")
         kind = self.domain.kind
         x = np.asarray(x, float)
         y = np.asarray(y, float)
+        if kind == "halfspace":
+            if order == 2:
+                raise UnsupportedDomainError("second derivative implemented for 1-d domains")
+            xb = np.array(x, float, copy=True)
+            xb[..., 0] = -xb[..., 0]
+            g = gauss_density(x - y, 2 * t, self.domain.dim)
+            gb = gauss_density(xb - y, 2 * t, self.domain.dim)
+            if order == 0:
+                return g - gb
+            u, ub = x[..., 0] - y[..., 0], xb[..., 0] - y[..., 0]
+            return -(u / (2 * t)) * g + (ub / (2 * t)) * gb
         if kind == "halfline":
-            u, v = x - y, x + y
-            return ((u * u / (4 * t * t) - 1 / (2 * t)) * _g1(u, 2 * t)
-                    - (v * v / (4 * t * t) - 1 / (2 * t)) * _g1(v, 2 * t))
-        if kind == "interval01":
-            rep = self._rep(t)
-            if rep == "image":
-                out = np.zeros(np.broadcast(x, y).shape)
-                for n in range(-_n_images(t), _n_images(t) + 1):
-                    u, v = x - y - 2 * n, x + y - 2 * n
-                    out += ((u * u / (4 * t * t) - 1 / (2 * t)) * _g1(u, 2 * t)
-                            - (v * v / (4 * t * t) - 1 / (2 * t)) * _g1(v, 2 * t))
-                return out
-            out = np.zeros(np.broadcast(x, y).shape)
-            for k in range(1, _n_modes(t) + 1):
-                out += (-2 * (k * np.pi) ** 2 * np.sin(k * np.pi * x) * np.sin(k * np.pi * y)
-                        * np.exp(-k * k * np.pi ** 2 * t))
+            return _dg1(order, x - y, t) - _dg1(order, x + y, t)
+        out = np.zeros(np.broadcast(x, y).shape)
+        if self._rep(t) == "image":
+            for n in range(-_n_images(t), _n_images(t) + 1):
+                out += _dg1(order, x - y - 2 * n, t) - _dg1(order, x + y - 2 * n, t)
             return out
-        raise UnsupportedDomainError("second derivative implemented for 1-d domains")
+        # d^order/dx^order sin(k pi x): (k pi)^order times sin, cos, -sin
+        phi = np.cos if order == 1 else np.sin
+        for k in range(1, _n_modes(t) + 1):
+            coef = (2, 2 * k * np.pi, -2 * (k * np.pi) ** 2)[order]
+            out += coef * phi(k * np.pi * x) * np.sin(k * np.pi * y) * np.exp(-k * k * np.pi ** 2 * t)
+        return out
 
     # -- boundary flux ------------------------------------------------------
 
@@ -308,18 +262,6 @@ def _laplace(fn, lam, where):
             f"Laplace quadrature at lambda={lam:g}, {where} did not reach its tolerance "
             f"within {_LAPLACE_LIMIT} subintervals")
     return head + tail
-
-
-def green_kernel(kernel, t, x, y):
-    return kernel.value(t, x, y)
-
-
-def boundary_normal_derivative(kernel, t, x, b):
-    return kernel.normal_derivative(t, x, b)
-
-
-def resolvent_kernel(kernel, lam, x, y):
-    return kernel.resolvent(lam, x, y)
 
 
 class TabulatedKernel:

@@ -2,14 +2,17 @@
 
 Each catalogued scenario pairs a concrete (domain, boundary noise) combination
 with the interval of weight exponents theta in which the boundary problem is
-well posed in the weighted space, plus any decay requirement on delta.  The
-predictions are table lookups with the arithmetic spelled out; requests
-outside the catalog get an explicit no-prediction answer, never a guess.
+well posed in the weighted space, plus any decay requirement on delta.  One
+record per scenario in REGISTRY drives the listing, the setup builders and the
+CLI's scenario check.  The predictions are table lookups with the arithmetic
+spelled out; requests outside the catalog get an explicit no-prediction
+answer, never a guess.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
-from .convolution import ConvolutionSetup
+from .convolution import ConfigurationError, ConvolutionSetup
 from .geometry import WeightedSpaceParams, half_space, interval01, half_line, unit_ball
 from .noise import (atomic_measure, bessel_measure, circle_white_noise, endpoint_noise,
                     homogeneous_noise, lebesgue_measure, rotational_noise)
@@ -21,7 +24,6 @@ class Prediction:
     theta_lo: float
     theta_hi: float
     delta_min: float = 0.0
-    notes: str = ""
 
     def admits(self, theta, delta=None):
         ok = self.theta_lo < theta < self.theta_hi
@@ -29,47 +31,86 @@ class Prediction:
             ok = ok and delta > self.delta_min
         return ok
 
-    def describe(self):
-        out = f"theta in ({self.theta_lo:g}, {self.theta_hi:g})"
-        if self.delta_min > 0:
-            out += f", delta > {self.delta_min:g}"
-        return out
-
 
 class NoPrediction(Exception):
     """The setup does not match any catalogued scenario."""
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One catalogued scenario.  The window text takes {low} = (p-1, 2p-1) and
+    {mid} = (3p/2-1, 2p-1); the builder maps the setup options to (domain,
+    noise), and a scenario without one says why in `unbuilt`."""
+
+    sid: str
+    description: str
+    window: str
+    build: object = None
+    delta: float = 0.0          # default delta of the weighted space
+    unbuilt: str = ""
+
+
+def _endpoints(dom):
+    return dom, endpoint_noise(dom)
+
+
+def _half_plane(measure, opts):
+    return half_space(2), homogeneous_noise(measure, z_max=opts.z_max, n_cells=opts.n_cells)
+
+
+def _bessel(opts):
+    return _half_plane(bessel_measure(opts.kappa, 1), opts)
+
+
+_MAJORANT_BALL_ONLY = "the majorant flux covers only the unit ball"
+REGISTRY = {s.sid: s for s in (
+    Scenario("p71", "interval (0,1), independent endpoint noises", "theta in {low}",
+             lambda o: _endpoints(interval01())),
+    Scenario("p72", "half line, endpoint noise", "theta in {low}, delta > 1/2",
+             lambda o: _endpoints(half_line()), delta=1.0),
+    Scenario("p74", "unit ball (d>=2), sup-summable boundary series", "theta in {low}",
+             lambda o: (unit_ball(2), rotational_noise(
+                 [1.0, 0.5, 0.25], [[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]]))),
+    Scenario("p78", "white noise on the circle (ball d=2)", "theta in {mid}",
+             lambda o: (unit_ball(2), circle_white_noise(o.truncation))),
+    Scenario("p711i", "bounded C^{1,a} region, sup-summable series (majorant route)",
+             "theta in {low}", unbuilt=_MAJORANT_BALL_ONLY),
+    Scenario("p711ii", "bounded C^{1,a} region in the plane, boundary white noise",
+             "theta in {mid}", unbuilt=_MAJORANT_BALL_ONLY),
+    Scenario("p713", "half space, finite spectral measure", "theta in {low}, delta > (m+1)/2",
+             lambda o: _half_plane(atomic_measure([[0.7], [1.9]], [0.6, 0.4]), o), delta=1.5),
+    Scenario("p717", "half plane, space-time white noise on the boundary line (m=1)",
+             "theta in {mid}, delta > 1", lambda o: _half_plane(lebesgue_measure(1), o),
+             delta=1.5),
+    Scenario("p718i", "half plane, Bessel spectral density, kappa >= m",
+             "theta in {low}, delta > (m+1)/2", _bessel, delta=1.5),
+    Scenario("p718ii", "half plane, Bessel spectral density, m-2 < kappa < m",
+             "theta in (p + p(m-kappa)/2 - 1, 2p-1), delta > (m+1)/2", _bessel, delta=1.5),
+    Scenario("r88", "Dirac atom boundary noise on the circle",
+             "rejected - Dirac boundary noise not treatable",
+             unbuilt="the catalog rejects Dirac boundary noise as not treatable"),
+)}
+# p718 builds the Bessel half plane and lets kappa pick the case
+RUNNABLE = tuple(sid for sid, s in REGISTRY.items() if s.build) + ("p718",)
 
 
 def catalog(p=2.0):
     """Scenario table: id, description, admissible range (formula and value at p)."""
     low = f"(p-1, 2p-1) = ({p - 1:g}, {2 * p - 1:g})"
     mid = f"(3p/2-1, 2p-1) = ({1.5 * p - 1:g}, {2 * p - 1:g})"
-    return [
-        ("p71", "interval (0,1), independent endpoint noises", f"theta in {low}"),
-        ("p72", "half line, endpoint noise", f"theta in {low}, delta > 1/2"),
-        ("p74", "unit ball (d>=2), sup-summable boundary series", f"theta in {low}"),
-        ("p78", "white noise on the circle (ball d=2)", f"theta in {mid}"),
-        ("p711i", "bounded C^{1,a} region, sup-summable series (majorant route)",
-         f"theta in {low}"),
-        ("p711ii", "bounded C^{1,a} region in the plane, boundary white noise",
-         f"theta in {mid}"),
-        ("p713", "half space, finite spectral measure",
-         f"theta in {low}, delta > (m+1)/2"),
-        ("p717", "half plane, space-time white noise on the boundary line (m=1)",
-         f"theta in {mid}, delta > 1"),
-        ("p718i", "half plane, Bessel spectral density, kappa >= m",
-         f"theta in {low}, delta > (m+1)/2"),
-        ("p718ii", "half plane, Bessel spectral density, m-2 < kappa < m",
-         "theta in (p + p(m-kappa)/2 - 1, 2p-1), delta > (m+1)/2"),
-        ("r88", "Dirac atom boundary noise on the circle",
-         "rejected - Dirac boundary noise not treatable"),
-    ]
+    return [(s.sid, s.description, s.window.format(low=low, mid=mid)) for s in REGISTRY.values()]
 
 
-list_scenarios = catalog
+def unbuildable(sid):
+    """Why build_setup refuses the scenario id, or "" when it builds one."""
+    if sid in RUNNABLE:
+        return ""
+    if sid in REGISTRY:
+        return f"scenario {sid} has no setup builder: {REGISTRY[sid].unbuilt}"
+    return f"scenario must be one of {RUNNABLE}"
 
 
-def predict_wellposedness(setup, m=1):
+def predict_wellposedness(setup):
     """Admissible theta-interval for the setup's scenario, with verdict helpers.
 
     Raises NoPrediction for uncatalogued combinations.
@@ -90,8 +131,8 @@ def predict_wellposedness(setup, m=1):
         return Prediction("p711ii", 1.5 * p - 1, 2 * p - 1)
     if dom == "halfspace" and nz == "homogeneous":
         mu = setup.noise.measure
-        delta_min = (m + 1) / 2.0
-        if mu.kind == "atoms" or (mu.kind == "bessel" and mu.kappa > mu.m):
+        delta_min = (mu.m + 1) / 2.0
+        if mu.kind == "atoms" or (mu.kind == "bessel" and mu.kappa >= mu.m):
             sid = "p713" if mu.kind == "atoms" else "p718i"
             return Prediction(sid, p - 1, 2 * p - 1, delta_min=delta_min)
         if mu.kind == "lebesgue":
@@ -99,8 +140,6 @@ def predict_wellposedness(setup, m=1):
                 raise NoPrediction("space-time white boundary noise is catalogued for m = 1 only")
             return Prediction("p717", 1.5 * p - 1, 2 * p - 1, delta_min=1.0)
         if mu.kind == "bessel":
-            if mu.kappa == mu.m:
-                return Prediction("p718i", p - 1, 2 * p - 1, delta_min=delta_min)
             if mu.m - 2 < mu.kappa < mu.m:
                 lo = p + 0.5 * p * (mu.m - mu.kappa) - 1
                 return Prediction("p718ii", lo, 2 * p - 1, delta_min=delta_min)
@@ -110,37 +149,22 @@ def predict_wellposedness(setup, m=1):
 
 def build_setup(scenario, p=2.0, theta=None, delta=None, horizon=0.5, alpha=0.0,
                 kappa=0.5, truncation=16, z_max=24.0, n_cells=64):
-    """Instantiate the (domain, noise, params) tuple of a catalogued scenario."""
-    scenario = scenario.lower()
-    if scenario == "p71":
-        dom, nz, mode, ddef = interval01(), None, "exact", 0.0
-        nz = endpoint_noise(dom)
-    elif scenario == "p72":
-        dom = half_line()
-        nz, mode, ddef = endpoint_noise(dom), "exact", 1.0
-    elif scenario == "p74":
-        dom = unit_ball(2)
-        nz = rotational_noise([1.0, 0.5, 0.25], [[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])
-        mode, ddef = "majorant", 0.0
-    elif scenario == "p78":
-        dom = unit_ball(2)
-        nz, mode, ddef = circle_white_noise(truncation), "majorant", 0.0
-    elif scenario == "p713":
-        dom = half_space(2)
-        nz = homogeneous_noise(atomic_measure([[0.7], [1.9]], [0.6, 0.4]),
-                               z_max=z_max, n_cells=n_cells)
-        mode, ddef = "exact", 1.5
-    elif scenario == "p717":
-        dom = half_space(2)
-        nz = homogeneous_noise(lebesgue_measure(1), z_max=z_max, n_cells=n_cells)
-        mode, ddef = "exact", 1.5
-    elif scenario in ("p718", "p718i", "p718ii"):
-        dom = half_space(2)
-        nz = homogeneous_noise(bessel_measure(kappa, 1), z_max=z_max, n_cells=n_cells)
-        mode, ddef = "exact", 1.5
-    else:
-        raise NoPrediction(f"no setup builder for scenario {scenario}")
-    delta = ddef if delta is None else delta
+    """Instantiate the (domain, noise, params) tuple of a catalogued scenario.
+
+    The case ids p718i and p718ii refuse a kappa of the other case.
+    """
+    sid = scenario.lower()
+    why = unbuildable(sid)
+    if why:
+        raise NoPrediction(why)
+    rec = REGISTRY["p718i" if sid == "p718" else sid]
+    opts = SimpleNamespace(kappa=kappa, truncation=truncation, z_max=z_max, n_cells=n_cells)
+    dom, nz = rec.build(opts)
+    delta = rec.delta if delta is None else delta
+    mode = "majorant" if dom.kind == "unitball" else "exact"
     setup = ConvolutionSetup(dom, nz, WeightedSpaceParams(p, theta, delta),
                              horizon=horizon, alpha=alpha, mode=mode)
-    return setup, predict_wellposedness(setup)
+    pred = predict_wellposedness(setup)
+    if sid != "p718" and pred.scenario != sid:
+        raise ConfigurationError(f"kappa = {kappa:g} is the {pred.scenario} case, not {sid}")
+    return setup, pred

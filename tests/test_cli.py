@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from bnlab import cli, kernels
+from bnlab import scenarios as sc
 
 
 BASE_CFG = """
@@ -183,3 +184,70 @@ def test_cli_unconverged_resolvent_quadrature_is_a_refusal(tmp_path, monkeypatch
     assert res.exit_code == 2
     assert "numerical refusal" in res.output and "lambda=1" in res.output
     assert "Traceback" not in res.output
+
+
+TINY_CFG = ("pipeline = {}\nn_paths = 20\nbase_steps = 64\ngrid_level = 14\n"
+            "mode_count = 2\n")
+
+
+@pytest.mark.parametrize("pipe, line, message", [
+    ("j-diagnose", "grid_level = 10", "grid_level must be at least 14"),
+    ("schur", "c = 0", "c must be positive"),
+    ("verify-kernels", "c = -1", "c must be positive"),
+    ("simulate", "seed = -1", "seed must be nonnegative"),
+    ("j-diagnose", "mode_count = 0", "mode_count must be at least 1"),
+    ("j-diagnose", "lam = 99", "unknown key 'lam'"),
+    ("j-diagnose", "scenario = p711i", "no setup builder: the majorant flux covers only"),
+    ("j-diagnose", "scenario = r88", "the catalog rejects Dirac boundary noise"),
+    ("j-diagnose", "scenario = p718i", "kappa = 0.5 is the p718ii case, not p718i"),
+    ("j-diagnose", "scenario = custom", "scenario must be one of"),
+])
+def test_cli_bad_config_value_is_one_validation_line(tmp_path, monkeypatch, pipe, line, message):
+    monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"pipeline = {pipe}\n{line}\n")
+    res = CliRunner().invoke(cli.main, ["run", str(cfg)])
+    _assert_clean_exit(res, 1)
+    assert res.output.count("\n") == 1 and res.output.startswith("validation: ")
+    assert message in res.output
+
+
+@pytest.mark.parametrize("pipe", ["j-diagnose", "simulate", "invariant"])
+def test_every_scenario_id_exits_cleanly(tmp_path, monkeypatch, pipe):
+    monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
+    runner = CliRunner()
+    for sid in list(sc.REGISTRY) + ["p718", "custom"]:
+        cfg = tmp_path / f"{sid}.txt"
+        cfg.write_text(TINY_CFG.format(pipe) + f"scenario = {sid}\n")
+        res = runner.invoke(cli.main, ["run", str(cfg)])
+        assert res.exit_code in (0, 1, 2), (sid, res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), (sid, res.output)
+        assert "Traceback" not in res.output
+
+
+class _ReadLog(dict):
+    """Config dict that records every key read through it."""
+
+    def __init__(self, cfg, log):
+        super().__init__(cfg)
+        self.log = log
+
+    def __getitem__(self, key):
+        self.log.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.log.add(key)
+        return super().get(key, default)
+
+
+def test_every_config_key_is_read_by_some_pipeline(tmp_path, monkeypatch):
+    # the config hash reads every key, so it reads a plain copy; only pipeline reads count
+    text = cli.config_text
+    monkeypatch.setattr(cli, "config_text", lambda cfg: text(dict(cfg)))
+    read = set()
+    for pipe in cli.PIPELINES:
+        cfg = _ReadLog(cli.parse_config(TINY_CFG.format(pipe) + f"out_dir = {tmp_path}\n"), read)
+        cli.run_scenario(cfg)
+        cli.out_root(cfg)
+    assert read == set(cli.SCHEMA)

@@ -19,6 +19,18 @@ def test_setup_validation():
                             geo.WeightedSpaceParams(2, 2, 0), horizon=-1)
 
 
+def test_setup_rejects_unknown_mode():
+    with pytest.raises(cv.ConfigurationError, match="mode must be 'exact' or 'majorant'"):
+        cv.ConvolutionSetup(geo.interval01(), endpoint_noise(geo.interval01()),
+                            geo.WeightedSpaceParams(2, 2, 0), mode="exakt")
+
+
+def test_j_integral_needs_two_levels():
+    setup, pred = sc.build_setup("p71", p=2.0, theta=2.0)
+    with pytest.raises(ValueError, match="at least 2"):
+        cv.j_integral(setup, levels=(10,), prediction=pred)
+
+
 def test_predictions_catalogued():
     setup, pred = sc.build_setup("p71", p=2.0, theta=2.0)
     assert (pred.theta_lo, pred.theta_hi) == (1.0, 3.0)

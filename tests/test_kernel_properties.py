@@ -1,6 +1,7 @@
-"""Property tests of the Dirichlet boundary flux -dG/dn behind every flux mode."""
+"""Property tests of the Dirichlet heat kernel G, its x-derivatives and its boundary flux."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -194,3 +195,32 @@ def test_halfspace_kernel_is_symmetric_and_vanishes_on_the_boundary(t, pts):
     on_boundary = pts.copy()
     on_boundary[:, 0] = 0.0
     np.testing.assert_array_equal(ker.value(t, on_boundary[:, None, :], Y), 0.0)
+
+
+# -- the derivative-order series behind value, grad_x and dxx ----------------
+
+SERIES = [pytest.param(ker, 1.0, id=ker.representation) for ker in INTERVAL] \
+    + [pytest.param(K.HeatKernel(geo.half_line()), 4.0, id="halfline")]
+series_time = st.floats(np.log(1e-3), 0.0).map(np.exp)
+
+
+@pytest.mark.parametrize("ker, hi", SERIES)
+@SETTINGS
+@given(t=series_time, x=unit_points, y=unit_points)
+def test_kernel_solves_the_heat_equation(ker, hi, t, x, y):
+    X, Y = hi * x[:, None], hi * y[None, :]
+    h = 1e-4 * t
+    dt = (ker.value(t + h, X, Y) - ker.value(t - h, X, Y)) / (2 * h)
+    dxx = ker.dxx(t, X, Y)
+    np.testing.assert_allclose(dt, dxx, rtol=0, atol=1e-6 * (np.max(np.abs(dxx)) + t ** -1.5))
+
+
+@pytest.mark.parametrize("ker, hi", SERIES)
+@SETTINGS
+@given(t=series_time, x=unit_points, y=unit_points)
+def test_grad_x_is_the_x_difference_of_the_kernel(ker, hi, t, x, y):
+    X, Y = hi * x[:, None], hi * y[None, :]
+    h = 1e-5 * np.sqrt(t)
+    dx = (ker.value(t, X + h, Y) - ker.value(t, X - h, Y)) / (2 * h)
+    grad = ker.grad_x(t, X, Y)
+    np.testing.assert_allclose(dx, grad, rtol=0, atol=1e-8 * (np.max(np.abs(grad)) + 1 / t))

@@ -28,8 +28,6 @@ def test_gauss_density_normalization_2d():
 def test_gauss_density_errors():
     with pytest.raises(ValueError):
         K.gauss_density(0.0, -1.0)
-    with pytest.raises(ValueError):
-        K.GaussianParams(1.0, 0.0)
 
 
 def test_barrier_factor():
