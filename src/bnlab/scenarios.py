@@ -157,6 +157,8 @@ def build_setup(scenario, p=2.0, theta=None, delta=None, horizon=0.5, alpha=0.0,
     why = unbuildable(sid)
     if why:
         raise NoPrediction(why)
+    if theta is None:
+        raise ConfigurationError("theta is required")
     rec = REGISTRY["p718i" if sid == "p718" else sid]
     opts = SimpleNamespace(kappa=kappa, truncation=truncation, z_max=z_max, n_cells=n_cells)
     dom, nz = rec.build(opts)

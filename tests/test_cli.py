@@ -125,6 +125,21 @@ def test_cli_simulate_pipeline(tmp_path, monkeypatch):
     assert "replay ok: 1 data file(s) byte-identical" in res2.output
 
 
+@pytest.mark.parametrize("pipe, sid, n_files", [("invariant", "p71", 2), ("invariant", "p72", 2),
+                                                ("j-diagnose", "p72", 1)])
+def test_cli_replay_is_byte_identical(tmp_path, monkeypatch, pipe, sid, n_files):
+    monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"pipeline = {pipe}\nscenario = {sid}\ngrid_level = 18\n")
+    runner = CliRunner()
+    res = runner.invoke(cli.main, ["run", str(cfg)])
+    assert res.exit_code == 0, res.output
+    manifest = next((tmp_path / "out").glob("*/manifest.txt"))
+    res2 = runner.invoke(cli.main, ["replay", str(manifest)])
+    assert res2.exit_code == 0, res2.output
+    assert f"replay ok: {n_files} data file(s) byte-identical" in res2.output
+
+
 def test_cli_verify_suites(tmp_path, monkeypatch):
     monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
     runner = CliRunner()

@@ -398,3 +398,43 @@ def test_prediction_generic_domain():
     pred = sc.predict_wellposedness(setup)
     assert pred.scenario == "p711ii"
     assert (pred.theta_lo, pred.theta_hi) == (2.0, 3.0)
+
+
+@pytest.mark.parametrize("sid", ["p71", "p713"])
+def test_isometry_oracle_calls_once_per_probe_time(sid, monkeypatch):
+    setup, _ = sc.build_setup(sid, p=2.0, theta=2.0, horizon=0.3)
+    if setup.domain.dim == 1:
+        probes = [(t, x) for t in (0.1, 0.2, 0.3) for x in (0.25, 0.5, 0.8)]
+    else:
+        probes = [(t, (x0, 0.4)) for t in (0.1, 0.3) for x0 in (0.2, 0.5, 1.0)]
+    calls = []
+    profile = cv.variance_profile
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(cv, "variance_profile", counted)
+    _, stats = cv.simulate_convolution(setup, probes, n_paths=16, base_steps=128, root_seed=3)
+    assert sorted(calls) == sorted({t for t, _ in probes})
+    flux = cv.flux_for(setup)
+    truncated = setup.noise.kind == "homogeneous"
+    per_probe = [profile(flux, t, np.atleast_1d(x) if setup.domain.dim == 1 else np.atleast_2d(x),
+                         pts_per_octave=12, truncated=truncated)[0] for t, x in probes]
+    np.testing.assert_allclose(stats["var_oracle"], per_probe, rtol=1e-12)
+
+
+def test_j_prediction_reads_delta():
+    # p72 needs delta > 1/2; theta = 2 is inside its theta window
+    for delta, expect in ((1.0, "finite"), (0.3, "divergent")):
+        setup, pred = sc.build_setup("p72", p=2.0, theta=2.0, delta=delta)
+        rep = cv.j_integral(setup, levels=(10, 14), prediction=pred)
+        assert rep.predicted == expect
+        assert f"predicted: {expect}" in rep.to_text()
+
+
+def test_j_endpoint_time_refinement_is_exact():
+    setup, pred = sc.build_setup("p71", p=2.0, theta=2.0)
+    rep = cv.j_integral(setup, levels=(10, 14), prediction=pred)
+    assert rep.checks["time_refinement_rel_change"] == "exact"
+    assert "check time_refinement_rel_change: exact" in rep.to_text()

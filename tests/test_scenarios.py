@@ -45,3 +45,8 @@ def test_cli_accepts_exactly_the_buildable_ids():
         else:
             accepted.add(sid)
     assert accepted == set(BUILT) | {"p718"}
+
+
+def test_build_setup_needs_theta():
+    with pytest.raises(cv.ConfigurationError, match="theta is required"):
+        sc.build_setup("p71")
