@@ -11,6 +11,8 @@ deterministic coefficient is sampled at cell midpoints, and the cell touching
 the singular endpoint carries its exact local variance.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +22,7 @@ from .geometry import (UnsupportedDomainError, WeightedSpaceParams, distance_to_
                        interior_grid, weight)
 from .kernels import HeatKernel, NumericalRefusal, ball_boundary_mass_exact
 from .noise import NoiseSpec, frequency_cells, substream
-from .semigroup import Field, semigroup_matrix, weighted_norm
+from .semigroup import Field, semigroup_matrix
 
 
 class ConfigurationError(ValueError):
@@ -615,8 +617,9 @@ def _coefficient_tensor(flux, probe_t, xs, edges):
 
 
 # bytes of one block of variates; draws are path-major, so the block size
-# bounds memory without entering the bitstream
-_CHUNK_BYTES = 64 * 2 ** 20
+# bounds memory without entering the bitstream.  One block per draw thread is
+# in flight at a time.
+_CHUNK_BYTES = 32 * 2 ** 20
 
 
 def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed=2024,
@@ -635,6 +638,12 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     Student-t increments keep one variate per step, because rotating them would
     change their law.  Each mode draws its own substream path by path, so the
     values do not depend on how paths are chunked.
+
+    Modes are drawn on min(modes, cores) threads, the caller among them, one
+    mode per thread: numpy's generators and the BLAS product release the GIL.
+    Each substream still advances block by block in path order and the parts
+    are added in mode order, so the values do not depend on the thread count
+    either.
     """
     if law not in ("gaussian", "student_t"):
         raise ValueError(f"unknown law {law!r}; expected 'gaussian' or 'student_t'")
@@ -663,19 +672,34 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     gaussian = law == "gaussian"
     width = min(n_probes, n_steps) if gaussian else n_steps
     chunk = max(1, min(n_paths, _CHUNK_BYTES // (8 * width)))
-    M = np.zeros((n_paths, n_probes))
-    for k in range(flux.n_modes):
+    n_modes = flux.n_modes
+    factors = [np.linalg.qr(coeff[k].T, mode="r") if gaussian else coeff[k].T
+               for k in range(n_modes)]
+    gens = [substream(root_seed, k) for k in range(n_modes)]
+
+    def part(k, m):
         # row i of xi @ factor is path i's sum; coeff already carries sqrt(ds)
-        factor = np.linalg.qr(coeff[k].T, mode="r") if gaussian else coeff[k].T
-        gen = substream(root_seed, k)
+        if gaussian:
+            xi = gens[k].normal(size=(m, width))
+        else:
+            xi = gens[k].standard_t(df, size=(m, width))
+            xi *= np.sqrt((df - 2.0) / df)
+        return xi @ factors[k]
+
+    threads = max(1, min(n_modes, len(os.sched_getaffinity(0))))
+    M = np.zeros((n_paths, n_probes))
+    # the caller draws the first mode of each group and pool threads the rest;
+    # a pool thread starts only when a group has a second mode
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
         for start in range(0, n_paths, chunk):
             m = min(chunk, n_paths - start)
-            if gaussian:
-                xi = gen.normal(size=(m, width))
-            else:
-                xi = gen.standard_t(df, size=(m, width))
-                xi *= np.sqrt((df - 2.0) / df)
-            M[start:start + m] += xi @ factor
+            rows = M[start:start + m]
+            # groups of `threads` modes bound the blocks and parts in flight
+            for k0 in range(0, n_modes, threads):
+                rest = [pool.submit(part, k, m) for k in range(k0 + 1, min(k0 + threads, n_modes))]
+                rows += part(k0, m)
+                for f in rest:
+                    rows += f.result()
     # the isometry oracle: like the tensor, one call per distinct probe time
     var_oracle = np.empty(n_probes)
     for ti in np.unique(probe_t):
@@ -693,8 +717,9 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     }
     ens = PathEnsemble(M if return_paths else M[:0], probes, root_seed,
                        meta={"n_steps": n_steps, "schedule_edges": len(edges),
-                             "normals_drawn": flux.n_modes * width * n_paths,
-                             "chunk_paths": chunk, "stats": stats})
+                             "normals_drawn": n_modes * width * n_paths,
+                             "chunk_paths": chunk, "draw_threads": threads,
+                             "stats": stats})
     return ens, stats
 
 
@@ -759,6 +784,8 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
         xdet[0] = x0_field.values
         for i in range(1, n_t):
             xdet[i] = semigroup_matrix(kernel, edges[i], grid) @ x0_field.values
+    p = setup.params.p
+    w = weight(dom, grid.nodes, setup.params)         # for the Picard stopping rule
     values = np.empty((n_paths, n_t, nx))
     iters = []
     for path in range(n_paths):
@@ -783,8 +810,9 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
             for i in range(n_t - 1):
                 Z[i + 1] = P @ (Z[i] + dt * drift(Y[i]))
             Ynew = base + Z
-            delta = max(weighted_norm(Field(dom, grid, Ynew[i] - Y[i]), setup.params)
-                        for i in range(n_t))
+            # the largest weighted L^p norm over time rows; the root is monotone
+            delta = float(np.max(np.sum(grid.weights * np.abs(Ynew - Y) ** p * w, axis=1))) \
+                ** (1.0 / p)
             Y = Ynew
             if delta < picard_tol:
                 break

@@ -20,6 +20,10 @@ SERIES_TAIL = 1e-16     # first omitted series term below this is dropped
 IMAGE_SINE_SWITCH = 0.05  # auto representation: images for small t, sine series otherwise
 _LOG_TAIL = np.log(1.0 / SERIES_TAIL)
 _LAPLACE_LIMIT = 300    # subintervals per half of the split resolvent quadrature
+# the lowest GK21 node of the head's first panel [0, 1] sits at u ~ 2e-3; mass at
+# smaller scales gets a geometric ladder of breakpoints up to _HEAD_PANEL
+_HEAD_PANEL = 1e-2
+_LADDER = 8.0
 
 
 class NumericalRefusal(RuntimeError):
@@ -229,8 +233,14 @@ class HeatKernel:
         out = np.zeros(x.shape)
         if inside.any():
             xi, yi = x[inside], y[inside]
+            # G(., x, y) has mass near t = |x - y|^2 (the direct term) and near
+            # t = rho^2, rho the smaller boundary distance (the reflection)
+            rho = np.minimum(xi, yi)
+            if self.domain.kind == "interval01":
+                rho = np.minimum(rho, 1.0 - np.maximum(xi, yi))
             out[inside] = _laplace(lambda t: self.value(t, xi, yi), lam,
-                                   f"y in [{yi.min():.6g}, {yi.max():.6g}]")
+                                   f"y in [{yi.min():.6g}, {yi.max():.6g}]",
+                                   scales=np.concatenate([rho, np.abs(xi - yi)]))
         return out if out.shape else float(out)
 
     def resolvent_normal(self, lam, x, b):
@@ -244,17 +254,25 @@ class HeatKernel:
         return out if out.size > 1 else float(out.reshape(-1)[0])
 
 
-def _laplace(fn, lam, where):
+def _laplace(fn, lam, where, scales=()):
     """int_0^inf e^{-lam t} fn(t) dt for an array-valued fn, all entries on one mesh.
 
     The split at t = 1 and the t = u^2 substitution on the head (which removes
     the t^(-1/2) spike near t = 0) are shared by every entry; the adaptive mesh
-    refines until the largest entry error meets the tolerance.  quad_vec does
-    not warn when it stops short, so its status is checked here.
+    refines until the largest entry error meets the tolerance.  An entry whose
+    mass sits at u ~ scale below _HEAD_PANEL looks like zero to the head's first
+    panel, which never refines toward it, so the head gets breakpoints from the
+    smallest such scale up by factors of _LADDER.  quad_vec does not warn when
+    it stops short, so its status is checked here.
     """
+    scales = np.asarray(scales, float)
+    scales = scales[scales > 0]
+    low = float(scales.min()) if scales.size else _HEAD_PANEL
+    points = low * _LADDER ** np.arange(np.ceil(np.log(_HEAD_PANEL / low) / np.log(_LADDER)))
     opts = dict(epsrel=1e-12, norm="max", limit=_LAPLACE_LIMIT, full_output=True)
     head, _, h_info = integrate.quad_vec(
-        lambda u: 2 * u * np.exp(-lam * u * u) * fn(u * u), 0.0, 1.0, epsabs=1e-12, **opts)
+        lambda u: 2 * u * np.exp(-lam * u * u) * fn(u * u), 0.0, 1.0, epsabs=1e-12,
+        points=points, **opts)
     tail, _, t_info = integrate.quad_vec(
         lambda t: np.exp(-lam * t) * fn(t), 1.0, np.inf, epsabs=1e-13, **opts)
     if h_info.status or t_info.status:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats as stats_mod
@@ -187,6 +189,37 @@ def test_simulate_does_not_depend_on_chunking(law, monkeypatch):
                                    atol=1e-12 * np.abs(ref.values).max())
 
 
+@pytest.mark.parametrize("law", ["gaussian", "student_t"])
+@pytest.mark.parametrize("sid", ["p71", "p713"])
+def test_simulate_does_not_depend_on_thread_count(sid, law, monkeypatch):
+    setup, _ = sc.build_setup(sid, p=2.0, theta=2.0, horizon=0.3)
+    if setup.domain.dim == 1:
+        probes = [(0.3, 0.5), (0.1, 0.35), (0.3, 0.7)]
+    else:
+        probes = [(0.3, (0.5, 0.4)), (0.1, (0.2, -0.3)), (0.3, (1.0, 0.4))]
+    n_modes = cv.flux_for(setup).n_modes
+
+    def run(cores):
+        monkeypatch.setattr(cv.os, "sched_getaffinity", lambda pid: set(range(cores)))
+        ens, _ = cv.simulate_convolution(setup, probes, n_paths=300, base_steps=128,
+                                         root_seed=3, return_paths=True, law=law)
+        assert ens.meta["draw_threads"] == min(n_modes, cores)
+        return ens
+
+    width = 3 if law == "gaussian" else run(1).meta["n_steps"]
+    # four blocks of paths, so every substream advances across blocks
+    monkeypatch.setattr(cv, "_CHUNK_BYTES", 8 * width * 97)
+    ref = run(1)
+    assert ref.meta["chunk_paths"] == 97
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)         # interleave the draw threads as often as possible
+    try:
+        for cores in (2, 3):
+            assert np.array_equal(run(cores).values, ref.values)
+    finally:
+        sys.setswitchinterval(switch)
+
+
 @pytest.mark.parametrize("law, df, message", [("normal", 3.0, "unknown law 'normal'"),
                                                ("student_t", 2.0, r"df > 2")])
 def test_simulate_rejects_unknown_law_and_small_df(law, df, message, monkeypatch):
@@ -272,6 +305,25 @@ def test_semilinear_linear_drift_mean():
     se = ens.values[:, -1, :].std(axis=0) / np.sqrt(300)
     exact = np.exp(-0.2) * np.exp(-np.pi ** 2 * 0.2) * np.sin(np.pi * grid.x)
     assert np.max(np.abs(mean - exact) / np.maximum(se, 1e-12)) < 4.0
+
+
+def test_picard_weight_is_built_once_per_call(monkeypatch):
+    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.2)
+    grid = geo.interior_grid(geo.interval01(), graded=True, level=6, per_panel=6)
+    x0 = sg.field_from_function(geo.interval01(), grid, lambda x: np.sin(np.pi * x))
+    calls = []
+    weight = cv.weight
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return weight(*args, **kwargs)
+
+    monkeypatch.setattr(cv, "weight", counted)
+    ens = cv.simulate_mild(setup, x0, np.linspace(0, 0.1, 11), n_paths=4, root_seed=5,
+                           grid=grid, drift=np.sin)
+    assert len(calls) == 1
+    # the per-row weighted_norm stopping rule took these iterations too
+    assert ens.meta["picard_iterations"] == [5, 5, 5, 5]
 
 
 def test_semilinear_clamp_picard_count():

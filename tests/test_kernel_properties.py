@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bnlab import geometry as geo
@@ -130,8 +130,8 @@ def test_resolvent_normal_array_matches_single_points(lam, x, b, interval):
                                rtol=0, atol=1e-14)
 
 
-# the boundary itself, or at least 1e-3 from it: at x = y = 1e-10 the mass of
-# G(., x, x) sits near t = 1e-20, below anything the adaptive mesh samples
+# the boundary itself, or at least 1e-3 from it (the boundary layer has its own
+# property below)
 halfline_or_boundary = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 6.0)),
                                 min_size=1, max_size=6).map(np.asarray)
 
@@ -141,6 +141,26 @@ halfline_or_boundary = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 6.0)),
 def test_halfline_resolvent_array_matches_closed_form(lam, x, y):
     ker = K.HeatKernel(geo.half_line())
     X, Y = x[:, None], y[None, :]
+    np.testing.assert_allclose(ker.resolvent(lam, X, Y), K.halfline_resolvent_exact(lam, X, Y),
+                               rtol=0, atol=1e-12)
+
+
+# points log-uniform over twelve decades: the mass of G(., x, y) sits near
+# t = min(x, y)^2 and t = |x - y|^2, far below the head panel of the Laplace
+# quadrature when either is small
+halfline_log = st.lists(st.floats(np.log(1e-12), np.log(10.0)), min_size=1,
+                        max_size=6).map(lambda v: np.exp(np.asarray(v)))
+
+
+@SETTINGS
+@example(lam=1.0, x=np.array([1e-10]), y=np.array([1e-10]))
+@example(lam=1.0, x=np.array([1.0]), y=np.array([1.0 + 1e-10]))
+@given(lam=st.floats(1e-2, 20.0), x=halfline_log, y=halfline_log)
+def test_halfline_resolvent_matches_closed_form_near_the_boundary(lam, x, y):
+    ker = K.HeatKernel(geo.half_line())
+    X, Y = x[:, None], y[None, :]
+    # the quadrature's absolute tolerance; without breakpoints x = y = 1e-10 gave
+    # 1.5e-17, and x = 1, y = 1 + 1e-10 missed the closed form by 5e-11
     np.testing.assert_allclose(ker.resolvent(lam, X, Y), K.halfline_resolvent_exact(lam, X, Y),
                                rtol=0, atol=1e-12)
 
