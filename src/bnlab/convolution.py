@@ -620,6 +620,9 @@ def _coefficient_tensor(flux, probe_t, xs, edges):
 # bounds memory without entering the bitstream.  One block per draw thread is
 # in flight at a time.
 _CHUNK_BYTES = 32 * 2 ** 20
+# variates a call must draw before its modes go to threads: on a 2-core box a
+# whole call drew no faster on two threads below ~0.5 M, and ~1 ms faster at it
+_THREAD_NORMALS = 500_000
 
 
 def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed=2024,
@@ -639,8 +642,10 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     change their law.  Each mode draws its own substream path by path, so the
     values do not depend on how paths are chunked.
 
-    Modes are drawn on min(modes, cores) threads, the caller among them, one
-    mode per thread: numpy's generators and the BLAS product release the GIL.
+    A call that draws at least _THREAD_NORMALS variates draws its modes on
+    min(modes, cores) threads, the caller among them, one mode per thread:
+    numpy's generators and the BLAS product release the GIL.  Smaller calls
+    draw on the caller alone, since short draws barely overlap.
     Each substream still advances block by block in path order and the parts
     are added in mode order, so the values do not depend on the thread count
     either.
@@ -686,7 +691,10 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
             xi *= np.sqrt((df - 2.0) / df)
         return xi @ factors[k]
 
-    threads = max(1, min(n_modes, len(os.sched_getaffinity(0))))
+    normals = n_modes * width * n_paths
+    threads = 1
+    if normals >= _THREAD_NORMALS:
+        threads = max(1, min(n_modes, len(os.sched_getaffinity(0))))
     M = np.zeros((n_paths, n_probes))
     # the caller draws the first mode of each group and pool threads the rest;
     # a pool thread starts only when a group has a second mode
@@ -717,7 +725,7 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     }
     ens = PathEnsemble(M if return_paths else M[:0], probes, root_seed,
                        meta={"n_steps": n_steps, "schedule_edges": len(edges),
-                             "normals_drawn": n_modes * width * n_paths,
+                             "normals_drawn": normals,
                              "chunk_paths": chunk, "draw_threads": threads,
                              "stats": stats})
     return ens, stats

@@ -60,6 +60,25 @@ def _n_modes(t):
     return np.minimum(6000, 1 + np.ceil(k).astype(int))
 
 
+def _tail_reach(order):
+    # z = |u|/sqrt(t) past which the order-th u-derivative of g_{2t}(u) stays below
+    # SERIES_TAIL of its own peak: exp(-z^2/4) times the derivative's polynomial
+    # factor relative to its peak (1, z e^{1/2}/sqrt 2, z^2/2 - 1), by fixed point
+    z = np.sqrt(4 * _LOG_TAIL)
+    for _ in range(8):
+        poly = (1.0, z * np.exp(0.5) / np.sqrt(2.0), z * z / 2 - 1)[order]
+        z = np.sqrt(4 * (_LOG_TAIL + np.log(poly)))
+    return z
+
+
+_TAIL_REACH = tuple(_tail_reach(order) for order in range(3))
+
+
+def _gap(lo, hi, c):
+    # smallest |u - c| over u in [lo, hi]
+    return max(lo - c, c - hi, 0.0)
+
+
 def _g1(z, s):
     return (2 * np.pi * s) ** -0.5 * np.exp(-z * z / (2 * s))
 
@@ -152,17 +171,33 @@ class HeatKernel:
             return -(u / (2 * t)) * g + (ub / (2 * t)) * gb
         if kind == "halfline":
             return _dg1(order, x - y, t) - _dg1(order, x + y, t)
-        out = np.zeros(np.broadcast(x, y).shape)
         if self._rep(t) == "image":
+            out = np.zeros(np.broadcast(x, y).shape)
+            if out.size == 0:
+                return out
+            # a term whose shift stays beyond the tail reach at every point is
+            # below SERIES_TAIL of the order's peak; the ranges of x - y and x + y
+            # bound the shifts without forming them.  The five terms next to the
+            # domain always stay: dropping direct n = +-1 leaves G < 0 at far corners
+            reach = _TAIL_REACH[order] * np.sqrt(t)
+            xlo, xhi, ylo, yhi = x.min(), x.max(), y.min(), y.max()
+            diff, total = x - y, x + y
             for n in range(-_n_images(t), _n_images(t) + 1):
-                out += _dg1(order, x - y - 2 * n, t) - _dg1(order, x + y - 2 * n, t)
+                direct = abs(n) <= 1 or _gap(xlo - yhi, xhi - ylo, 2 * n) <= reach
+                reflected = n in (0, 1) or _gap(xlo + ylo, xhi + yhi, 2 * n) <= reach
+                if direct and reflected:
+                    out += _dg1(order, diff - 2 * n, t) - _dg1(order, total - 2 * n, t)
+                elif direct:
+                    out += _dg1(order, diff - 2 * n, t)
+                elif reflected:
+                    out -= _dg1(order, total - 2 * n, t)
             return out
-        # d^order/dx^order sin(k pi x): (k pi)^order times sin, cos, -sin
-        phi = np.cos if order == 1 else np.sin
-        for k in range(1, _n_modes(t) + 1):
-            coef = (2, 2 * k * np.pi, -2 * (k * np.pi) ** 2)[order]
-            out += coef * phi(k * np.pi * x) * np.sin(k * np.pi * y) * np.exp(-k * k * np.pi ** 2 * t)
-        return out
+        # d^order/dx^order sin(k pi x) is (k pi)^order times sin, cos, -sin; one
+        # contraction over a trailing mode axis serves every input shape
+        kpi = np.arange(1, _n_modes(t) + 1) * np.pi
+        coef = (2.0, 2 * kpi, -2 * kpi ** 2)[order] * np.exp(-kpi * kpi * t)
+        phi = (np.cos if order == 1 else np.sin)(kpi * x[..., None])
+        return np.einsum("...k,...k->...", phi, coef * np.sin(kpi * y[..., None]))
 
     # -- boundary flux ------------------------------------------------------
 
@@ -313,9 +348,14 @@ class TabulatedKernel:
 
 
 def halfline_resolvent_exact(lam, x, y):
-    """ODE closed form on the half line: (e^{-sqrt(lam)|x-y|} - e^{-sqrt(lam)(x+y)}) / (2 sqrt(lam))."""
+    """ODE closed form on the half line, (e^{-s|x-y|} - e^{-s(x+y)}) / (2s) with s = sqrt(lam).
+
+    Evaluated as -e^{-s|x-y|} expm1(-2s min(x, y)) / (2s), which keeps full
+    relative accuracy where the difference would cancel near the boundary.
+    """
     s = np.sqrt(lam)
-    return (np.exp(-s * np.abs(np.asarray(x) - y)) - np.exp(-s * (np.asarray(x) + y))) / (2 * s)
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    return -np.exp(-s * np.abs(x - y)) * np.expm1(-2 * s * np.minimum(x, y)) / (2 * s)
 
 
 # ---------------------------------------------------------------------------

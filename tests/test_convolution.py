@@ -203,10 +203,16 @@ def test_simulate_does_not_depend_on_thread_count(sid, law, monkeypatch):
         monkeypatch.setattr(cv.os, "sched_getaffinity", lambda pid: set(range(cores)))
         ens, _ = cv.simulate_convolution(setup, probes, n_paths=300, base_steps=128,
                                          root_seed=3, return_paths=True, law=law)
-        assert ens.meta["draw_threads"] == min(n_modes, cores)
+        threaded = ens.meta["normals_drawn"] >= cv._THREAD_NORMALS
+        assert ens.meta["draw_threads"] == (min(n_modes, cores) if threaded else 1)
         return ens
 
-    width = 3 if law == "gaussian" else run(1).meta["n_steps"]
+    # a call this small draws on the caller alone
+    serial = run(3)
+    assert serial.meta["draw_threads"] == 1
+    width = 3 if law == "gaussian" else serial.meta["n_steps"]
+    # lower the threshold so that every call below goes to the threads
+    monkeypatch.setattr(cv, "_THREAD_NORMALS", 1)
     # four blocks of paths, so every substream advances across blocks
     monkeypatch.setattr(cv, "_CHUNK_BYTES", 8 * width * 97)
     ref = run(1)

@@ -8,14 +8,13 @@ against the half-line limits at t = inf.
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from bnlab import convolution as cv
 from bnlab import geometry as geo
 from bnlab.noise import NoiseSpec, endpoint_noise
 
-SETTINGS = settings(max_examples=40, deadline=None)
 HALF = cv.EndpointFlux(geo.half_line())
 INTERVAL = cv.EndpointFlux(geo.interval01())
 alphas = st.floats(0.0, 0.9)
@@ -63,7 +62,6 @@ def _mp_variance(x, t_hi, alpha, boundaries, interval):
         return float(total)
 
 
-@SETTINGS
 @given(x=st.floats(np.log(1e-4), np.log(10.0)).map(np.exp), t=log_times, alpha=alphas)
 def test_halfline_closed_form_matches_mpmath(x, t, alpha):
     # t is raised where needed to keep r = x^2/(2t) <= 600: beyond, the value is
@@ -81,7 +79,6 @@ def test_interval_closed_form_matches_mpmath(x, t, alpha):
     np.testing.assert_allclose(INTERVAL.variance(t, np.array([x]), alpha), [ref], rtol=1e-12)
 
 
-@SETTINGS
 @given(x=st.floats(1e-6, 1.0), t=log_times, alpha=alphas,
        domain=st.sampled_from(["halfline", "interval01"]))
 def test_quadrature_matches_closed_form_where_certified(x, t, alpha, domain):
@@ -96,7 +93,6 @@ def test_quadrature_matches_closed_form_where_certified(x, t, alpha, domain):
                                flux.variance(t, pts, alpha), rtol=1e-10)
 
 
-@SETTINGS
 @given(x=st.floats(np.log(1e-4), np.log(10.0)).map(np.exp), t=log_times)
 def test_halfline_limit_and_tail(x, t):
     pts = np.array([x])

@@ -61,6 +61,15 @@ def test_kernel_symmetry_and_positivity():
     assert np.all(G >= 0)
 
 
+@pytest.mark.parametrize("rep", ["auto", "image"])
+def test_kernel_is_nonnegative_on_the_graded_grid(rep):
+    # the 480-node grid of the smoothing certificates, 9.5e-7 from either end
+    ker = K.HeatKernel(geo.interval01(), rep)
+    grid = geo.interior_grid(geo.interval01(), graded=True, level=14, per_panel=16)
+    for t in np.geomspace(1e-3, 0.1, 7):
+        assert np.all(ker.value(t, grid.x[:, None], grid.x[None, :]) >= 0.0)
+
+
 def test_boundary_vanishing_linear_rate():
     ker = K.HeatKernel(geo.interval01())
     t, x = 0.1, 0.4
@@ -108,6 +117,13 @@ def test_resolvent_halfline_closed_form():
     assert ker.resolvent(2.0, 1.3, 0.0) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         ker.resolvent(-1.0, 1.0, 1.0)
+
+
+def test_halfline_resolvent_exact_keeps_relative_accuracy_at_the_boundary():
+    # (1 - e^{-2a}) / 2 = a - a^2 + ... at a = 1e-12; the plain difference of
+    # exponentials gave 9.99978e-13
+    assert K.halfline_resolvent_exact(1.0, 1e-12, 1e-12) == pytest.approx(1e-12 - 1e-24,
+                                                                          rel=1e-14, abs=0)
 
 
 def test_resolvent_matches_exact_on_grid():

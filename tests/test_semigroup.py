@@ -295,3 +295,32 @@ def test_extension_bound_builds_one_matrix_per_level_and_time(monkeypatch):
     ts = np.geomspace(1e-3, 1.0, 4)
     sg.extension_bound(ker, geo.WeightedSpaceParams(2, 2, 0), t_grid=ts, levels=2)
     assert calls == list(ts) * 2
+
+
+def test_gradient_matrix_evaluates_only_the_terms_next_to_the_domain(monkeypatch):
+    # on (0, 1)^2 at t = 1e-3 only direct n in {-1, 0, 1} and reflected n in
+    # {0, 1} stay; the full image range n in [-3, 3] would cost 14 Gaussians
+    from bnlab import kernels as K
+    calls = []
+    g1 = K._g1
+
+    def counted(z, s):
+        calls.append(np.shape(z))
+        return g1(z, s)
+
+    monkeypatch.setattr(K, "_g1", counted)
+    sg.gradient_smoothing_ratio(HeatKernel(geo.interval01()), geo.WeightedSpaceParams(2, 1.5, 0),
+                                t_grid=[1e-3])
+    assert calls == [(480, 480)] * 5
+
+
+def test_top_singular_value_matches_the_full_svd_and_repeats():
+    I = geo.interval01()
+    grid = geo.interior_grid(I, graded=True, level=10, per_panel=16)
+    scale = np.sqrt(grid.weights * geo.distance_to_boundary(I, grid.nodes) ** 1.5)
+    for t in (1e-3, 2e-2):
+        D = sg._gradient_matrix(HeatKernel(I), t, grid)
+        B = scale[:, None] * D / scale[None, :]
+        top = sg._top_singular_value(B)
+        assert top == pytest.approx(np.linalg.svd(B, compute_uv=False)[0], rel=1e-13, abs=0)
+        assert sg._top_singular_value(B) == top
