@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import exp1, gamma, gammaincc
 
 from .geometry import (UnsupportedDomainError, WeightedSpaceParams, distance_to_boundary,
-                       interior_grid, weight)
+                       gauss_legendre, interior_grid, weight)
 from .kernels import HeatKernel, NumericalRefusal, ball_boundary_mass_exact
 from .noise import NoiseSpec, frequency_cells, substream
 from .semigroup import Field, semigroup_matrix
@@ -224,23 +224,18 @@ class HomogeneousFlux:
         return out
 
     def sum_sq(self, u, xy, truncated=False):
-        u = np.atleast_1d(np.asarray(u, float))
         pts = np.atleast_2d(np.asarray(xy, float))
         if truncated:
             p = self.psi(u, pts)
             return np.sum(p * p, axis=0)
-        x0 = pts[:, 0]
-        amp = self._amplitude(u, x0)
-        V = np.array([self.measure.gauss_transform(2 * uu) for uu in u])
-        return amp ** 2 * V[None, :]
+        return self.sum_sq_radial(u, pts[:, 0])
 
     def sum_sq_radial(self, u, x0):
         """Radial profile (depends on x0 only): untruncated Parseval sum."""
         u = np.atleast_1d(np.asarray(u, float))
         x0 = np.atleast_1d(np.asarray(x0, float))
         amp = self._amplitude(u, x0)
-        V = np.array([self.measure.gauss_transform(2 * uu) for uu in u])
-        return amp ** 2 * V[None, :]
+        return amp ** 2 * self.measure.gauss_transform(2 * u)[None, :]
 
     def rho(self, xy):
         return np.atleast_2d(np.asarray(xy, float))[:, 0]
@@ -279,20 +274,16 @@ class MajorantFlux:
     def sum_sq_radial(self, u, rho):
         """Profile in the boundary distance rho (rotation invariance of the bound)."""
         u = np.atleast_1d(np.asarray(u, float))
-        rho = np.atleast_1d(np.asarray(rho, float))
+        rho = np.atleast_1d(np.asarray(rho, float))[:, None]
         d = self.domain.dim
-        out = np.empty((rho.size, u.size))
-        for j, uu in enumerate(u):
-            if self.white:
-                # g_ct^2 = (2 pi c t)^{-d} exp(-|z|^2/(ct)); surface integral of the
-                # half-scale Gaussian is the boundary-mass profile at scale c/2
-                mass = ball_boundary_mass_exact(d, uu, rho, self.c / 2.0)
-                out[:, j] = (self.big_c ** 2 / uu) * (2 * np.pi * self.c * uu) ** (-d) * mass
-            else:
-                mass = ball_boundary_mass_exact(d, uu, rho, 2.0 * self.c)
-                out[:, j] = (self.big_c ** 2 / uu) * self.A \
-                    * ((2 * np.pi * self.c * uu) ** (-d / 2.0) * mass) ** 2
-        return out
+        if self.white:
+            # g_ct^2 = (2 pi c t)^{-d} exp(-|z|^2/(ct)); surface integral of the
+            # half-scale Gaussian is the boundary-mass profile at scale c/2
+            mass = ball_boundary_mass_exact(d, u, rho, self.c / 2.0)
+            return (self.big_c ** 2 / u) * (2 * np.pi * self.c * u) ** (-d) * mass
+        mass = ball_boundary_mass_exact(d, u, rho, 2.0 * self.c)
+        return (self.big_c ** 2 / u) * self.A \
+            * ((2 * np.pi * self.c * u) ** (-d / 2.0) * mass) ** 2
 
     def rho(self, x):
         return distance_to_boundary(self.domain, x)
@@ -317,7 +308,7 @@ def log_time_panels(s_floor, t_hi, pts_per_octave=8):
     if not 0 < s_floor < t_hi:
         raise ValueError("need 0 < s_floor < t_hi")
     n_oct = int(np.ceil(np.log2(t_hi / s_floor)))
-    gx, gw = np.polynomial.legendre.leggauss(pts_per_octave)
+    gx, gw = gauss_legendre(pts_per_octave)
     v_edges = np.log(t_hi) - np.log(2.0) * np.arange(n_oct + 1)[::-1]
     v_edges[0] = np.log(s_floor)
     nodes, wts = [], []
@@ -616,6 +607,20 @@ def _coefficient_tensor(flux, probe_t, xs, edges):
     return coeff
 
 
+def _gaussian_factor(coeff):
+    """Upper-triangular R with R^T R = sum_k C_k C_k^T over the modes C_k of coeff.
+
+    Two-stage (tall-skinny) QR: R_k from a thin QR of each C_k^T, then R from a
+    thin QR of the stacked R_k.  Householder QR keeps each probe's variance, a
+    column norm of R, to relative round-off even where the variances span many
+    orders; a factor of the summed Gram matrix would lose the small ones to
+    absolute error.  One mode keeps its R_0: a second QR could flip row signs
+    and so change the values drawn with it.
+    """
+    stacked = np.reshape([np.linalg.qr(c.T, mode="r") for c in coeff], (-1, coeff.shape[1]))
+    return stacked if len(coeff) == 1 else np.linalg.qr(stacked, mode="r")
+
+
 # bytes of one block of variates; draws are path-major, so the block size
 # bounds memory without entering the bitstream.  One block per draw thread is
 # in flight at a time.
@@ -635,25 +640,27 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     law "student_t" swaps variance-matched heavy-tailed increments in as the
     negative control for tail diagnostics.
 
-    Gaussian sums are drawn at reduced rank: with C_k^T = Q_k R_k (thin QR of
-    mode k's (probe, step) coefficients), R_k^T z with z ~ N(0, I_r), r =
-    min(probes, steps), has the law of C_k xi, since R_k^T R_k = C_k C_k^T.
-    Student-t increments keep one variate per step, because rotating them would
-    change their law.  Each mode draws its own substream path by path, so the
+    Gaussian sums are drawn at reduced rank across all modes: every path is
+    R^T z with z ~ N(0, I_r) from the one substream (root_seed, 0), where R is
+    upper triangular with R^T R = sum_k C_k C_k^T, the probe covariance of the
+    Ito sums (see `_gaussian_factor`); r = min(probes, sum of mode ranks).
+    Student-t increments keep one variate per step and mode, because rotating
+    them would change their law.  Substreams advance path by path, so the
     values do not depend on how paths are chunked.
 
-    A call that draws at least _THREAD_NORMALS variates draws its modes on
-    min(modes, cores) threads, the caller among them, one mode per thread:
-    numpy's generators and the BLAS product release the GIL.  Smaller calls
-    draw on the caller alone, since short draws barely overlap.
-    Each substream still advances block by block in path order and the parts
-    are added in mode order, so the values do not depend on the thread count
-    either.
+    A Student-t call that draws at least _THREAD_NORMALS variates draws its
+    modes on min(modes, cores) threads, the caller among them, one mode per
+    thread: numpy's generators and the BLAS product release the GIL.  Smaller
+    calls, and every Gaussian call, draw on the caller alone.  Each substream
+    still advances block by block in path order and the parts are added in
+    mode order, so the values do not depend on the thread count either.
     """
     if law not in ("gaussian", "student_t"):
         raise ValueError(f"unknown law {law!r}; expected 'gaussian' or 'student_t'")
     if law == "student_t" and not df > 2:
         raise ValueError(f"student_t needs df > 2 for variance matching, got df={df}")
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be at least 2 for sample variances, got {n_paths}")
     if setup.mode != "exact":
         raise ConfigurationError("simulation requires exact mode")
     flux = flux_for(setup)
@@ -675,12 +682,12 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     probe_t = np.array([float(t) for t, _ in probes])
     coeff = _coefficient_tensor(flux, probe_t, xs, edges)
     gaussian = law == "gaussian"
-    width = min(n_probes, n_steps) if gaussian else n_steps
-    chunk = max(1, min(n_paths, _CHUNK_BYTES // (8 * width)))
-    n_modes = flux.n_modes
-    factors = [np.linalg.qr(coeff[k].T, mode="r") if gaussian else coeff[k].T
-               for k in range(n_modes)]
-    gens = [substream(root_seed, k) for k in range(n_modes)]
+    # one stream: the joint Gaussian draw, or one Student-t draw per mode
+    factors = [_gaussian_factor(coeff)] if gaussian else [c.T for c in coeff]
+    width = factors[0].shape[0] if gaussian else n_steps
+    chunk = max(1, min(n_paths, _CHUNK_BYTES // (8 * max(width, 1))))
+    n_streams = len(factors)
+    gens = [substream(root_seed, k) for k in range(n_streams)]
 
     def part(k, m):
         # row i of xi @ factor is path i's sum; coeff already carries sqrt(ds)
@@ -691,20 +698,21 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
             xi *= np.sqrt((df - 2.0) / df)
         return xi @ factors[k]
 
-    normals = n_modes * width * n_paths
+    normals = n_streams * width * n_paths
     threads = 1
     if normals >= _THREAD_NORMALS:
-        threads = max(1, min(n_modes, len(os.sched_getaffinity(0))))
+        threads = max(1, min(n_streams, len(os.sched_getaffinity(0))))
     M = np.zeros((n_paths, n_probes))
-    # the caller draws the first mode of each group and pool threads the rest;
-    # a pool thread starts only when a group has a second mode
+    # the caller draws the first stream of each group and pool threads the rest;
+    # a pool thread starts only when a group has a second stream
     with ThreadPoolExecutor(max(1, threads - 1)) as pool:
         for start in range(0, n_paths, chunk):
             m = min(chunk, n_paths - start)
             rows = M[start:start + m]
-            # groups of `threads` modes bound the blocks and parts in flight
-            for k0 in range(0, n_modes, threads):
-                rest = [pool.submit(part, k, m) for k in range(k0 + 1, min(k0 + threads, n_modes))]
+            # groups of `threads` streams bound the blocks and parts in flight
+            for k0 in range(0, n_streams, threads):
+                rest = [pool.submit(part, k, m)
+                        for k in range(k0 + 1, min(k0 + threads, n_streams))]
                 rows += part(k0, m)
                 for f in rest:
                     rows += f.result()

@@ -8,6 +8,7 @@ a recorded tolerance for how well the weights cover the target measure.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -260,6 +261,14 @@ def gaussian_truncation_radius(c=1.0, t_max=1.0, eps=GAUSS_TAIL_EPS):
     return float(np.sqrt(2.0 * c * t_max * np.log(1.0 / eps)))
 
 
+@lru_cache(maxsize=None)
+def gauss_legendre(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 # ---------------------------------------------------------------------------
 # boundary quadrature
 
@@ -285,7 +294,7 @@ def boundary_quadrature(domain, level=4, c=1.0, t_max=1.0):
             return QuadratureGrid(nodes, wts, level, 1e-14 * n)
         if domain.dim == 3:
             nz = 2 ** level
-            z, wz = np.polynomial.legendre.leggauss(nz)
+            z, wz = gauss_legendre(nz)
             nphi = 2 ** (level + 1)
             phi = 2 * np.pi * (np.arange(nphi) + 0.5) / nphi
             zz, pp = np.meshgrid(z, phi, indexing="ij")
@@ -403,7 +412,7 @@ def ball_grid(d, level=8, per_panel=6, n_ang=64):
         return QuadratureGrid(np.vstack(nodes), np.concatenate(wts), level, 1e-13)
     if d == 3:
         nz = max(8, n_ang // 8)
-        z, wz = np.polynomial.legendre.leggauss(nz)
+        z, wz = gauss_legendre(nz)
         nphi = n_ang
         phi = 2 * np.pi * (np.arange(nphi) + 0.5) / nphi
         zz, pp = np.meshgrid(z, phi, indexing="ij")

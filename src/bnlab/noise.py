@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .geometry import UnsupportedDomainError
+from .geometry import UnsupportedDomainError, gauss_legendre
 
 
 # ---------------------------------------------------------------------------
@@ -68,23 +68,31 @@ class SpectralMeasure:
         return float(integrate.quad(lambda z: 2 * self.density(z), 0, np.inf, limit=200)[0])
 
     def gauss_transform(self, s):
-        """int exp(-s |z|^2) d mu(z); the time-dependent mode mass of half-space variances."""
-        if s <= 0:
+        """int exp(-s |z|^2) d mu(z); the time-dependent mode mass of half-space variances.
+
+        s may be an array, transformed entry by entry: a float for a scalar s.
+        """
+        s = np.asarray(s, float)
+        if np.any(s <= 0):
             raise ValueError("s must be positive")
         if self.kind == "atoms":
             pts = np.asarray(self.points, float).reshape(len(self.masses), -1)
-            return 2.0 * float(np.sum(np.asarray(self.masses) * np.exp(-s * (pts ** 2).sum(axis=1))))
-        if self.kind == "lebesgue":
-            return float((np.pi / s) ** (self.m / 2.0))
-        if self.kind == "bessel":
+            out = 2.0 * np.sum(np.asarray(self.masses)
+                               * np.exp(-s[..., None] * (pts ** 2).sum(axis=1)), axis=-1)
+        elif self.kind == "lebesgue":
+            out = (np.pi / s) ** (self.m / 2.0)
+        elif self.kind == "bessel":
             if self.m != 1:
                 raise UnsupportedDomainError("bessel transform computed for m = 1")
             # int (1+z^2)^(-k/2) e^(-s z^2) dz = sqrt(pi) U(1/2, (3-k)/2, s), uniformly
             # accurate down to s -> 0 (direct quadrature loses the spike there)
             from scipy.special import hyperu
-            return float(np.sqrt(np.pi) * hyperu(0.5, (3.0 - self.kappa) / 2.0, s))
-        return 2.0 * integrate.quad(lambda z: self.density(z) * np.exp(-s * z * z),
-                                    0, np.inf, limit=200)[0]
+            out = np.sqrt(np.pi) * hyperu(0.5, (3.0 - self.kappa) / 2.0, s)
+        else:
+            out = np.reshape([2.0 * integrate.quad(lambda z: self.density(z) * np.exp(-v * z * z),
+                                                   0, np.inf, limit=200)[0] for v in s.ravel()],
+                             s.shape)
+        return float(out) if out.ndim == 0 else out
 
     def density_at(self, z):
         z = np.asarray(z, float)
@@ -261,7 +269,7 @@ def frequency_cells(measure, z_max, n_cells, gl_order=12):
     if measure.kind == "atoms":
         raise ValueError("atomic measures need no cell basis")
     edges = np.linspace(0.0, z_max, n_cells + 1)
-    gx, gw = np.polynomial.legendre.leggauss(gl_order)
+    gx, gw = gauss_legendre(gl_order)
     nodes, wts, masses = [], [], []
     for a, b in zip(edges[:-1], edges[1:]):
         z = 0.5 * (b - a) * gx + 0.5 * (a + b)

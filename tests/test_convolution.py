@@ -8,7 +8,7 @@ from bnlab import convolution as cv
 from bnlab import geometry as geo
 from bnlab import scenarios as sc
 from bnlab import semigroup as sg
-from bnlab.noise import NoiseSpec, endpoint_noise, lebesgue_measure
+from bnlab.noise import NoiseSpec, SpectralMeasure, endpoint_noise, lebesgue_measure, substream
 from bnlab.reports import loglog_slope
 
 
@@ -173,9 +173,14 @@ def test_simulate_does_not_depend_on_chunking(law, monkeypatch):
     probes = [(0.3, 0.5), (0.1, 0.35), (0.3, 0.7)]
     ref, _ = cv.simulate_convolution(setup, probes, n_paths=700, base_steps=128,
                                      root_seed=3, return_paths=True, law=law)
-    width = 3 if law == "gaussian" else ref.meta["n_steps"]
+    # Gaussian: one joint draw of r = min(probes, sum of mode ranks) = 3 normals
+    # per path; Student-t: one variate per step and mode
+    if law == "gaussian":
+        width, draws = 3, 1
+    else:
+        width, draws = ref.meta["n_steps"], cv.flux_for(setup).n_modes
     assert ref.meta["chunk_paths"] == 700
-    assert ref.meta["normals_drawn"] == cv.flux_for(setup).n_modes * width * 700
+    assert ref.meta["normals_drawn"] == draws * width * 700
     monkeypatch.setattr(cv, "_CHUNK_BYTES", 8 * width * 41)
     small, _ = cv.simulate_convolution(setup, probes, n_paths=700, base_steps=128,
                                        root_seed=3, return_paths=True, law=law)
@@ -203,7 +208,8 @@ def test_simulate_does_not_depend_on_thread_count(sid, law, monkeypatch):
         monkeypatch.setattr(cv.os, "sched_getaffinity", lambda pid: set(range(cores)))
         ens, _ = cv.simulate_convolution(setup, probes, n_paths=300, base_steps=128,
                                          root_seed=3, return_paths=True, law=law)
-        threaded = ens.meta["normals_drawn"] >= cv._THREAD_NORMALS
+        # the Gaussian law is one joint draw, so only Student-t modes go to threads
+        threaded = law == "student_t" and ens.meta["normals_drawn"] >= cv._THREAD_NORMALS
         assert ens.meta["draw_threads"] == (min(n_modes, cores) if threaded else 1)
         return ens
 
@@ -235,17 +241,90 @@ def test_simulate_rejects_unknown_law_and_small_df(law, df, message, monkeypatch
         cv.simulate_convolution(setup, [(0.3, 0.5)], n_paths=10, law=law, df=df)
 
 
+def test_simulate_rejects_fewer_than_two_paths(monkeypatch):
+    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
+    monkeypatch.setattr(cv, "flux_for", lambda s: pytest.fail("work began before validation"))
+    for n_paths in (0, 1):
+        with pytest.raises(ValueError, match="n_paths must be at least 2"):
+            cv.simulate_convolution(setup, [(0.3, 0.5)], n_paths=n_paths)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "student_t"])
+def test_simulate_without_noise_modes_draws_nothing(law):
+    setup = cv.ConvolutionSetup(geo.interval01(), NoiseSpec("endpoints", n_atoms=0),
+                                geo.WeightedSpaceParams(2, 2, 0), horizon=0.3)
+    ens, stats = cv.simulate_convolution(setup, [(0.3, 0.5), (0.1, 0.2)], n_paths=50,
+                                         base_steps=128, return_paths=True, law=law)
+    assert ens.meta["normals_drawn"] == 0
+    assert np.all(ens.values == 0.0) and np.all(stats["var_oracle"] == 0.0)
+
+
 def test_simulate_more_probes_than_steps():
-    # rank-deficient coefficients: r = n_steps < n_probes normals per mode and path
+    # rank-deficient coefficients: each mode has rank n_steps < n_probes, and the
+    # joint draw takes r = min(probes, modes x n_steps) normals per path
     setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
     probes = [(0.3, x) for x in np.linspace(0.2, 0.8, 300)]
     ens, stats = cv.simulate_convolution(setup, probes, n_paths=4000, base_steps=64,
                                          root_seed=29)
     n_steps = ens.meta["n_steps"]
     assert n_steps < len(probes)
-    assert ens.meta["normals_drawn"] == cv.flux_for(setup).n_modes * n_steps * 4000
+    rank = min(len(probes), cv.flux_for(setup).n_modes * n_steps)
+    assert ens.meta["normals_drawn"] == rank * 4000
     z = (stats["var"] - stats["var_oracle"]) / stats["var_se"]
     assert np.max(np.abs(z)) < 3.0
+
+
+def _tensor(setup, probes, base_steps=128):
+    """Step schedule and Ito coefficient tensor of a simulate call on these probes."""
+    flux = cv.flux_for(setup)
+    probe_t = np.array([t for t, _ in probes])
+    xs = np.array([x for _, x in probes], float)
+    rho = geo.distance_to_boundary(setup.domain, xs.reshape(len(probes), -1))
+    edges = cv._step_schedule(max(probe_t), sorted(set(probe_t)), base_steps, float(np.min(rho)))
+    return edges, cv._coefficient_tensor(flux, probe_t, xs, edges)
+
+
+# p72-style: x up to 2.5 at t = 0.05, so the probe variances span > 20 orders
+WIDE_P72_PROBES = [(t, x) for t in (0.05, 0.15, 0.3) for x in (0.15, 0.4, 0.8, 1.5, 2.5)]
+
+
+@pytest.mark.parametrize("sid, probes", [
+    ("p71", [(t, x) for t in (0.05, 0.2, 0.35) for x in (0.12, 0.5, 0.88)]),
+    ("p713", [(0.3, (0.5, 0.4)), (0.1, (0.2, -0.3)), (0.3, (1.0, 0.4))]),
+    ("p717", [(t, (x0, x1)) for t in (0.08, 0.2, 0.35)
+              for x0 in (0.2, 0.45, 0.7, 1.0) for x1 in (-0.7, 0.4)]),
+    ("p72", WIDE_P72_PROBES)], ids=["p71", "p713", "p717", "p72"])
+def test_joint_gaussian_factor_holds_the_summed_covariance(sid, probes):
+    setup, _ = sc.build_setup(sid, p=2.0, theta=2.0, horizon=0.35)
+    _, coeff = _tensor(setup, probes)
+    if sid == "p72":
+        # one mode: split its steps into two independent halves, which have the
+        # same summed covariance, so the second QR stage is exercised too
+        even = coeff.copy()
+        even[..., 1::2] = 0.0
+        coeff = np.concatenate([even, coeff - even])
+    G = np.einsum("kps,kqs->pq", coeff, coeff)
+    d = np.sqrt(np.diag(G))
+    if sid == "p72":
+        assert d.max() ** 2 > 1e20 * d[d > 0].min() ** 2
+    R = cv._gaussian_factor(coeff)
+    assert R.shape == (min(len(probes), coeff.shape[0] * coeff.shape[2]), len(probes))
+    assert np.array_equal(R, np.triu(R))
+    assert np.all(np.abs(R.T @ R - G) <= 1e-12 * np.outer(d, d))
+
+
+def test_single_mode_gaussian_run_keeps_its_draws():
+    # one mode: the joint factor is that mode's own QR factor, and the draw is
+    # substream (root_seed, 0), so a p72 run has the values of the per-mode layout
+    setup, _ = sc.build_setup("p72", p=2.0, theta=2.0, horizon=0.3)
+    probes = WIDE_P72_PROBES
+    ens, _ = cv.simulate_convolution(setup, probes, n_paths=600, base_steps=128,
+                                     root_seed=5, return_paths=True)
+    _, coeff = _tensor(setup, probes)
+    assert coeff.shape[0] == 1
+    R0 = np.linalg.qr(coeff[0].T, mode="r")
+    ref = substream(5, 0).normal(size=(600, R0.shape[0])) @ R0
+    assert np.array_equal(ens.values, ref)
 
 
 def test_invariant_diagnostics_refuses_half_space_before_grid():
@@ -266,6 +345,36 @@ def test_simulate_refusal_on_coarse_steps():
     setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.4)
     with pytest.raises(cv.NumericalRefusal):
         cv.simulate_convolution(setup, [(0.4, 0.5), (0.01, 0.5)], n_paths=10, base_steps=64)
+
+
+def test_time_quadrature_is_one_array_call_over_its_nodes(monkeypatch):
+    calls = {"mass": 0, "gauss": 0}
+    mass, gauss = cv.ball_boundary_mass_exact, SpectralMeasure.gauss_transform
+
+    def count_mass(*a, **k):
+        calls["mass"] += 1
+        return mass(*a, **k)
+
+    def count_gauss(self, s):
+        calls["gauss"] += 1
+        return gauss(self, s)
+
+    monkeypatch.setattr(cv, "ball_boundary_mass_exact", count_mass)
+    monkeypatch.setattr(SpectralMeasure, "gauss_transform", count_gauss)
+    rho, u = np.array([0.01, 0.2, 0.7]), np.array([0.01, 0.3])
+    flux = cv.flux_for(sc.build_setup("p78", p=2.0, theta=2.5)[0])
+    assert flux.white and flux.domain.dim == 2
+    # the former loop over time nodes
+    ref = np.column_stack([flux.big_c ** 2 / uu * (2 * np.pi * flux.c * uu) ** -2
+                           * mass(2, uu, rho, flux.c / 2.0) for uu in u])
+    assert np.allclose(flux.sum_sq_radial(u, rho), ref, rtol=1e-14, atol=0)
+    calls["mass"] = 0
+    cv.variance_profile(flux, 0.5, rho)
+    assert calls["mass"] == 1
+    half = cv.flux_for(sc.build_setup("p717", p=2.0, theta=2.0)[0])
+    full = cv.variance_profile(half, 0.5, np.array([[0.2, 0.0], [0.7, 0.4]]))
+    assert calls["gauss"] == 1
+    assert np.array_equal(full, cv.variance_profile(half, 0.5, np.array([0.2, 0.7])))
 
 
 def test_majorant_mode_refuses_simulation():

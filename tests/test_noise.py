@@ -77,6 +77,30 @@ def test_gauss_transform_families():
         2 * (0.3 * np.exp(-0.25) + 0.2 * np.exp(-2.25)), rel=1e-12)
 
 
+@pytest.mark.parametrize("measure", [
+    nz.lebesgue_measure(), nz.bessel_measure(0.5), nz.bessel_measure(2.0),
+    nz.atomic_measure([[0.5], [1.5], [3.0]], [0.3, 0.2, 0.1]),
+    nz.SpectralMeasure("density", density=lambda z: np.exp(-z * z))],
+    ids=lambda m: m.kind + (f"{m.kappa:g}" if m.kappa else ""))
+def test_gauss_transform_of_an_array_is_the_scalar_transform_per_entry(measure):
+    s = np.array([[1e-6, 0.3], [1.0, 40.0]])
+    out = measure.gauss_transform(s)
+    assert out.shape == s.shape
+    assert np.array_equal(out, [[measure.gauss_transform(v) for v in row] for row in s])
+    assert isinstance(measure.gauss_transform(0.3), float)
+    with pytest.raises(ValueError, match="s must be positive"):
+        measure.gauss_transform(np.array([0.3, 0.0]))
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    x, w = geo.gauss_legendre(12)
+    ref = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(x, ref[0]) and np.array_equal(w, ref[1])
+    assert geo.gauss_legendre(12)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+
+
 def test_time_decay_integral_values():
     # Gamma(alpha+1) at r=0, modified-Bessel closed form elsewhere
     assert nz.time_decay_integral(0.0, 0.0) == pytest.approx(1.0, rel=1e-10)
