@@ -1,4 +1,4 @@
-"""Stochastic convolution diagnostics: variance fields, well-posedness integrals,
+"""Stochastic convolution diagnostics: variance profiles, well-posedness integrals,
 Monte Carlo ensembles of the mild solution, and the semilinear fixed-point solver.
 
 The boundary flux of mode k is psi_k(t, x) = -int dG/dn(t,x,y) e_k(y) ds(y);
@@ -22,7 +22,7 @@ from .geometry import (UnsupportedDomainError, WeightedSpaceParams, distance_to_
                        gauss_legendre, interior_grid, weight)
 from .kernels import HeatKernel, NumericalRefusal, ball_boundary_mass_exact
 from .noise import NoiseSpec, frequency_cells, substream
-from .semigroup import Field, semigroup_matrix
+from .semigroup import semigroup_matrix
 
 
 class ConfigurationError(ValueError):
@@ -45,7 +45,7 @@ class ConvolutionSetup:
     def __post_init__(self):
         if self.horizon <= 0 or self.alpha < 0:
             raise ConfigurationError("need horizon > 0 and alpha >= 0")
-        if self.domain.kind in ("unitball", "generic") and self.mode != "majorant":
+        if self.domain.kind == "unitball" and self.mode != "majorant":
             raise ConfigurationError("no exact kernel on this domain; majorant mode is mandatory")
         if self.mode not in ("exact", "majorant"):
             raise ConfigurationError(f"mode must be 'exact' or 'majorant', not {self.mode!r}")
@@ -53,13 +53,21 @@ class ConvolutionSetup:
 
 # ---------------------------------------------------------------------------
 # flux modes
+#
+# Every flux answers the same four calls: rho(x), the boundary distances of the
+# nodes x; sum_sq(u, x), the (nx, nu) squared-flux sum over its modes; psi(u, x),
+# the (n_modes, nx, nu) per-mode flux; and variance(t_hi, x, alpha,
+# pts_per_octave), the weighted time integral of sum_sq.
 
 
 class EndpointFlux:
     """Unit-atom boundary modes on the interval or half line.
 
     n_atoms from the noise spec may switch off modes (zero boundary noise).
+    Nodes are 1-d coordinates, and the time integral is closed form.
     """
+
+    exact_in_time = True
 
     def __init__(self, domain, n_atoms=None):
         self.domain = domain
@@ -87,8 +95,10 @@ class EndpointFlux:
     def rho(self, x):
         return distance_to_boundary(self.domain, np.asarray(x).reshape(-1, 1))
 
-    def variance(self, t_hi, x, alpha=0.0):
+    def variance(self, t_hi, x, alpha=0.0, pts_per_octave=8):
         """Exact int_0^t_hi s^{-alpha} sum_b psi_b(s, x)^2 ds at interior nodes x.
+
+        pts_per_octave is unused: there is no time quadrature to refine.
 
         psi_b(s, x) = +-sum_m a_m (4 pi)^{-1/2} s^{-3/2} e^{-a_m^2/(4s)} with image
         distances a_m = x - b + 2m (m = 0 alone on the half line), so each image
@@ -168,20 +178,38 @@ def _sine_pairs(x, b, t_lo, t_hi, alpha, kmax=6):
     return np.einsum("ik,kj,ij->i", amp, w, amp)
 
 
-class HomogeneousFlux:
+class _TimeQuadrature:
+    """The log-panel time quadrature of the fluxes without a closed form in time.
+
+    Their nodes are boundary distances (1-d) or points of the domain (2-d).
+    """
+
+    exact_in_time = False
+
+    def rho(self, x):
+        x = np.asarray(x, float)
+        return np.atleast_1d(x) if x.ndim <= 1 else distance_to_boundary(self.domain, x)
+
+    def variance(self, t_hi, x, alpha=0.0, pts_per_octave=8):
+        return _quadrature_variance(self, t_hi, x, alpha, pts_per_octave)
+
+
+class HomogeneousFlux(_TimeQuadrature):
     """Spatially homogeneous boundary noise on the half space {x0 > 0} x R^m, m = 1.
 
     The exact squared-flux sum over a complete basis collapses by Parseval to
-    (x0/t)^2 g_{2t}(x0)^2 * int e^{-2t z^2} d mu(z); the truncated cell modes
-    used for simulation are cosine/sine pairs per frequency cell.
+    (x0/t)^2 g_{2t}(x0)^2 * int e^{-2t z^2} d mu(z), a profile in x0.  The modes
+    that simulations draw are cosine/sine pairs per frequency cell (`psi`); a
+    truncated flux sums those instead, at points (x0, x1).
     """
 
-    def __init__(self, domain, spec):
+    def __init__(self, domain, spec, truncated=False):
         if domain.kind != "halfspace" or domain.dim != 2:
             raise ConfigurationError("homogeneous flux implemented for the half plane (m = 1)")
         self.domain = domain
         self.spec = spec
         self.measure = spec.measure
+        self.truncated = truncated
         if self.measure.kind == "atoms":
             # symmetric atom pairs are exact modes: sqrt(2 m_k) (cos, sin)(z_k x1)
             self.atom_z = np.asarray(self.measure.points, float).reshape(-1)
@@ -223,26 +251,16 @@ class HomogeneousFlux:
             out[2 * kc + 1] = np.sqrt(2.0 / mk) * amp * sinb
         return out
 
-    def sum_sq(self, u, xy, truncated=False):
-        pts = np.atleast_2d(np.asarray(xy, float))
-        if truncated:
-            p = self.psi(u, pts)
+    def sum_sq(self, u, x):
+        if self.truncated:
+            p = self.psi(u, x)
             return np.sum(p * p, axis=0)
-        return self.sum_sq_radial(u, pts[:, 0])
-
-    def sum_sq_radial(self, u, x0):
-        """Radial profile (depends on x0 only): untruncated Parseval sum."""
         u = np.atleast_1d(np.asarray(u, float))
-        x0 = np.atleast_1d(np.asarray(x0, float))
-        amp = self._amplitude(u, x0)
-        return amp ** 2 * self.measure.gauss_transform(2 * u)[None, :]
-
-    def rho(self, xy):
-        return np.atleast_2d(np.asarray(xy, float))[:, 0]
+        return self._amplitude(u, self.rho(x)) ** 2 * self.measure.gauss_transform(2 * u)[None, :]
 
 
-class MajorantFlux:
-    """Squared-flux surrogate on boundaries without exact kernels (balls, generic).
+class MajorantFlux(_TimeQuadrature):
+    """Squared-flux surrogate on the unit ball, which has no exact kernel here.
 
     White noise (complete basis): Parseval then the pointwise Gaussian bound,
     sum psi_k^2 <= (C^2/t) int g_ct(x-y)^2 ds(y).  Sup-summable series with
@@ -271,10 +289,10 @@ class MajorantFlux:
     def psi(self, u, x):
         raise ConfigurationError("majorant mode has no per-mode flux; simulation unavailable")
 
-    def sum_sq_radial(self, u, rho):
+    def sum_sq(self, u, x):
         """Profile in the boundary distance rho (rotation invariance of the bound)."""
         u = np.atleast_1d(np.asarray(u, float))
-        rho = np.atleast_1d(np.asarray(rho, float))[:, None]
+        rho = self.rho(x)[:, None]
         d = self.domain.dim
         if self.white:
             # g_ct^2 = (2 pi c t)^{-d} exp(-|z|^2/(ct)); surface integral of the
@@ -285,17 +303,15 @@ class MajorantFlux:
         return (self.big_c ** 2 / u) * self.A \
             * ((2 * np.pi * self.c * u) ** (-d / 2.0) * mass) ** 2
 
-    def rho(self, x):
-        return distance_to_boundary(self.domain, x)
 
-
-def flux_for(setup):
+def flux_for(setup, truncated=False):
+    """The setup's flux; `truncated` makes a homogeneous flux sum the modes it draws."""
     if setup.mode == "majorant":
         return MajorantFlux(setup.domain, setup.noise, c=setup.majorant_c, big_c=setup.majorant_C)
     if setup.noise.kind == "endpoints":
         return EndpointFlux(setup.domain, n_atoms=setup.noise.n_atoms)
     if setup.noise.kind == "homogeneous":
-        return HomogeneousFlux(setup.domain, setup.noise)
+        return HomogeneousFlux(setup.domain, setup.noise, truncated=truncated)
     raise ConfigurationError(f"no exact flux for noise kind {setup.noise.kind}")
 
 
@@ -319,65 +335,34 @@ def log_time_panels(s_floor, t_hi, pts_per_octave=8):
     return np.concatenate(nodes), np.concatenate(wts)
 
 
-def variance_profile(flux, t_hi, x, alpha=0.0, pts_per_octave=8, floor_scale=80.0,
-                     truncated=False):
+def variance_profile(flux, t_hi, x, alpha=0.0, pts_per_octave=8):
     """sigma_alpha^2(x) = int_0^{t_hi} s^{-alpha} sum_k psi_k(s,x)^2 ds, vectorized in x.
 
-    Endpoint fluxes return their closed form (`EndpointFlux.variance`), exact in
-    time, so pts_per_octave and floor_scale apply to the homogeneous and
-    majorant fluxes only, which take the log-panel quadrature.
+    Endpoint fluxes return their closed form, exact in time, so pts_per_octave
+    acts on the homogeneous and majorant fluxes only, which take the log-panel
+    quadrature (`_quadrature_variance`).
     """
-    if isinstance(flux, EndpointFlux):
-        return flux.variance(t_hi, x, alpha)
-    return _quadrature_variance(flux, t_hi, x, alpha, pts_per_octave, floor_scale, truncated)
+    return flux.variance(t_hi, x, alpha, pts_per_octave)
 
 
-def _quadrature_variance(flux, t_hi, x, alpha=0.0, pts_per_octave=8, floor_scale=80.0,
-                         truncated=False):
+# the squared flux at boundary distance rho carries e^{-rho^2/(2s)}, which is
+# e^{-40} at the quadrature floor s = rho^2/80
+_FLOOR_SCALE = 80.0
+
+
+def _quadrature_variance(flux, t_hi, x, alpha=0.0, pts_per_octave=8):
     """Log-panel Gauss-Legendre quadrature of the squared flux sum in time.
 
-    The integrand carries exp(-rho^2/(2s))-type cutoffs, so the quadrature
-    floor is set from the smallest boundary distance among the nodes.  Against
-    the endpoint closed form it holds 1e-10 relative where rho^2/(2 t_hi) <= 8,
-    and loses accuracy beyond, where the panels under-resolve the cutoff.
+    The quadrature floor is set from the smallest boundary distance among the
+    nodes.  Against the endpoint closed form it holds 1e-10 relative where
+    rho^2/(2 t_hi) <= 8, and loses accuracy beyond, where the panels
+    under-resolve the cutoff.
     """
-    if isinstance(flux, MajorantFlux) or (isinstance(flux, HomogeneousFlux) and not truncated):
-        rho = np.atleast_1d(np.asarray(x, float)) if np.asarray(x).ndim <= 1 else flux.rho(x)
-    else:
-        rho = flux.rho(x)
-    rho_min = max(float(np.min(rho)), 1e-30)
-    s_floor = min(rho_min ** 2 / floor_scale, t_hi / 4.0)
+    rho_min = max(float(np.min(flux.rho(x))), 1e-30)
+    s_floor = min(rho_min ** 2 / _FLOOR_SCALE, t_hi / 4.0)
     s, w = log_time_panels(s_floor, t_hi, pts_per_octave)
-    if isinstance(flux, MajorantFlux):
-        ss = flux.sum_sq_radial(s, np.atleast_1d(np.asarray(x, float)))
-    elif isinstance(flux, HomogeneousFlux) and np.asarray(x).ndim <= 1:
-        ss = flux.sum_sq_radial(s, np.atleast_1d(np.asarray(x, float)))
-    elif isinstance(flux, HomogeneousFlux):
-        ss = flux.sum_sq(s, x, truncated=truncated)
-    else:
-        ss = flux.sum_sq(s, np.atleast_1d(np.asarray(x, float)))
-    integ = ss * (s ** (-alpha) * w)[None, :]
+    integ = flux.sum_sq(s, x) * (s ** (-alpha) * w)[None, :]
     return integ.sum(axis=1)
-
-
-def variance_field(setup, t, grid, pts_per_octave=10, truncated=False):
-    """Second-moment field sigma^2(t, x) of the stochastic convolution (variance_profile)."""
-    if setup.mode != "exact":
-        raise ConfigurationError("variance fields require exact mode")
-    flux = flux_for(setup)
-    x = grid.x if grid.nodes.shape[1] == 1 else grid.nodes
-    vals = variance_profile(flux, t, x, alpha=0.0, pts_per_octave=pts_per_octave,
-                            truncated=truncated)
-    return Field(setup.domain, grid, vals, t)
-
-
-def interval_flux_tail(x, t_from, kmax=6, boundaries=(0, 1)):
-    """Analytic sine-series tail sum_b int_{t_from}^inf psi_b^2 dt over active endpoints."""
-    x = np.asarray(x, float)
-    total = np.zeros(x.size)
-    for b in boundaries:
-        total += _sine_pairs(x.ravel(), b, t_from, np.inf, 0.0, kmax)
-    return total.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +456,7 @@ def j_integral(setup, levels=(10, 14, 18, 22, 26), pts_per_octave=8, prediction=
     for lev in levels:
         js.append(_j_level(setup, flux, lev, pts_per_octave))
     checks = {}
-    if isinstance(flux, EndpointFlux):
+    if flux.exact_in_time:
         checks["time_refinement_rel_change"] = "exact"
     else:
         checks["time_refinement_rel_change"] = abs(
@@ -484,12 +469,12 @@ def j_integral(setup, levels=(10, 14, 18, 22, 26), pts_per_octave=8, prediction=
         # where the complete route remains authoritative)
         wider = NoiseSpec("homogeneous", measure=setup.noise.measure,
                           z_max=2 * setup.noise.z_max, n_cells=2 * setup.noise.n_cells)
-        flux2 = HomogeneousFlux(setup.domain, wider)
+        fluxes = [HomogeneousFlux(setup.domain, spec, truncated=True)
+                  for spec in (setup.noise, wider)]
         probes = np.array([[x0, 0.0] for x0 in (0.2, 0.5, 1.0)])
         rel = 0.0
         for t in (setup.horizon / 8, setup.horizon / 2, setup.horizon):
-            vk = variance_profile(flux, t, probes, alpha=setup.alpha, truncated=True)
-            v2k = variance_profile(flux2, t, probes, alpha=setup.alpha, truncated=True)
+            vk, v2k = (variance_profile(f, t, probes, alpha=setup.alpha) for f in fluxes)
             rel = max(rel, float(np.max(np.abs(v2k - vk) / v2k)))
         checks["probe_variance_mode_doubling_rel_change"] = rel
     verdict = _j_verdict(js)
@@ -663,7 +648,7 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
         raise ValueError(f"n_paths must be at least 2 for sample variances, got {n_paths}")
     if setup.mode != "exact":
         raise ConfigurationError("simulation requires exact mode")
-    flux = flux_for(setup)
+    flux = flux_for(setup, truncated=True)
     times = sorted({float(t) for t, _ in probes})
     pts = [p for _, p in probes]
     dom1d = setup.domain.dim == 1
@@ -678,7 +663,6 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     edges = _step_schedule(t_max, times, base_steps, rho_min, per_octave)
     n_steps = len(edges) - 1
     n_probes = len(probes)
-    truncated = setup.noise.kind == "homogeneous"
     probe_t = np.array([float(t) for t, _ in probes])
     coeff = _coefficient_tensor(flux, probe_t, xs, edges)
     gaussian = law == "gaussian"
@@ -720,8 +704,7 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     var_oracle = np.empty(n_probes)
     for ti in np.unique(probe_t):
         rows = np.flatnonzero(probe_t == ti)
-        var_oracle[rows] = variance_profile(flux, ti, xs[rows], pts_per_octave=12,
-                                            truncated=truncated)
+        var_oracle[rows] = variance_profile(flux, ti, xs[rows], pts_per_octave=12)
     stats = {
         "mean": M.mean(axis=0),
         "var": M.var(axis=0, ddof=1),
@@ -838,25 +821,6 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
         iters.append(it + 1)
     return PathEnsemble(values, [], root_seed, time_grid=edges, nodes=grid.nodes,
                         meta={"grid": grid, "picard_iterations": iters, "dt": dt})
-
-
-def increment_mean_square(setup, t, x, h, pts_per_octave=10):
-    """E|M(t+h, x) - M(t, x)|^2 by quadrature (time-regularity oracle).
-
-    Equals int_0^h sum psi_k^2(u) du + int_0^t sum_k (psi_k(u+h) - psi_k(u))^2 du;
-    the head is variance_profile, the body a log-panel quadrature.
-    """
-    flux = flux_for(setup)
-    xa = np.atleast_1d(np.asarray(x, float))
-    rho = float(np.min(flux.rho(xa)))
-    head = variance_profile(flux, h, xa, pts_per_octave=pts_per_octave)
-    s_floor = min(rho ** 2 / 80.0, t / 4.0)
-    s_nodes, s_w = log_time_panels(s_floor, t, pts_per_octave)
-    p_now = flux.psi(s_nodes, xa)
-    p_shift = flux.psi(s_nodes + h, xa)
-    body = (((p_shift - p_now) ** 2).sum(axis=0) * s_w[None, :]).sum(axis=1)
-    out = head + body
-    return out if np.ndim(x) else float(out[0])
 
 
 def flow_consistency_check(setup, s, t, n_paths=10000, root_seed=13, grid=None,

@@ -9,11 +9,10 @@ enters from the boundary).
 
 Only the Laplacian is given exact kernels, so the diffusion matrix is the
 identity and the conormal direction coincides with the normal; operators with
-a nontrivial matrix a would differentiate along sum_j a_ij n_j instead and
-must enter through tabulated kernels that already carry that flux.
+a nontrivial matrix a would differentiate along sum_j a_ij n_j instead.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +23,12 @@ from .semigroup import Field
 
 @dataclass
 class BoundaryData:
-    """Boundary datum: point atoms, sampled values on a boundary grid, or basis coefficients."""
+    """Boundary datum: point atoms, or sampled values on a boundary grid."""
 
-    kind: str                         # "atoms" | "sampled" | "coeffs"
+    kind: str                         # "atoms" | "sampled"
     points: np.ndarray = None         # atoms: (m, d_boundary-coords in ambient space)
-    values: np.ndarray = None         # atoms/sampled values, coeffs coefficients
+    values: np.ndarray = None         # atom or sample values
     grid: QuadratureGrid = None       # sampled: its boundary quadrature
-    basis: object = None              # coeffs: basis descriptor from the noise module
 
     def __post_init__(self):
         if self.values is not None:
@@ -42,9 +40,6 @@ class BoundaryData:
         elif self.kind == "sampled":
             if self.grid is None or len(self.values) != self.grid.n:
                 raise ValueError("sampled data needs a matching boundary grid")
-        elif self.kind == "coeffs":
-            if self.basis is None:
-                raise ValueError("coefficient data needs a basis")
         else:
             raise ValueError(f"unknown boundary data kind {self.kind}")
 
@@ -60,22 +55,6 @@ def endpoint_data(domain, *values):
             raise ValueError("half line boundary data is a single value")
         return BoundaryData("atoms", points=[[0.0]], values=list(values))
     raise UnsupportedDomainError("endpoint data lives on 1-d boundaries")
-
-
-def read_boundary_data(text):
-    """Parse the structured text format: 'kind: atoms' then coordinate... value lines."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].lower().startswith("kind:"):
-        raise ValueError("boundary data text must start with 'kind: <atoms|sampled>'")
-    kind = lines[0].split(":", 1)[1].strip()
-    rows = np.atleast_2d(np.asarray([[float(v) for v in ln.split()] for ln in lines[1:]]))
-    if kind == "atoms":
-        return BoundaryData("atoms", points=rows[:, :-1], values=rows[:, -1])
-    if kind == "sampled":
-        # node coordinates, quadrature weight, value per line
-        grid = QuadratureGrid(rows[:, :-2], rows[:, -2], 0, 0.0)
-        return BoundaryData("sampled", values=rows[:, -1], grid=grid)
-    raise ValueError(f"unsupported boundary data kind {kind}")
 
 
 @dataclass
@@ -189,7 +168,7 @@ def boundary_propagator(domain, t, e, out_grid, kernel=None):
 def propagator_majorant(domain, t, e, out_grid, c=4.0, big_c=1.0, level=None):
     """Pointwise Gaussian surface-integral majorant (C / sqrt(t)) int g_ct(x-y) |e| ds.
 
-    This is the only propagator route on the ball and on generic domains.
+    This is the only propagator route on the ball, which has no exact kernel here.
     """
     pts = np.atleast_2d(out_grid.nodes)
     if e.kind == "atoms":

@@ -1,15 +1,13 @@
 """Concrete spatial domains: boundary distance, interior/boundary quadrature, weights.
 
 Supported domain kinds: the unit interval (0,1), the half line (0,inf), the
-half space {x_1 > 0} in R^d, the unit ball in R^d (d >= 2), and generic
-signed-distance domains given by a distance oracle plus a polygonal boundary
-patch list.  All quadrature grids are immutable after construction and carry
-a recorded tolerance for how well the weights cover the target measure.
+half space {x_1 > 0} in R^d and the unit ball in R^d (d >= 2).  All
+quadrature grids are immutable after construction and carry a recorded
+tolerance for how well the weights cover the target measure.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,19 +26,11 @@ class UnsupportedDomainError(ValueError):
 class Domain:
     """A concrete spatial region with exact distance-to-boundary.
 
-    kind: one of "interval01", "halfline", "halfspace", "unitball", "generic".
-    For "generic", `distance_fn` is a signed distance oracle (positive inside)
-    and `patches` is a list of boundary segments ((x0,y0),(x1,y1)) in 2-d.
+    kind: one of "interval01", "halfline", "halfspace", "unitball".
     """
 
     kind: str
     dim: int
-    distance_fn: Optional[Callable] = None
-    patches: Optional[tuple] = None
-
-    @property
-    def bounded(self):
-        return self.kind in ("interval01", "unitball", "generic")
 
     def __repr__(self):
         return f"Domain({self.kind}, d={self.dim})"
@@ -64,55 +54,6 @@ def unit_ball(d):
     if d < 2:
         raise ValueError("unit ball domain needs d >= 2 (d=1 is the interval)")
     return Domain("unitball", int(d))
-
-
-def generic_signed(distance_fn, patches=None, dim=2):
-    """Domain from a signed distance oracle (positive inside) and optional patch list."""
-    return Domain("generic", dim, distance_fn=distance_fn,
-                  patches=tuple(tuple(map(tuple, p)) for p in patches) if patches else None)
-
-
-def polygon_domain(vertices):
-    """Generic domain bounded by a closed polygon (vertices counter-clockwise)."""
-    verts = np.asarray(vertices, dtype=float)
-    segs = [(tuple(verts[i]), tuple(verts[(i + 1) % len(verts)])) for i in range(len(verts))]
-
-    def signed_dist(pts):
-        pts = np.atleast_2d(pts)
-        d = _polyline_distance(pts, verts)
-        inside = _point_in_polygon(pts, verts)
-        return np.where(inside, d, -d)
-
-    return generic_signed(signed_dist, patches=segs, dim=2)
-
-
-def _polyline_distance(pts, verts):
-    # min distance from each point to the closed polyline
-    a = verts
-    b = np.roll(verts, -1, axis=0)
-    ab = b - a                                   # (m,2)
-    diff = pts[:, None, :] - a[None, :, :]       # (n,m,2)
-    tt = np.einsum("nmk,mk->nm", diff, ab) / np.einsum("mk,mk->m", ab, ab)
-    tt = np.clip(tt, 0.0, 1.0)
-    proj = a[None, :, :] + tt[..., None] * ab[None, :, :]
-    d = np.linalg.norm(pts[:, None, :] - proj, axis=-1)
-    return d.min(axis=1)
-
-
-def _point_in_polygon(pts, verts):
-    # even-odd ray casting
-    x, y = pts[:, 0], pts[:, 1]
-    inside = np.zeros(len(pts), dtype=bool)
-    n = len(verts)
-    j = n - 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(n):
-            xi, yi = verts[i]
-            xj, yj = verts[j]
-            crosses = ((yi > y) != (yj > y)) & (x < (xj - xi) * (y - yi) / (yj - yi) + xi)
-            inside ^= crosses
-            j = i
-    return inside
 
 
 @dataclass(frozen=True)
@@ -176,28 +117,6 @@ class QuadratureGrid:
         return "\n".join(lines) + "\n"
 
 
-def grid_from_text(text):
-    header = None
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            header = line
-            continue
-        rows.append([float(v) for v in line.split()])
-    arr = np.asarray(rows)
-    level, tol = 0, 0.0
-    if header:
-        for tokens in header.split():
-            if tokens.startswith("level="):
-                level = int(tokens[6:])
-            elif tokens.startswith("tolerance="):
-                tol = float(tokens[10:])
-    return QuadratureGrid(arr[:, :-1], arr[:, -1], refinement_level=level, tolerance=tol)
-
-
 def _points(domain, x):
     """Normalize x to an (n, d) array for the domain's dimension."""
     arr = np.asarray(x, dtype=float)
@@ -235,12 +154,6 @@ def distance_to_boundary(domain, x, check=True):
         if check and np.any(r > 1 + 1e-12):
             raise DomainMembershipError("point outside the closed unit ball")
         rho = 1.0 - r
-    elif domain.kind == "generic":
-        if domain.distance_fn is None:
-            raise UnsupportedDomainError("generic domain without a distance oracle")
-        rho = np.asarray(domain.distance_fn(pts), dtype=float)
-        if check and np.any(rho < -1e-10):
-            raise DomainMembershipError("point outside the domain closure")
     else:
         raise UnsupportedDomainError(domain.kind)
     rho = np.maximum(rho, 0.0)
@@ -318,20 +231,6 @@ def boundary_quadrature(domain, level=4, c=1.0, t_max=1.0):
         wts = np.full(len(tang), h ** m)
         tol = 2 * m * (2 * R) ** (m - 1) * np.exp(-R ** 2 / (2 * c * t_max))
         return QuadratureGrid(nodes, wts, level, tol)
-    if domain.kind == "generic":
-        if not domain.patches:
-            raise UnsupportedDomainError("generic domain without boundary patches")
-        nodes, wts = [], []
-        nsub = 2 ** level
-        for (a, b) in domain.patches:
-            a = np.asarray(a, float)
-            b = np.asarray(b, float)
-            seg = b - a
-            length = np.linalg.norm(seg)
-            tt = (np.arange(nsub) + 0.5) / nsub
-            nodes.append(a[None, :] + tt[:, None] * seg[None, :])
-            wts.append(np.full(nsub, length / nsub))
-        return QuadratureGrid(np.vstack(nodes), np.concatenate(wts), level, 1e-13)
     raise UnsupportedDomainError(domain.kind)
 
 

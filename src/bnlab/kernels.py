@@ -12,8 +12,7 @@ on; the caller supplies the Gaussian scale c, the best constant is fitted.
 import numpy as np
 from scipy import integrate, special
 
-from .geometry import (UnsupportedDomainError, boundary_quadrature, distance_to_boundary,
-                       gaussian_truncation_radius)
+from .geometry import UnsupportedDomainError, boundary_quadrature
 from .reports import EstimateReport, loglog_slope
 
 SERIES_TAIL = 1e-16     # first omitted series term below this is dropped
@@ -41,12 +40,6 @@ def gauss_density(z, t, d=1):
     z = np.asarray(z, dtype=float)
     sq = z * z if d == 1 else np.sum(z ** 2, axis=-1)
     return (2 * np.pi * t) ** (-0.5 * d) * np.exp(-sq / (2.0 * t))
-
-
-def barrier_factor(domain, t, z):
-    """Boundary decay factor min(1, rho(z)/sqrt(t))."""
-    rho = distance_to_boundary(domain, z)
-    return np.minimum(1.0, rho / np.sqrt(t))
 
 
 def _n_images(t):
@@ -98,8 +91,8 @@ class HeatKernel:
 
     representation: "image" | "sine" | "auto" on the interval (the two series
     agree to 1e-10 for t >= 1e-3 and cross-check each other); the half line and
-    half space use the reflection closed form.  Balls and generic domains have
-    no exact kernel here and are handled downstream through majorants only.
+    half space use the reflection closed form.  Balls have no exact kernel here
+    and are handled downstream through majorants only.
     """
 
     def __init__(self, domain, representation="auto"):
@@ -181,16 +174,21 @@ class HeatKernel:
             # domain always stay: dropping direct n = +-1 leaves G < 0 at far corners
             reach = _TAIL_REACH[order] * np.sqrt(t)
             xlo, xhi, ylo, yhi = x.min(), x.max(), y.min(), y.max()
-            diff, total = x - y, x + y
+            # the reflected shift x + y - 2n is formed from the end it mirrors:
+            # (x - 1) + (y - 1) - 2(n - 1) for n >= 1 rounds like the direct x - y,
+            # so at x = 1 the pairs cancel as they do at x = 0
+            diff, near, far = x - y, x + y, (x - 1.0) + (y - 1.0)
             for n in range(-_n_images(t), _n_images(t) + 1):
                 direct = abs(n) <= 1 or _gap(xlo - yhi, xhi - ylo, 2 * n) <= reach
                 reflected = n in (0, 1) or _gap(xlo + ylo, xhi + yhi, 2 * n) <= reach
+                if reflected:
+                    shift = near - 2 * n if n <= 0 else far - 2 * (n - 1)
                 if direct and reflected:
-                    out += _dg1(order, diff - 2 * n, t) - _dg1(order, total - 2 * n, t)
+                    out += _dg1(order, diff - 2 * n, t) - _dg1(order, shift, t)
                 elif direct:
                     out += _dg1(order, diff - 2 * n, t)
                 elif reflected:
-                    out -= _dg1(order, total - 2 * n, t)
+                    out -= _dg1(order, shift, t)
             return out
         # d^order/dx^order sin(k pi x) is (k pi)^order times sin, cos, -sin; one
         # contraction over a trailing mode axis serves every input shape
@@ -315,36 +313,6 @@ def _laplace(fn, lam, where, scales=()):
             f"Laplace quadrature at lambda={lam:g}, {where} did not reach its tolerance "
             f"within {_LAPLACE_LIMIT} subintervals")
     return head + tail
-
-
-class TabulatedKernel:
-    """Externally supplied kernel for the estimate verifiers.
-
-    Operators with drift or variable coefficients have no exact kernel here;
-    callers hand in evaluators (tables, interpolants, other codes) and the
-    verifier operations treat them like the built-in kernels.  For
-    non-identity diffusion matrices the boundary flux must already be the
-    conormal one (direction sum_j a_ij n_j).
-    """
-
-    def __init__(self, domain, value_fn, grad_fn=None, normal_fn=None):
-        self.domain = domain
-        self._value = value_fn
-        self._grad = grad_fn
-        self._normal = normal_fn
-
-    def value(self, t, x, y):
-        return np.asarray(self._value(t, x, y), dtype=float)
-
-    def grad_x(self, t, x, y):
-        if self._grad is None:
-            raise UnsupportedDomainError("tabulated kernel has no gradient table")
-        return np.asarray(self._grad(t, x, y), dtype=float)
-
-    def normal_derivative(self, t, x, b):
-        if self._normal is None:
-            raise UnsupportedDomainError("tabulated kernel has no boundary flux table")
-        return np.asarray(self._normal(t, x, b), dtype=float)
 
 
 def halfline_resolvent_exact(lam, x, y):

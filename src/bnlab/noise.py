@@ -11,7 +11,7 @@ derives its own Philox substream from the root seed, so ensembles replay
 bit-for-bit and distinct streams are independent.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -27,10 +27,6 @@ def substream(root_seed, *indices):
     """Philox generator keyed by the root seed and a tuple of stream indices."""
     ss = np.random.SeedSequence(entropy=int(root_seed), spawn_key=tuple(int(i) for i in indices))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def lineage(root_seed, *indices):
-    return f"philox[{int(root_seed)}" + "".join(f".{int(i)}" for i in indices) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +168,7 @@ def time_decay_integral(r, alpha=0.0):
 
 
 # ---------------------------------------------------------------------------
-# boundary noise specifications and RKHS bases
+# boundary noise specifications and frequency cells
 
 
 @dataclass(frozen=True)
@@ -236,17 +232,6 @@ def homogeneous_noise(measure, z_max=12.0, n_cells=24):
     return NoiseSpec("homogeneous", measure=measure, z_max=float(z_max), n_cells=int(n_cells))
 
 
-def circle_basis_functions(truncation):
-    """Orthonormal Fourier family on the unit circle, as functions of 2-d boundary points."""
-    funcs = [lambda pts: np.full(np.atleast_2d(pts).shape[0], (2 * np.pi) ** -0.5)]
-    for k in range(1, truncation + 1):
-        funcs.append(lambda pts, k=k: np.cos(k * np.arctan2(np.atleast_2d(pts)[:, 1],
-                                                            np.atleast_2d(pts)[:, 0])) / np.sqrt(np.pi))
-        funcs.append(lambda pts, k=k: np.sin(k * np.arctan2(np.atleast_2d(pts)[:, 1],
-                                                            np.atleast_2d(pts)[:, 0])) / np.sqrt(np.pi))
-    return funcs
-
-
 @dataclass(frozen=True)
 class FrequencyCells:
     """Symmetric partition of [-z_max, z_max] backing the homogeneous mode basis.
@@ -279,108 +264,3 @@ def frequency_cells(measure, z_max, n_cells, gl_order=12):
         masses.append(float(np.sum(w)))
     return FrequencyCells(tuple(edges), tuple(masses),
                           tuple(map(tuple, nodes)), tuple(map(tuple, wts)))
-
-
-class BasisDescriptor:
-    """Explicit orthonormal mode family for a noise spec on a given domain."""
-
-    def __init__(self, spec, domain, kind, functions=None, atom_points=None, cells=None):
-        self.spec = spec
-        self.domain = domain
-        self.kind = kind
-        self.functions = functions
-        self.atom_points = atom_points
-        self.cells = cells
-
-    @property
-    def n_modes(self):
-        if self.kind == "atoms":
-            return len(self.atom_points)
-        if self.kind == "cells":
-            return 2 * self.cells.n_cells
-        return len(self.functions)
-
-    def gram_matrix(self, boundary_grid):
-        if self.kind != "functions":
-            raise ValueError("gram check applies to function bases")
-        vals = np.stack([f(boundary_grid.nodes) for f in self.functions])
-        return (vals * boundary_grid.weights[None, :]) @ vals.T
-
-
-def rkhs_basis(spec, domain):
-    """Concrete orthonormal basis realizing the noise spec on the domain's boundary."""
-    if spec.kind == "endpoints":
-        pts = [[0.0], [1.0]] if domain.kind == "interval01" else [[0.0]]
-        return BasisDescriptor(spec, domain, "atoms", atom_points=np.asarray(pts))
-    if spec.kind == "circle_white":
-        return BasisDescriptor(spec, domain, "functions",
-                               functions=circle_basis_functions(spec.truncation))
-    if spec.kind == "finite_series":
-        return BasisDescriptor(spec, domain, "functions", functions=list(spec.functions))
-    if spec.kind == "homogeneous":
-        cells = frequency_cells(spec.measure, spec.z_max, spec.n_cells)
-        return BasisDescriptor(spec, domain, "cells", cells=cells)
-    raise ValueError(spec.kind)
-
-
-# ---------------------------------------------------------------------------
-# increment sampling
-
-
-def circle_truncation_check(t, rho, c=4.0, truncation=None, n_quad=8192):
-    """Stability of the truncated Fourier flux sum on the circle.
-
-    The complete-basis surface integral int g_ct(x-y)^2 ds(y) is approached by
-    the truncated sums sum_{k<=K} (int g_ct(x-y) e_k ds)^2; the default K obeys
-    the Gaussian angular scale rule K = ceil(6/sqrt(ct)) + 8, and doubling K
-    must move the sum by less than 1% for the truncation to count as resolved.
-    """
-    if truncation is None:
-        truncation = int(np.ceil(6.0 / np.sqrt(c * t))) + 8
-    ang = 2 * np.pi * (np.arange(n_quad) + 0.5) / n_quad
-    w = 2 * np.pi / n_quad
-    x = np.array([1.0 - rho, 0.0])
-    pts = np.column_stack([np.cos(ang), np.sin(ang)])
-    d2 = ((pts - x) ** 2).sum(axis=1)
-    h = (2 * np.pi * c * t) ** -1.0 * np.exp(-d2 / (2 * c * t))
-
-    def partial(K):
-        total = (h.sum() * w) ** 2 / (2 * np.pi)        # constant mode
-        for k in range(1, K + 1):
-            total += (np.sum(h * np.cos(k * ang)) * w) ** 2 / np.pi
-            total += (np.sum(h * np.sin(k * ang)) * w) ** 2 / np.pi
-        return total
-
-    s1, s2 = partial(truncation), partial(2 * truncation)
-    full = float(np.sum(h * h) * w)
-    return {"truncation": truncation, "sum_K": s1, "sum_2K": s2, "parseval": full,
-            "doubling_rel_change": abs(s2 - s1) / s2 if s2 else 0.0,
-            "parseval_rel_gap": abs(full - s2) / full if full else 0.0}
-
-
-@dataclass
-class NoiseIncrement:
-    coefficients: np.ndarray       # (count, n_modes), each N(0, dt)
-    dt: float
-    seed_lineage: str
-
-
-def sample_increments(spec, dt, count, root_seed, stream_index=0, law="gaussian", df=3.0):
-    """Independent per-mode increments over a step dt, deterministic in the seed.
-
-    law "student_t" (variance-matched) exists as a heavy-tailed negative
-    control for the Gaussian-tail diagnostics; it is never used by the solvers.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if law == "student_t" and not df > 2:
-        raise ValueError(f"student_t needs df > 2 for variance matching, got df={df}")
-    gen = substream(root_seed, stream_index)
-    n = spec.n_modes if hasattr(spec, "n_modes") else int(spec)
-    if law == "gaussian":
-        coeff = gen.normal(size=(count, n)) * np.sqrt(dt)
-    elif law == "student_t":
-        coeff = gen.standard_t(df, size=(count, n)) * np.sqrt(dt * (df - 2.0) / df)
-    else:
-        raise ValueError(law)
-    return NoiseIncrement(coeff, dt, lineage(root_seed, stream_index))

@@ -3,10 +3,9 @@
 Each catalogued scenario pairs a concrete (domain, boundary noise) combination
 with the interval of weight exponents theta in which the boundary problem is
 well posed in the weighted space, plus any decay requirement on delta.  One
-record per scenario in REGISTRY drives the listing, the setup builders and the
-CLI's scenario check.  The predictions are table lookups with the arithmetic
-spelled out; requests outside the catalog get an explicit no-prediction
-answer, never a guess.
+record per scenario in REGISTRY drives the listing, the predictions, the setup
+builders and the CLI's scenario check.  Requests outside the catalog get an
+explicit no-prediction answer, never a guess.
 """
 
 from dataclasses import dataclass
@@ -36,11 +35,30 @@ class NoPrediction(Exception):
     """The setup does not match any catalogued scenario."""
 
 
+def _low(p, mu):
+    return p - 1
+
+
+def _mid(p, mu):
+    return 1.5 * p - 1
+
+
+def _bessel_low(p, mu):
+    return p + 0.5 * p * (mu.m - mu.kappa) - 1
+
+
+def _half_space_delta(mu):
+    return (mu.m + 1) / 2.0
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One catalogued scenario.  The window text takes {low} = (p-1, 2p-1) and
-    {mid} = (3p/2-1, 2p-1); the builder maps the setup options to (domain,
-    noise), and a scenario without one says why in `unbuilt`."""
+    {mid} = (3p/2-1, 2p-1); the prediction reads the same window as the lower
+    end theta_lo(p, mu) < theta < 2p-1 and delta > delta_min(mu), mu the
+    spectral measure of a half-space noise (None elsewhere).  The builder maps
+    the setup options to (domain, noise), and a scenario without one says why
+    in `unbuilt`."""
 
     sid: str
     description: str
@@ -48,6 +66,8 @@ class Scenario:
     build: object = None
     delta: float = 0.0          # default delta of the weighted space
     unbuilt: str = ""
+    theta_lo: object = _low
+    delta_min: object = lambda mu: 0.0
 
 
 def _endpoints(dom):
@@ -67,25 +87,29 @@ REGISTRY = {s.sid: s for s in (
     Scenario("p71", "interval (0,1), independent endpoint noises", "theta in {low}",
              lambda o: _endpoints(interval01())),
     Scenario("p72", "half line, endpoint noise", "theta in {low}, delta > 1/2",
-             lambda o: _endpoints(half_line()), delta=1.0),
+             lambda o: _endpoints(half_line()), delta=1.0, delta_min=lambda mu: 0.5),
     Scenario("p74", "unit ball (d>=2), sup-summable boundary series", "theta in {low}",
              lambda o: (unit_ball(2), rotational_noise(
                  [1.0, 0.5, 0.25], [[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]]))),
     Scenario("p78", "white noise on the circle (ball d=2)", "theta in {mid}",
-             lambda o: (unit_ball(2), circle_white_noise(o.truncation))),
+             lambda o: (unit_ball(2), circle_white_noise(o.truncation)), theta_lo=_mid),
     Scenario("p711i", "bounded C^{1,a} region, sup-summable series (majorant route)",
              "theta in {low}", unbuilt=_MAJORANT_BALL_ONLY),
     Scenario("p711ii", "bounded C^{1,a} region in the plane, boundary white noise",
-             "theta in {mid}", unbuilt=_MAJORANT_BALL_ONLY),
+             "theta in {mid}", unbuilt=_MAJORANT_BALL_ONLY, theta_lo=_mid),
     Scenario("p713", "half space, finite spectral measure", "theta in {low}, delta > (m+1)/2",
-             lambda o: _half_plane(atomic_measure([[0.7], [1.9]], [0.6, 0.4]), o), delta=1.5),
+             lambda o: _half_plane(atomic_measure([[0.7], [1.9]], [0.6, 0.4]), o), delta=1.5,
+             delta_min=_half_space_delta),
+    # m = 1 only, where (m+1)/2 = 1
     Scenario("p717", "half plane, space-time white noise on the boundary line (m=1)",
              "theta in {mid}, delta > 1", lambda o: _half_plane(lebesgue_measure(1), o),
-             delta=1.5),
+             delta=1.5, theta_lo=_mid, delta_min=_half_space_delta),
     Scenario("p718i", "half plane, Bessel spectral density, kappa >= m",
-             "theta in {low}, delta > (m+1)/2", _bessel, delta=1.5),
+             "theta in {low}, delta > (m+1)/2", _bessel, delta=1.5,
+             delta_min=_half_space_delta),
     Scenario("p718ii", "half plane, Bessel spectral density, m-2 < kappa < m",
-             "theta in (p + p(m-kappa)/2 - 1, 2p-1), delta > (m+1)/2", _bessel, delta=1.5),
+             "theta in (p + p(m-kappa)/2 - 1, 2p-1), delta > (m+1)/2", _bessel, delta=1.5,
+             theta_lo=_bessel_low, delta_min=_half_space_delta),
     Scenario("r88", "Dirac atom boundary noise on the circle",
              "rejected - Dirac boundary noise not treatable",
              unbuilt="the catalog rejects Dirac boundary noise as not treatable"),
@@ -96,8 +120,8 @@ RUNNABLE = tuple(sid for sid, s in REGISTRY.items() if s.build) + ("p718",)
 
 def catalog(p=2.0):
     """Scenario table: id, description, admissible range (formula and value at p)."""
-    low = f"(p-1, 2p-1) = ({p - 1:g}, {2 * p - 1:g})"
-    mid = f"(3p/2-1, 2p-1) = ({1.5 * p - 1:g}, {2 * p - 1:g})"
+    low = f"(p-1, 2p-1) = ({_low(p, None):g}, {2 * p - 1:g})"
+    mid = f"(3p/2-1, 2p-1) = ({_mid(p, None):g}, {2 * p - 1:g})"
     return [(s.sid, s.description, s.window.format(low=low, mid=mid)) for s in REGISTRY.values()]
 
 
@@ -110,41 +134,40 @@ def unbuildable(sid):
     return f"scenario must be one of {RUNNABLE}"
 
 
-def predict_wellposedness(setup):
-    """Admissible theta-interval for the setup's scenario, with verdict helpers.
-
-    Raises NoPrediction for uncatalogued combinations.
-    """
-    p = setup.params.p
+def _scenario_id(setup):
+    """The catalogued scenario of the setup's (domain, noise), or NoPrediction."""
     dom, nz = setup.domain.kind, setup.noise.kind
-    if dom == "interval01" and nz == "endpoints":
-        return Prediction("p71", p - 1, 2 * p - 1)
-    if dom == "halfline" and nz == "endpoints":
-        return Prediction("p72", p - 1, 2 * p - 1, delta_min=0.5)
-    if dom == "unitball" and nz == "finite_series":
-        return Prediction("p74", p - 1, 2 * p - 1)
-    if dom == "unitball" and nz == "circle_white":
-        return Prediction("p78", 1.5 * p - 1, 2 * p - 1)
-    if dom == "generic" and nz == "finite_series":
-        return Prediction("p711i", p - 1, 2 * p - 1)
-    if dom == "generic" and nz == "circle_white":
-        return Prediction("p711ii", 1.5 * p - 1, 2 * p - 1)
+    sid = {("interval01", "endpoints"): "p71", ("halfline", "endpoints"): "p72",
+           ("unitball", "finite_series"): "p74",
+           ("unitball", "circle_white"): "p78"}.get((dom, nz))
+    if sid:
+        return sid
     if dom == "halfspace" and nz == "homogeneous":
         mu = setup.noise.measure
-        delta_min = (mu.m + 1) / 2.0
-        if mu.kind == "atoms" or (mu.kind == "bessel" and mu.kappa >= mu.m):
-            sid = "p713" if mu.kind == "atoms" else "p718i"
-            return Prediction(sid, p - 1, 2 * p - 1, delta_min=delta_min)
+        if mu.kind == "atoms":
+            return "p713"
         if mu.kind == "lebesgue":
             if mu.m != 1:
                 raise NoPrediction("space-time white boundary noise is catalogued for m = 1 only")
-            return Prediction("p717", 1.5 * p - 1, 2 * p - 1, delta_min=1.0)
+            return "p717"
         if mu.kind == "bessel":
-            if mu.m - 2 < mu.kappa < mu.m:
-                lo = p + 0.5 * p * (mu.m - mu.kappa) - 1
-                return Prediction("p718ii", lo, 2 * p - 1, delta_min=delta_min)
+            if mu.kappa >= mu.m:
+                return "p718i"
+            if mu.m - 2 < mu.kappa:
+                return "p718ii"
             raise NoPrediction("kappa <= m-2 is not treatable")
     raise NoPrediction(f"no catalogued scenario for {dom} + {nz}")
+
+
+def predict_wellposedness(setup):
+    """Admissible (theta, delta) window of the setup's scenario, read from its record.
+
+    Raises NoPrediction for uncatalogued combinations.
+    """
+    sid = _scenario_id(setup)
+    rec, p = REGISTRY[sid], setup.params.p
+    mu = setup.noise.measure if setup.noise.kind == "homogeneous" else None
+    return Prediction(sid, rec.theta_lo(p, mu), 2 * p - 1, delta_min=rec.delta_min(mu))
 
 
 def build_setup(scenario, p=2.0, theta=None, delta=None, horizon=0.5, alpha=0.0,

@@ -70,13 +70,6 @@ def _gradient_matrix(kernel, t, in_grid, out_grid=None, order=1):
     return dk * in_grid.weights[None, :]
 
 
-def gradient_of_semigroup(kernel, t, psi, out_grid=None, order=1):
-    """d/dx S(t)psi via the differentiated kernel series (not by differencing)."""
-    out_grid = out_grid or psi.grid
-    D = _gradient_matrix(kernel, t, psi.grid, out_grid, order)
-    return Field(psi.domain, out_grid, D @ psi.values, psi.time_tag + t)
-
-
 def weighted_norm(field, params):
     """(int |f|^p w_{theta,delta})^(1/p) by the field's own quadrature."""
     w = weight(field.domain, field.grid.nodes, params)
@@ -264,16 +257,6 @@ def schur_constants(domain, p, theta, c=4.0, t_grid=None, levels=3, base_level=1
         for nm in names:
             traces[nm].append(sups[nm])
     return SchurReport(p, theta, c, traces)
-
-
-def schur_kernel_value(domain, p, theta, c, t, x, y):
-    """Pointwise weighted Schur kernel (for seam-continuity checks)."""
-    from .kernels import gauss_density
-    beta = (theta + 1.0) / p
-    rx = distance_to_boundary(domain, x)
-    ry = distance_to_boundary(domain, y)
-    m = np.minimum(1.0, ry / np.sqrt(t))
-    return (rx / ry) ** beta * m * gauss_density(np.asarray(x) - y, c * t) * ry
 
 
 def min_weight_splice_check(kernel, t, params, n_fields=100, seed=0, level=10):

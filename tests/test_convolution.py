@@ -2,14 +2,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats as stats_mod
 
 from bnlab import convolution as cv
 from bnlab import geometry as geo
 from bnlab import scenarios as sc
 from bnlab import semigroup as sg
-from bnlab.noise import NoiseSpec, SpectralMeasure, endpoint_noise, lebesgue_measure, substream
-from bnlab.reports import loglog_slope
+from bnlab.noise import (NoiseSpec, SpectralMeasure, bessel_measure, endpoint_noise,
+                         homogeneous_noise, lebesgue_measure, substream)
 
 
 def test_setup_validation():
@@ -48,15 +50,8 @@ def test_predictions_catalogued():
     assert (pred.theta_lo, pred.theta_hi) == (1.0, 3.0)
 
 
-def test_prediction_arithmetic_p718ii():
-    # lower endpoint p + p(m-kappa)/2 - 1 at p=2, m=1, kappa=0.5 is 1.5
-    assert 2.0 + 2.0 * (1 - 0.5) / 2 - 1 == pytest.approx(1.5)
-
-
 def test_no_prediction_for_uncatalogued():
-    setup = cv.ConvolutionSetup(geo.interval01(), NoiseSpec("endpoints", n_atoms=2),
-                                geo.WeightedSpaceParams(2, 2, 0))
-    bad = cv.ConvolutionSetup(geo.halfline() if hasattr(geo, "halfline") else geo.half_line(),
+    bad = cv.ConvolutionSetup(geo.half_line(),
                               NoiseSpec("homogeneous", measure=lebesgue_measure(),
                                         z_max=4, n_cells=4),
                               geo.WeightedSpaceParams(2, 2, 1.5))
@@ -98,28 +93,29 @@ def test_alpha_continuity_mid_interval():
     assert rep.verdict == "finite"
 
 
-def test_variance_field_halfline_oracle():
-    setup, _ = sc.build_setup("p72", p=2.0, theta=2.0)
-    probe = geo.QuadratureGrid([[1.0]], [1.0], 0, 0.0)
-    f = cv.variance_field(setup, 1.0, probe)
-    assert f.values[0] == pytest.approx(1.5 * np.exp(-0.5) / np.pi, rel=1e-8)
-
-
-def test_variance_field_monotone_in_t():
-    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0)
-    grid = geo.interval_grid(n=15)
-    vals = [cv.variance_field(setup, t, grid).values for t in (0.05, 0.1, 0.2, 0.4)]
-    for a, b in zip(vals[:-1], vals[1:]):
-        assert np.all(b >= a - 1e-15)
-
-
 def test_variance_profile_truncated_vs_full_converges():
     setup, _ = sc.build_setup("p717", p=2.0, theta=2.5, n_cells=48, z_max=16.0)
-    flux = cv.flux_for(setup)
     pts = np.array([[0.4, 0.3], [0.8, -0.5]])
-    full = cv.variance_profile(flux, 0.3, pts, truncated=False)
-    trunc = cv.variance_profile(flux, 0.3, pts, truncated=True)
+    full = cv.variance_profile(cv.flux_for(setup), 0.3, pts)
+    trunc = cv.variance_profile(cv.flux_for(setup, truncated=True), 0.3, pts)
     assert np.max(np.abs(full - trunc) / full) < 0.01
+
+
+@given(x0=st.floats(0.02, 3.0), x1=st.floats(-3.0, 3.0), t=st.floats(0.01, 2.0),
+       measure=st.sampled_from([lebesgue_measure(), bessel_measure(0.5), bessel_measure(2.0)]))
+def test_truncated_homogeneous_variance_rises_to_the_parseval_sum(x0, x1, t, measure):
+    # the cell modes are orthonormal in L^2(mu), so by Bessel's inequality their
+    # squared-flux sum stays below the complete (Parseval) sum at every time
+    # node, and widening the band (z_max, n_cells) only adds to it
+    half_plane, pts = geo.half_space(2), np.array([[x0, x1]])
+    full = cv.variance_profile(cv.HomogeneousFlux(half_plane, homogeneous_noise(measure)), t, pts)
+    gaps = []
+    for z_max, n_cells in ((6, 12), (12, 24), (24, 48), (48, 96)):
+        flux = cv.HomogeneousFlux(half_plane, homogeneous_noise(measure, z_max, n_cells),
+                                  truncated=True)
+        gaps.append(float((full - cv.variance_profile(flux, t, pts))[0] / full[0]))
+    assert gaps[-1] >= 0.0
+    assert all(wider <= narrower for narrower, wider in zip(gaps, gaps[1:])), gaps
 
 
 def test_simulate_convolution_isometry_small():
@@ -367,7 +363,7 @@ def test_time_quadrature_is_one_array_call_over_its_nodes(monkeypatch):
     # the former loop over time nodes
     ref = np.column_stack([flux.big_c ** 2 / uu * (2 * np.pi * flux.c * uu) ** -2
                            * mass(2, uu, rho, flux.c / 2.0) for uu in u])
-    assert np.allclose(flux.sum_sq_radial(u, rho), ref, rtol=1e-14, atol=0)
+    assert np.allclose(flux.sum_sq(u, rho), ref, rtol=1e-14, atol=0)
     calls["mass"] = 0
     cv.variance_profile(flux, 0.5, rho)
     assert calls["mass"] == 1
@@ -459,14 +455,6 @@ def test_flow_two_stage_vs_one_shot():
     assert out["max_cov_z"] < 3.5
 
 
-def test_increment_rate_slope():
-    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.5)
-    hs = np.geomspace(1e-3, 1e-1, 6)
-    vals = [cv.increment_mean_square(setup, 0.3, 0.5, h) for h in hs]
-    alpha = 0.25
-    assert loglog_slope(hs, vals) >= alpha * 0.75
-
-
 def test_invariant_diagnostics_interval():
     setup, _ = sc.build_setup("p71", p=2.0, theta=2.0)
     inv = cv.invariant_diagnostics(setup)
@@ -487,20 +475,26 @@ def test_invariant_variance_monotone_to_limit():
     grid = geo.interval_grid(n=9)
     flux = cv.flux_for(setup)
     profs = [cv.variance_profile(flux, t, grid.x) for t in (0.2, 0.5, 1.0)]
-    inv_vals = cv.variance_profile(flux, 1.0, grid.x) + cv.interval_flux_tail(grid.x, 1.0)
+    inv_vals = flux.variance(np.inf, grid.x)
     for a, b in zip(profs[:-1], profs[1:]):
         assert np.all(b >= a - 1e-14)
     assert np.all(profs[-1] <= inv_vals + 1e-12)
 
 
+def _sine_tail(x, t_from):
+    # int_{t_from}^inf of the squared flux of both endpoints, from the sine series
+    return sum(cv._sine_pairs(x, b, t_from, np.inf, 0.0) for b in (0, 1))
+
+
 def test_interval_tail_consistency():
-    # sigma^2(T) + tail(T) is T-independent (both computed routes agree)
+    # sigma^2(T) + tail(T) is T-independent, and is the variance at T = inf
     setup, _ = sc.build_setup("p71", p=2.0, theta=2.0)
     flux = cv.flux_for(setup)
     x = np.array([0.3, 0.6])
-    a = cv.variance_profile(flux, 1.0, x, pts_per_octave=12) + cv.interval_flux_tail(x, 1.0)
-    b = cv.variance_profile(flux, 1.5, x, pts_per_octave=12) + cv.interval_flux_tail(x, 1.5)
+    a = cv.variance_profile(flux, 1.0, x, pts_per_octave=12) + _sine_tail(x, 1.0)
+    b = cv.variance_profile(flux, 1.5, x, pts_per_octave=12) + _sine_tail(x, 1.5)
     assert np.allclose(a, b, rtol=1e-8)
+    assert np.allclose(a, flux.variance(np.inf, x), rtol=1e-8)
 
 
 def test_zero_noise_invariant_point_mass():
@@ -557,16 +551,6 @@ def test_bdg_moment_identity():
         assert abs(lhs - rhs) < 4 * se
 
 
-def test_prediction_generic_domain():
-    from bnlab.noise import circle_white_noise
-    square = geo.polygon_domain([[0, 0], [2, 0], [2, 2], [0, 2]])
-    setup = cv.ConvolutionSetup(square, circle_white_noise(8),
-                                geo.WeightedSpaceParams(2, 2.5, 0), mode="majorant")
-    pred = sc.predict_wellposedness(setup)
-    assert pred.scenario == "p711ii"
-    assert (pred.theta_lo, pred.theta_hi) == (2.0, 3.0)
-
-
 @pytest.mark.parametrize("sid", ["p71", "p713"])
 def test_isometry_oracle_calls_once_per_probe_time(sid, monkeypatch):
     setup, _ = sc.build_setup(sid, p=2.0, theta=2.0, horizon=0.3)
@@ -584,10 +568,9 @@ def test_isometry_oracle_calls_once_per_probe_time(sid, monkeypatch):
     monkeypatch.setattr(cv, "variance_profile", counted)
     _, stats = cv.simulate_convolution(setup, probes, n_paths=16, base_steps=128, root_seed=3)
     assert sorted(calls) == sorted({t for t, _ in probes})
-    flux = cv.flux_for(setup)
-    truncated = setup.noise.kind == "homogeneous"
+    flux = cv.flux_for(setup, truncated=True)
     per_probe = [profile(flux, t, np.atleast_1d(x) if setup.domain.dim == 1 else np.atleast_2d(x),
-                         pts_per_octave=12, truncated=truncated)[0] for t, x in probes]
+                         pts_per_octave=12)[0] for t, x in probes]
     np.testing.assert_allclose(stats["var_oracle"], per_probe, rtol=1e-12)
 
 

@@ -168,17 +168,3 @@ def test_majorant_long_time_decay():
     vals_maj = [dm.propagator_majorant(H, t, e, probe, c=4.0).values[0] for t in (1.0, 10.0, 100.0)]
     assert vals_exact[0] > vals_exact[1] > vals_exact[2]
     assert vals_maj[0] > vals_maj[1] > vals_maj[2]
-
-
-def test_boundary_data_text_roundtrip():
-    txt = "kind: atoms\n0.0 1.5\n1.0 -0.5\n"
-    bd = dm.read_boundary_data(txt)
-    assert bd.kind == "atoms"
-    assert np.allclose(bd.points.ravel(), [0.0, 1.0])
-    assert np.allclose(bd.values, [1.5, -0.5])
-    txt2 = "kind: sampled\n0.0 1.0 0.25 2.0\n0.0 -1.0 0.25 3.0\n"
-    bd2 = dm.read_boundary_data(txt2)
-    assert bd2.grid.n == 2
-    assert np.allclose(bd2.values, [2.0, 3.0])
-    with pytest.raises(ValueError):
-        dm.read_boundary_data("0.0 1.0\n")

@@ -105,15 +105,20 @@ def test_halfline_limit_and_tail(x, t):
     assert abs(inf[0] - HALF.variance(t, pts)[0] - tail) <= 1e-14 * scale
 
 
+def _sine_tail(x, t_from):
+    # int_{t_from}^inf of the squared flux of both endpoints, from the sine series
+    return sum(cv._sine_pairs(x, b, t_from, np.inf, 0.0) for b in (0, 1))
+
+
 def test_interval_at_infinity_adds_the_sine_tail():
     x = np.linspace(0.05, 0.95, 7)
     np.testing.assert_allclose(INTERVAL.variance(np.inf, x),
-                               INTERVAL.variance(1.0, x) + cv.interval_flux_tail(x, 1.0),
+                               INTERVAL.variance(1.0, x) + _sine_tail(x, 1.0),
                                rtol=1e-14)
     # from t = 0.05 the six sine modes reach e^{-50 pi^2 / 20} of the tail, and
     # every mode pair and both endpoint signs count
     x = np.linspace(0.2, 0.8, 5)
-    np.testing.assert_allclose(cv.interval_flux_tail(x, 0.05),
+    np.testing.assert_allclose(_sine_tail(x, 0.05),
                                INTERVAL.variance(np.inf, x) - INTERVAL.variance(0.05, x),
                                rtol=1e-9)
 
@@ -137,7 +142,7 @@ def test_variance_profile_routes_endpoint_fluxes_to_the_closed_form():
                                 geo.WeightedSpaceParams(2, 2, 0))
     flux = cv.flux_for(setup)
     x = np.array([1e-3, 0.3, 0.9])
-    # pts_per_octave and floor_scale do not reach the closed form
+    # pts_per_octave does not reach the closed form
     assert np.array_equal(cv.variance_profile(flux, 0.4, x, alpha=0.2, pts_per_octave=3),
                           flux.variance(0.4, x, 0.2))
     setup0 = cv.ConvolutionSetup(geo.interval01(), NoiseSpec("endpoints", n_atoms=0),

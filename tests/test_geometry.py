@@ -86,20 +86,6 @@ def test_boundary_quadrature_halfspace_truncation():
     assert g.tolerance < 1e-11
 
 
-def test_generic_domain_needs_patches():
-    dom = geo.generic_signed(lambda pts: np.ones(len(np.atleast_2d(pts))))
-    with pytest.raises(geo.UnsupportedDomainError):
-        geo.boundary_quadrature(dom)
-
-
-def test_polygon_domain_distance_and_boundary():
-    square = geo.polygon_domain([[0, 0], [2, 0], [2, 2], [0, 2]])
-    assert geo.distance_to_boundary(square, np.array([1.0, 1.0])) == pytest.approx(1.0)
-    assert geo.distance_to_boundary(square, np.array([0.3, 1.0])) == pytest.approx(0.3)
-    bq = geo.boundary_quadrature(square, level=4)
-    assert bq.weights.sum() == pytest.approx(8.0, rel=1e-12)
-
-
 def test_interior_grid_uniform_midpoint():
     g = geo.interval_grid(n=4)
     assert np.allclose(g.x, [1 / 8, 3 / 8, 5 / 8, 7 / 8])
@@ -139,15 +125,6 @@ def test_ball_grid_volume():
     assert g.weights.sum() == pytest.approx(np.pi, rel=1e-12)
     g3 = geo.ball_grid(3, level=5, n_ang=24)
     assert g3.weights.sum() == pytest.approx(4 * np.pi / 3, rel=1e-10)
-
-
-def test_grid_text_roundtrip():
-    g = geo.interval_grid(graded=True, level=4)
-    txt = g.to_text()
-    g2 = geo.grid_from_text(txt)
-    assert np.allclose(g2.nodes, g.nodes)
-    assert np.allclose(g2.weights, g.weights)
-    assert g2.refinement_level == g.refinement_level
 
 
 def test_grids_immutable():

@@ -220,6 +220,19 @@ def test_interval_kernel_is_nonnegative(t, x, y, rep, shape):
     assert np.all(INTERVAL[rep].value(t, *SHAPES[shape](x, y)) >= -1e-300)
 
 
+@example(t=3.2e-4, y=np.array([0.995, 0.999]))
+@given(t=st.floats(np.log(1e-4), np.log(K.IMAGE_SINE_SWITCH), exclude_max=True).map(np.exp),
+       y=hugging_points)
+def test_interval_kernel_vanishes_at_the_far_end_to_one_rounding(t, y):
+    # at x = 1 exactly each reflected image cancels its direct partner, as at
+    # x = 0; what is left is one rounding of an O((4 pi t)^-1/2) partial sum
+    # (forming x + y - 2 instead left -4.1 of these at t = 3.2e-4, y = 0.995)
+    atol = np.finfo(float).eps / np.sqrt(4 * np.pi * t)
+    for ker in INTERVAL[:2]:
+        assert np.all(np.abs(ker.value(t, 1.0, y)) <= atol)
+        assert np.all(np.abs(ker.value(t, y, 1.0)) <= atol)
+
+
 # -- the derivative-order series behind value, grad_x and dxx ----------------
 
 SERIES = [pytest.param(ker, 1.0, id=ker.representation) for ker in INTERVAL] \
@@ -248,11 +261,13 @@ def test_grad_x_is_the_x_difference_of_the_kernel(ker, hi, t, x, y):
 
 
 def _every_image(order, t, x, y):
-    # the image series with every n in +-_n_images(t), none dropped
+    # the image series with every n in +-_n_images(t), none dropped; reflected
+    # shifts for m >= 1 are formed from the far end, as the kernel forms them
     n = K._n_images(t)
     out = np.zeros(np.broadcast(x, y).shape)
     for m in range(-n, n + 1):
-        out += K._dg1(order, x - y - 2 * m, t) - K._dg1(order, x + y - 2 * m, t)
+        reflected = x + y - 2 * m if m <= 0 else (x - 1) + (y - 1) - 2 * (m - 1)
+        out += K._dg1(order, x - y - 2 * m, t) - K._dg1(order, reflected, t)
     return out
 
 

@@ -2,7 +2,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from bnlab import geometry as geo
 from bnlab import kernels as K
@@ -28,13 +27,6 @@ def test_gauss_density_normalization_2d():
 def test_gauss_density_errors():
     with pytest.raises(ValueError):
         K.gauss_density(0.0, -1.0)
-
-
-def test_barrier_factor():
-    I = geo.interval01()
-    assert K.barrier_factor(I, 0.25, 0.1) == pytest.approx(0.2)
-    assert K.barrier_factor(geo.half_line(), 1.0, 2.0) == pytest.approx(1.0)
-    assert K.barrier_factor(I, 1e-8, 0.3) == pytest.approx(1.0)
 
 
 def test_halfline_kernel_closed_form():
@@ -226,31 +218,6 @@ def test_far_weight_constants():
     assert rep.fitted["A1"] <= rep.fitted["N"] / 2 + 1e-12
     rep2 = K.far_weight_constants(theta=1.5, c=1.0)
     assert rep2.fitted["A1"] + rep2.fitted["A2"] <= rep2.fitted["N"]
-
-
-def test_tabulated_kernel_through_verifier():
-    # an externally supplied kernel (here: the half-line closed form wrapped as
-    # tables) runs through the same estimate verifier as the built-ins
-    H = geo.half_line()
-    ref = K.HeatKernel(H)
-    tab = K.TabulatedKernel(H, value_fn=ref.value, grad_fn=ref.grad_x,
-                            normal_fn=ref.normal_derivative)
-    val, grad = K.verify_kernel_upper_bounds(tab, c=4.0, levels=2)
-    assert val.verdict == "bounded"
-    assert grad.verdict == "bounded"
-    with pytest.raises(geo.UnsupportedDomainError):
-        K.TabulatedKernel(H, value_fn=ref.value).grad_x(0.1, 1.0, 1.0)
-
-
-def test_boundary_mass_on_generic_polygon():
-    square = geo.polygon_domain([[0, 0], [2, 0], [2, 2], [0, 2]])
-    t, c = 0.05, 1.0
-    center = np.array([1.0, 1.0])
-    val = K.gaussian_boundary_mass(square, t, center, c=c, level=9)
-    # each of the four sides contributes a 1-d Gaussian integral at distance 1
-    side = np.exp(-1.0 / (c * t)) * integrate.quad(
-        lambda s: np.exp(-s * s / (c * t)), -1, 1)[0]
-    assert val == pytest.approx(4 * side, rel=1e-6)
 
 
 def test_resolvent_quadrature_refuses_when_not_converged(monkeypatch):

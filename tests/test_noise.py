@@ -7,38 +7,6 @@ from bnlab import noise as nz
 from bnlab.reports import loglog_slope
 
 
-def test_increment_moments():
-    spec = nz.endpoint_noise(geo.interval01())
-    inc = nz.sample_increments(spec, 0.01, 100000, 42)
-    var = inc.coefficients.var(axis=0)
-    se = 0.01 * np.sqrt(2 / 100000)
-    assert np.all(np.abs(var - 0.01) < 3 * se)
-    cov = np.cov(inc.coefficients.T)[0, 1]
-    assert abs(cov) < 3 * 0.01 / np.sqrt(100000)
-    assert np.abs(inc.coefficients.mean(axis=0)).max() < 3 * 0.1 / np.sqrt(100000)
-
-
-def test_increment_replay_deterministic():
-    spec = nz.endpoint_noise(geo.interval01())
-    a = nz.sample_increments(spec, 0.05, 1000, 7, stream_index=3)
-    b = nz.sample_increments(spec, 0.05, 1000, 7, stream_index=3)
-    c = nz.sample_increments(spec, 0.05, 1000, 7, stream_index=4)
-    assert np.array_equal(a.coefficients, b.coefficients)
-    assert not np.array_equal(a.coefficients, c.coefficients)
-    assert "7" in a.seed_lineage
-
-
-def test_increment_variance_additivity():
-    spec = nz.endpoint_noise(geo.half_line())
-    full = nz.sample_increments(spec, 0.02, 200000, 1, stream_index=0)
-    h1 = nz.sample_increments(spec, 0.01, 200000, 1, stream_index=1)
-    h2 = nz.sample_increments(spec, 0.01, 200000, 1, stream_index=2)
-    v_full = full.coefficients.var()
-    v_sum = (h1.coefficients + h2.coefficients).var()
-    se = 0.02 * np.sqrt(2 / 200000)
-    assert abs(v_full - v_sum) < 4 * se
-
-
 def test_spectral_correlation_bessel_closed_form():
     mu = nz.bessel_measure(2.0)
     assert nz.spectral_correlation(mu, 1.0) == pytest.approx(np.pi * np.exp(-1), rel=1e-7)
@@ -120,33 +88,6 @@ def test_time_decay_integral_monotone_and_fast_decay():
     assert np.all(np.diff(growth) > 0)
 
 
-def test_circle_basis_gram_identity():
-    B2 = geo.unit_ball(2)
-    basis = nz.rkhs_basis(nz.circle_white_noise(8), B2)
-    assert basis.n_modes == 17
-    grid = geo.boundary_quadrature(B2, level=7)
-    G = basis.gram_matrix(grid)
-    assert np.max(np.abs(G - np.eye(17))) < 1e-10
-
-
-def test_endpoint_rkhs_two_atoms():
-    I = geo.interval01()
-    basis = nz.rkhs_basis(nz.endpoint_noise(I), I)
-    assert basis.kind == "atoms"
-    assert np.allclose(np.sort(basis.atom_points.ravel()), [0.0, 1.0])
-
-
-def test_single_unit_mode_is_itself():
-    B2 = geo.unit_ball(2)
-    f = lambda pts: np.full(np.atleast_2d(pts).shape[0], (2 * np.pi) ** -0.5)
-    spec = nz.NoiseSpec("finite_series", functions=(f,), sup_norms=((2 * np.pi) ** -0.5,))
-    basis = nz.rkhs_basis(spec, B2)
-    grid = geo.boundary_quadrature(B2, level=6)
-    G = basis.gram_matrix(grid)
-    assert G.shape == (1, 1)
-    assert G[0, 0] == pytest.approx(1.0, abs=1e-12)
-
-
 def test_homogeneous_cells_orthonormal():
     mu = nz.bessel_measure(2.0)
     cells = nz.frequency_cells(mu, z_max=8.0, n_cells=16)
@@ -178,22 +119,3 @@ def test_rotational_field_stationarity():
     y, z, h = pts[0], pts[1], np.array([0.05, -0.02])
     cov = lambda u, v: sum(a * a * np.cos((u - v) @ np.asarray(b)) for a, b in zip(amps, vecs))
     assert cov(y, z) == pytest.approx(cov(y + h, z + h), rel=1e-12)
-
-
-def test_student_t_increments_variance_matched():
-    spec = nz.endpoint_noise(geo.half_line())
-    inc = nz.sample_increments(spec, 0.04, 200000, 9, law="student_t", df=3.0)
-    assert inc.coefficients.var() == pytest.approx(0.04, rel=0.05)
-
-
-def test_student_t_increments_need_df_above_two():
-    spec = nz.endpoint_noise(geo.half_line())
-    with pytest.raises(ValueError, match=r"df > 2"):
-        nz.sample_increments(spec, 0.04, 10, 9, law="student_t", df=2.0)
-
-
-def test_circle_truncation_rule_stable():
-    for t, rho in ((0.05, 0.3), (0.01, 0.15)):
-        out = nz.circle_truncation_check(t, rho)
-        assert out["doubling_rel_change"] < 0.01
-        assert out["parseval_rel_gap"] < 0.01
