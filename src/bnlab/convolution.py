@@ -541,7 +541,7 @@ def _step_schedule(t_max, probe_times, base_steps, rho_min, per_octave=10):
     """
     edges = set(np.linspace(0.0, t_max, base_steps + 1).tolist())
     d0 = t_max / base_steps
-    u_min = min(rho_min ** 2 / 80.0, d0 / 4.0)
+    u_min = min(rho_min ** 2 / _FLOOR_SCALE, d0 / 4.0)
     s = u_min
     while s < 2 * d0:
         edges.add(s)
@@ -726,47 +726,30 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
 # trajectory engine (recursion over a time grid) and the semilinear solver
 
 
-def _substep_noise_coeffs(flux, grid, edges, per_octave, rho_min):
-    """Per time-step noise fields: coefficient tensors over geometric substeps.
-
-    Step [t_i, t_{i+1}] contributes eta_i(x) = sum_k sum_sub psi_k(t_{i+1}-s, x)
-    sqrt(ds) xi; substeps grade toward s = t_{i+1} where the flux concentrates.
-    """
-    x = grid.x if grid.nodes.shape[1] == 1 else grid.nodes
-    out = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        u_hi = b - a
-        u_min = min(rho_min ** 2 / 80.0, u_hi / 8.0)
-        sub = [0.0]
-        u = u_min
-        while u < u_hi:
-            sub.append(u)
-            u *= 2.0 ** (1.0 / per_octave)
-        sub.append(u_hi)
-        sub = np.unique(np.asarray(sub))
-        umid = 0.5 * (sub[:-1] + sub[1:])
-        du = np.diff(sub)
-        pv = flux.psi(umid, x)                      # (modes, nx, nu)
-        out.append(pv * np.sqrt(du)[None, None, :])
-    return out
-
-
 def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=None,
-                  per_octave=8, drift=None, picard_tol=1e-10, picard_max=50):
+                  drift=None, picard_tol=1e-10, picard_max=50):
     """Trajectory ensemble of the mild solution X(t) = S(t)X0 + convolution.
 
-    With `drift` f (scalar Lipschitz), solves the semilinear fixed point by
-    per-path Picard iteration on the time grid; drift None is the linear
-    equation, and drift f = 0 reproduces it path by path under the same seed.
+    The grid is uniform and the flux does not depend on time, so the noise of
+    step i is M(dt, .) with fresh increments (the flow property): every (path,
+    step) pair is one path-major row of a single `simulate_convolution`
+    ensemble at the probes (dt, x).  With `drift` f (scalar Lipschitz), solves
+    the semilinear fixed point by Picard iteration over all paths at once; a
+    path freezes once its own increment falls below picard_tol.  Drift None is
+    the linear equation, and drift f = 0 reproduces it path by path under the
+    same seed.
     """
-    if setup.mode != "exact":
-        raise ConfigurationError("simulation requires exact mode")
-    flux = flux_for(setup)
-    dom = setup.domain
-    grid = grid or interior_grid(dom, graded=True, level=8, per_panel=8)
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be at least 1, got {n_paths}")
     edges = np.asarray(time_grid, float)
+    if edges.ndim != 1 or edges.size < 2:
+        raise ValueError(f"time_grid must be 1-d with at least 2 points, got shape {edges.shape}")
     if edges[0] != 0.0 or np.any(np.diff(edges) <= 0):
         raise ValueError("time grid must start at 0 and increase")
+    if setup.mode != "exact":
+        raise ConfigurationError("simulation requires exact mode")
+    dom = setup.domain
+    grid = grid or interior_grid(dom, graded=True, level=8, per_panel=8)
     kernel = HeatKernel(dom)
     steps = np.diff(edges)
     if np.ptp(steps) > 1e-12 * steps[0]:
@@ -775,52 +758,50 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
     P = semigroup_matrix(kernel, dt, grid)
     n_t = len(edges)
     nx = grid.n
-    coeffs = _substep_noise_coeffs(flux, grid, edges, per_octave,
-                                   rho_min=float(np.min(distance_to_boundary(dom, grid.nodes))))
+    x = grid.x if grid.nodes.shape[1] == 1 else grid.nodes
+    # draws are prefix-stable, so a single row is the first of two
+    rows = n_paths * (n_t - 1)
+    noise, _ = simulate_convolution(setup, [(dt, node) for node in x], max(rows, 2),
+                                    root_seed=root_seed, return_paths=True)
+    meta = {"grid": grid, "dt": dt, "n_steps": noise.meta["n_steps"],
+            "normals_drawn": noise.meta["normals_drawn"]}
+    eta = noise.values[:rows].reshape(n_paths, n_t - 1, nx)
     # deterministic part, one-shot per output time (no compounding quadrature error)
     xdet = np.zeros((n_t, nx))
     if x0_field is not None:
         xdet[0] = x0_field.values
         for i in range(1, n_t):
             xdet[i] = semigroup_matrix(kernel, edges[i], grid) @ x0_field.values
-    p = setup.params.p
-    w = weight(dom, grid.nodes, setup.params)         # for the Picard stopping rule
-    values = np.empty((n_paths, n_t, nx))
-    iters = []
-    for path in range(n_paths):
-        eta = np.zeros((n_t - 1, nx))
-        for k in range(flux.n_modes):
-            gen = substream(root_seed, k, path)
-            for i in range(n_t - 1):
-                c = coeffs[i][k]                    # (nx, n_sub)
-                xi = gen.normal(size=c.shape[1])
-                eta[i] += c @ xi
-        M = np.zeros((n_t, nx))
-        for i in range(n_t - 1):
-            M[i + 1] = P @ M[i] + eta[i]
-        base = xdet + M
-        if drift is None:
-            values[path] = base
-            iters.append(0)
-            continue
+    base = np.zeros((n_paths, n_t, nx))
+    for i in range(n_t - 1):
+        base[:, i + 1] = base[:, i] @ P.T + eta[:, i]
+    del noise, eta                  # the draws live on in base; free them before Picard
+    base += xdet
+    iters = np.zeros(n_paths, int)
+    Y = base
+    if drift is not None:
+        p = setup.params.p
+        w = weight(dom, grid.nodes, setup.params)     # for the Picard stopping rule
         Y = base.copy()
+        live = np.arange(n_paths)
         for it in range(picard_max):
-            Z = np.zeros((n_t, nx))
+            # one time row of the live paths at a time, so no copy of their iterate
+            Z = np.zeros((live.size, n_t, nx))
             for i in range(n_t - 1):
-                Z[i + 1] = P @ (Z[i] + dt * drift(Y[i]))
-            Ynew = base + Z
-            # the largest weighted L^p norm over time rows; the root is monotone
-            delta = float(np.max(np.sum(grid.weights * np.abs(Ynew - Y) ** p * w, axis=1))) \
-                ** (1.0 / p)
-            Y = Ynew
-            if delta < picard_tol:
+                Z[:, i + 1] = (Z[:, i] + dt * drift(Y[live, i])) @ P.T
+            Z += base[live]
+            # per path, the largest weighted L^p norm over time rows; the root is monotone
+            delta = np.max(np.sum(grid.weights * np.abs(Z - Y[live]) ** p * w, axis=2),
+                           axis=1) ** (1.0 / p)
+            Y[live] = Z
+            iters[live] = it + 1
+            live = live[~(delta < picard_tol)]        # a NaN increment never converges
+            if not live.size:
                 break
         else:
             raise NumericalRefusal("picard iteration did not converge")
-        values[path] = Y
-        iters.append(it + 1)
-    return PathEnsemble(values, [], root_seed, time_grid=edges, nodes=grid.nodes,
-                        meta={"grid": grid, "picard_iterations": iters, "dt": dt})
+    meta["picard_iterations"] = iters.tolist()
+    return PathEnsemble(Y, [], root_seed, time_grid=edges, nodes=grid.nodes, meta=meta)
 
 
 def flow_consistency_check(setup, s, t, n_paths=10000, root_seed=13, grid=None,

@@ -433,8 +433,49 @@ def test_picard_weight_is_built_once_per_call(monkeypatch):
     ens = cv.simulate_mild(setup, x0, np.linspace(0, 0.1, 11), n_paths=4, root_seed=5,
                            grid=grid, drift=np.sin)
     assert len(calls) == 1
-    # the per-row weighted_norm stopping rule took these iterations too
-    assert ens.meta["picard_iterations"] == [5, 5, 5, 5]
+    # step noise drawn from one simulate_convolution ensemble; on the older
+    # per-(path, mode) substreams these were [5, 5, 5, 5]
+    assert ens.meta["picard_iterations"] == [6, 6, 6, 5]
+
+
+def test_mild_step_noise_is_rows_of_one_convolution_ensemble():
+    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.2)
+    grid = geo.interior_grid(geo.interval01(), graded=True, level=6, per_panel=6)
+    tg = np.linspace(0, 0.1, 6)
+    ens = cv.simulate_mild(setup, None, tg, n_paths=3, root_seed=4, grid=grid)
+    dt = float(np.diff(tg)[0])
+    direct, _ = cv.simulate_convolution(setup, [(dt, x) for x in grid.x], 3 * 5,
+                                        root_seed=4, return_paths=True)
+    # rows are path-major: (path, step) is row 5 * path + step
+    assert np.array_equal(ens.values[:, 1], direct.values[::5])
+    assert ens.meta["n_steps"] == direct.meta["n_steps"]
+    assert ens.meta["normals_drawn"] == direct.meta["normals_drawn"]
+    # a single (path, step) row is the first row of a two-row draw
+    one = cv.simulate_mild(setup, None, tg[:2], n_paths=1, root_seed=4, grid=grid)
+    two = cv.simulate_mild(setup, None, tg[:2], n_paths=2, root_seed=4, grid=grid)
+    assert np.array_equal(one.values[0], two.values[0])
+
+
+def test_batched_picard_does_not_couple_paths():
+    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.2)
+    grid = geo.interior_grid(geo.interval01(), graded=True, level=6, per_panel=6)
+    x0 = sg.field_from_function(geo.interval01(), grid, lambda x: np.sin(np.pi * x))
+    tg = np.linspace(0, 0.1, 11)
+    four = cv.simulate_mild(setup, x0, tg, n_paths=4, root_seed=5, grid=grid, drift=np.sin)
+    for k in range(4):
+        alone = cv.simulate_mild(setup, x0, tg, n_paths=k + 1, root_seed=5, grid=grid,
+                                 drift=np.sin)
+        assert alone.meta["picard_iterations"][-1] == four.meta["picard_iterations"][k]
+        # BLAS may block a product over more rows differently
+        np.testing.assert_allclose(alone.values[-1], four.values[k], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("time_grid, n_paths, name", [(np.linspace(0, 0.1, 11), 0, "n_paths"),
+                                                      ([0.0], 2, "time_grid")])
+def test_mild_rejects_empty_runs(time_grid, n_paths, name):
+    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.2)
+    with pytest.raises(ValueError, match=name):
+        cv.simulate_mild(setup, None, time_grid, n_paths=n_paths)
 
 
 def test_semilinear_clamp_picard_count():

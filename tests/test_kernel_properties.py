@@ -187,6 +187,24 @@ def test_halfline_kernel_is_symmetric_and_vanishes_on_the_boundary(t, x, y):
     np.testing.assert_array_equal(ker.value(t, 0.0, y), 0.0)
 
 
+# the midpoint sums of test_kernels.test_chapman_kolmogorov: (kernel, cells, reach)
+CK_SUMS = [pytest.param(INTERVAL[1], 4096, 1.0, id="image"),
+           pytest.param(INTERVAL[2], 4096, 1.0, id="sine"),
+           pytest.param(K.HeatKernel(geo.half_line()), 8192, 14.0, id="halfline")]
+ck_time = st.floats(np.log(1e-2), np.log(0.5)).map(np.exp)
+ck_point = st.floats(0.05, 0.95)
+
+
+@pytest.mark.parametrize("ker, n, hi", CK_SUMS)
+@given(t=ck_time, s=ck_time, x=ck_point, y=ck_point)
+def test_chapman_kolmogorov_property(ker, n, hi, t, s, x, y):
+    # int G(t, x, z) G(s, z, y) dz = G(t + s, x, y); both factors vanish at the
+    # boundary, so the integrand extends evenly and the midpoint sum converges fast
+    zs = np.linspace(hi / n / 2, hi - hi / n / 2, n)
+    conv = np.sum(ker.value(t, x, zs) * ker.value(s, zs, y)) * (hi / n)
+    assert abs(conv - ker.value(t + s, x, y)) < 1e-6
+
+
 @given(t=log_time,
        pts=st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(-3.0, 3.0)),
                     min_size=2, max_size=6).map(np.asarray))

@@ -1,0 +1,36 @@
+"""Properties of the shared refinement-verdict rule."""
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from bnlab.reports import BOUNDED, DIVERGING, INCONCLUSIVE, verdict_from_trace
+
+# suprema are non-negative; these stay normal under the 2^k scalings below,
+# so scaling is exact
+sups = st.one_of(st.just(0.0), st.floats(1e-6, 1e6))
+traces = st.lists(sups, min_size=0, max_size=8)
+
+
+@given(trace=traces, k=st.integers(-16, 16))
+def test_verdict_is_scale_invariant(trace, k):
+    assert verdict_from_trace([2.0 ** k * v for v in trace]) == verdict_from_trace(trace)
+
+
+@given(head=st.lists(sups, max_size=6), last_two=st.tuples(sups, sups).map(sorted))
+def test_a_trace_that_ends_without_rising_is_bounded(head, last_two):
+    assert verdict_from_trace(head + last_two[::-1]) == BOUNDED
+
+
+@given(start=st.floats(1e-6, 1.0), growth=st.floats(1.1, 4.0),
+       excess=st.lists(st.floats(1.01, 4.0), min_size=1, max_size=6))
+def test_a_trace_growing_by_more_than_the_factor_each_level_is_diverging(start, growth, excess):
+    # each ratio is at least 1% above growth_factor, far beyond the product's rounding
+    trace = [start]
+    for r in excess:
+        trace.append(trace[-1] * growth * r)
+    assert verdict_from_trace(trace, growth_factor=growth) == DIVERGING
+
+
+@given(trace=st.lists(sups, max_size=1))
+def test_fewer_than_two_levels_are_inconclusive(trace):
+    assert verdict_from_trace(trace) == INCONCLUSIVE
