@@ -10,7 +10,7 @@ on; the caller supplies the Gaussian scale c, the best constant is fitted.
 """
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .geometry import UnsupportedDomainError, boundary_quadrature
 from .reports import EstimateReport, loglog_slope
@@ -298,6 +298,7 @@ def _laplace(fn, lam, where, scales=()):
     smallest such scale up by factors of _LADDER.  quad_vec does not warn when
     it stops short, so its status is checked here.
     """
+    from scipy import integrate
     scales = np.asarray(scales, float)
     scales = scales[scales > 0]
     low = float(scales.min()) if scales.size else _HEAD_PANEL
@@ -480,6 +481,7 @@ def singular_moment(domain, alpha, c, t, x_values=None):
         raise ValueError("alpha must lie in (-1, 0)")
     if domain.kind not in ("halfline", "interval01"):
         raise UnsupportedDomainError("distance-power moments implemented on 1-d domains")
+    from scipy import integrate
     s = c * t
     q = 1.0 / (1.0 + alpha)
 
@@ -528,6 +530,7 @@ def far_weight_constants(theta, c=1.0, d=1, y_grid=None, domain_kind="halfline")
     """
     if domain_kind != "halfline":
         raise UnsupportedDomainError("far-field constants computed on the half line")
+    from scipy import integrate
     if d == 1:
         N = 2 * integrate.quad(lambda z: (1 + abs(z)) ** theta * np.exp(-z * z / c),
                                -np.inf, np.inf, limit=200)[0]

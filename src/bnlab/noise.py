@@ -14,7 +14,6 @@ bit-for-bit and distinct streams are independent.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .geometry import UnsupportedDomainError, gauss_legendre
 
@@ -54,6 +53,7 @@ class SpectralMeasure:
             return 2.0 * float(np.sum(self.masses))
         if self.kind == "lebesgue":
             return np.inf
+        from scipy import integrate
         if self.kind == "bessel":
             if self.kappa <= self.m:
                 return np.inf
@@ -85,6 +85,7 @@ class SpectralMeasure:
             from scipy.special import hyperu
             out = np.sqrt(np.pi) * hyperu(0.5, (3.0 - self.kappa) / 2.0, s)
         else:
+            from scipy import integrate
             out = np.reshape([2.0 * integrate.quad(lambda z: self.density(z) * np.exp(-v * z * z),
                                                    0, np.inf, limit=200)[0] for v in s.ravel()],
                              s.shape)
@@ -130,6 +131,7 @@ def spectral_correlation(measure, y):
         raise UnsupportedDomainError("the flat measure has no pointwise correlation")
     if measure.m != 1:
         raise UnsupportedDomainError("continuous correlations computed for m = 1")
+    from scipy import integrate
     yy = abs(float(np.asarray(y).reshape(-1)[0])) if np.ndim(y) else abs(float(y))
     dens = measure.density_at
     integrable = not (measure.kind == "bessel" and measure.kappa <= 1)
@@ -159,6 +161,7 @@ def time_decay_integral(r, alpha=0.0):
     rs = np.atleast_1d(np.asarray(r, float))
     if np.any(rs < 0):
         raise ValueError("r must be nonnegative")
+    from scipy import integrate
     out = np.empty(rs.shape)
     for i, rv in enumerate(rs.reshape(-1)):
         out.reshape(-1)[i] = integrate.quad(

@@ -9,7 +9,6 @@ at spatial scale sqrt(t) from the boundary for the smoothing rates).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import svds
 
 from .geometry import (QuadratureGrid, distance_to_boundary, interior_grid, interval_grid,
                        weight)
@@ -149,6 +148,7 @@ def _top_singular_value(B):
     A random start would move the last bits from call to call; this start
     repeats bit for bit and has no symmetry that could hide the top vector.
     """
+    from scipy.sparse.linalg import svds
     v0 = np.random.default_rng(0).standard_normal(min(B.shape))
     return float(svds(B, k=1, v0=v0, return_singular_vectors=False)[0])
 

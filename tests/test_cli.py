@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bnlab import cli, convolution, kernels
+from bnlab import cli, convolution
 from bnlab import scenarios as sc
 
 
@@ -197,7 +197,7 @@ def test_cli_internal_error_is_one_line(tmp_path, monkeypatch):
 
 
 def test_cli_unconverged_resolvent_quadrature_is_a_refusal(tmp_path, monkeypatch):
-    monkeypatch.setattr(kernels.integrate, "quad_vec",
+    monkeypatch.setattr("scipy.integrate.quad_vec",
                         lambda *args, **kwargs: (0.0, 0.0, SimpleNamespace(status=1)))
     monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
     res = CliRunner().invoke(cli.main, ["verify", "kernels"])

@@ -138,6 +138,26 @@ def test_fourth_moment_ratio_is_centred_kurtosis():
     assert np.allclose(stats["fourth_moment_ratio"], kurt, rtol=1e-12, atol=0)
 
 
+def test_probe_statistics_equal_the_numpy_formulas_bit_for_bit():
+    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
+    probes = [(t, x) for t in (0.1, 0.3) for x in (0.25, 0.5, 0.8)]
+    n = 301
+    ens, stats = cv.simulate_convolution(setup, probes, n_paths=n, base_steps=128,
+                                         root_seed=13, return_paths=True)
+    M = ens.values
+    assert M.shape == (n, len(probes))
+    expected = {
+        "mean": M.mean(axis=0),
+        "var": M.var(axis=0, ddof=1),
+        "fourth_moment_ratio": ((M - M.mean(axis=0)) ** 4).mean(axis=0)
+        / np.maximum(M.var(axis=0) ** 2, 1e-300),
+        "var_se": M.var(axis=0, ddof=1) * np.sqrt(2.0 / (n - 1)),
+        "mean_se": M.std(axis=0, ddof=1) / np.sqrt(n),
+    }
+    for name, want in expected.items():
+        assert np.array_equal(stats[name], want), name
+
+
 def test_simulate_probes_sharing_a_time_match_a_subset_run():
     # extra probes at the same times (no closer to the boundary) leave the schedule
     # unchanged, and the shared-time rows of the coefficient tensor are the smaller

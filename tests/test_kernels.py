@@ -222,7 +222,7 @@ def test_far_weight_constants():
 
 def test_resolvent_quadrature_refuses_when_not_converged(monkeypatch):
     # quad_vec reports an unconverged mesh only through full_output's status
-    monkeypatch.setattr(K.integrate, "quad_vec",
+    monkeypatch.setattr("scipy.integrate.quad_vec",
                         lambda *args, **kwargs: (0.0, 0.0, SimpleNamespace(status=1)))
     ker = K.HeatKernel(geo.interval01())
     with pytest.raises(K.NumericalRefusal, match=r"lambda=2\b.*boundary point 1\.0"):

@@ -1,0 +1,36 @@
+"""Start-up loads only what a run uses.
+
+The check runs in a fresh interpreter: pytest itself imports scipy.integrate
+to resolve the IntegrationWarning filter in pyproject.toml.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import importlib, pkgutil, sys
+import bnlab, bnlab.cli
+for mod in pkgutil.iter_modules(bnlab.__path__):
+    importlib.import_module("bnlab." + mod.name)
+bnlab.cli.main(["list"], standalone_mode=False)
+bnlab.cli.main(["run", sys.argv[1]], standalone_mode=False)
+heavy = sorted(m for m in sys.modules
+               if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"],
+                                       ["scipy", "sparse"]))
+print("heavy:", heavy)
+"""
+
+
+def test_imports_list_and_simulate_load_no_quadrature_or_sparse_modules(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("pipeline = simulate\nscenario = p71\nn_paths = 20\nbase_steps = 64\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC), BNLAB_OUT=str(tmp_path / "out"))
+    res = subprocess.run([sys.executable, "-c", SCRIPT, str(cfg)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "run written to" in res.stdout
+    assert res.stdout.splitlines()[-1] == "heavy: []", res.stdout
