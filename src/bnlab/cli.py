@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .convolution import (ConfigurationError, NumericalRefusal, invariant_diagnostics,
+from .convolution import (ConfigurationError, NumericalRefusal, flux_for, invariant_diagnostics,
                           j_integral, simulate_convolution)
 from .geometry import UnsupportedDomainError, half_line, interval01
 from .kernels import (HeatKernel, difference_bound_report, far_weight_constants,
@@ -152,7 +152,8 @@ def run_scenario(cfg):
                                   alpha=cfg["alpha"], kappa=cfg["kappa"],
                                   n_cells=cfg["mode_count"])
         resolved["mode"] = setup.mode
-        resolved["n_modes"] = getattr(setup.noise, "n_modes", 0)
+        if setup.mode == "exact":       # a majorant setup draws no modes
+            resolved["n_modes"] = flux_for(setup, truncated=True).n_modes
     if pipe == "j-diagnose":
         levels = tuple(range(10, cfg["grid_level"] + 1, 4))
         rep = j_integral(setup, levels=levels, prediction=pred)

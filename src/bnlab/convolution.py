@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import exp1, gamma, gammaincc
 
 from .geometry import (UnsupportedDomainError, WeightedSpaceParams, distance_to_boundary,
-                       gauss_legendre, interior_grid, weight)
+                       gauss_legendre, half_line, interior_grid, weight)
 from .kernels import HeatKernel, NumericalRefusal, ball_boundary_mass_exact
 from .noise import NoiseSpec, frequency_cells, substream
 from .semigroup import semigroup_matrix
@@ -207,6 +207,8 @@ class HomogeneousFlux(_TimeQuadrature):
         if domain.kind != "halfspace" or domain.dim != 2:
             raise ConfigurationError("homogeneous flux implemented for the half plane (m = 1)")
         self.domain = domain
+        # the normal factor (x0/t) g_{2t}(x0) of the flux is the half-line influx
+        self.normal = HeatKernel(half_line())
         self.spec = spec
         self.measure = spec.measure
         self.truncated = truncated
@@ -223,16 +225,11 @@ class HomogeneousFlux(_TimeQuadrature):
         n = len(self.atom_mass) if self.cells is None else self.cells.n_cells
         return 2 * n
 
-    def _amplitude(self, u, x0):
-        # 1-d factor (x0/u) g_{2u}(x0) of the normal derivative
-        return (x0[:, None] / u[None, :]) * (4 * np.pi * u[None, :]) ** -0.5 \
-            * np.exp(-x0[:, None] ** 2 / (4 * u[None, :]))
-
     def psi(self, u, xy):
         u = np.atleast_1d(np.asarray(u, float))
         pts = np.atleast_2d(np.asarray(xy, float))
         x0, x1 = pts[:, 0], pts[:, 1]
-        amp = self._amplitude(u, x0)                      # (nx, nu)
+        amp = -self.normal.normal_derivative(u, x0, 0.0)     # (nx, nu)
         out = np.empty((self.n_modes, pts.shape[0], u.size))
         if self.cells is None:
             for k, (z, mk) in enumerate(zip(self.atom_z, self.atom_mass)):
@@ -256,7 +253,8 @@ class HomogeneousFlux(_TimeQuadrature):
             p = self.psi(u, x)
             return np.sum(p * p, axis=0)
         u = np.atleast_1d(np.asarray(u, float))
-        return self._amplitude(u, self.rho(x)) ** 2 * self.measure.gauss_transform(2 * u)[None, :]
+        return self.normal.normal_derivative(u, self.rho(x), 0.0) ** 2 \
+            * self.measure.gauss_transform(2 * u)[None, :]
 
 
 class MajorantFlux(_TimeQuadrature):

@@ -72,8 +72,15 @@ def _gap(lo, hi, c):
     return max(lo - c, c - hi, 0.0)
 
 
+def _range(a):
+    # (min, max) of a numpy scalar or array; a scalar skips the reductions
+    return (a, a) if a.ndim == 0 else (a.min(), a.max())
+
+
 def _g1(z, s):
-    return (2 * np.pi * s) ** -0.5 * np.exp(-z * z / (2 * s))
+    # dividing by sqrt rounds alike for numpy scalars and arrays, ** -0.5 does
+    # not, and the image sums cancel, so scalar and time-array calls would differ
+    return np.exp(z * z / (-2 * s)) / np.sqrt(2 * np.pi * s)
 
 
 def _dg1(order, u, t):
@@ -82,8 +89,56 @@ def _dg1(order, u, t):
     if order == 0:
         return g
     if order == 1:
-        return -(u / (2 * t)) * g
+        return u * (g / (-2 * t))
     return (u * u / (4 * t * t) - 1 / (2 * t)) * g
+
+
+def _interval_series(order, image, n_terms, t, x, y):
+    """Image shifts -n_terms..n_terms or sine modes 1..n_terms, at every time of t.
+
+    x and y end in one length-one axis per axis of t.
+    """
+    if not image:
+        # d^order/dx^order sin(k pi x) is (k pi)^order times sin, cos, -sin; one
+        # contraction over a trailing mode axis serves every input shape
+        kpi = np.arange(1, n_terms + 1) * np.pi
+        coef = (2.0, 2 * kpi, -2 * kpi ** 2)[order] * np.exp(-kpi * kpi * t[..., None])
+        phi = (np.cos if order == 1 else np.sin)(kpi * x[..., None])
+        return np.einsum("...k,...k->...", phi, coef * np.sin(kpi * y[..., None]))
+    out = np.zeros(np.broadcast(x, y, t).shape)
+    if out.size == 0:
+        return out
+    # a term whose shift stays beyond the tail reach at every point is below
+    # SERIES_TAIL of the order's peak; the ranges of x - y and x + y bound the
+    # shifts without forming them.  The five terms next to the domain always
+    # stay: dropping direct n = +-1 leaves G < 0 at far corners.  A term kept
+    # for the group's longest time but beyond the reach of a shorter one adds
+    # an exact 0.0 there, so every time sums the terms of its scalar call
+    reach = _TAIL_REACH[order] * np.sqrt(t)
+    low, high = _range(reach)
+
+    def term(u, gap):
+        v = _dg1(order, u, t)
+        return v if gap <= low else np.where(gap <= reach, v, 0.0)
+
+    (xlo, xhi), (ylo, yhi) = _range(x), _range(y)
+    # the reflected shift x + y - 2n is formed from the end it mirrors:
+    # (x - 1) + (y - 1) - 2(n - 1) for n >= 1 rounds like the direct x - y,
+    # so at x = 1 the pairs cancel as they do at x = 0
+    diff, near, far = x - y, x + y, (x - 1.0) + (y - 1.0)
+    for n in range(-n_terms, n_terms + 1):
+        gd = 0.0 if abs(n) <= 1 else _gap(xlo - yhi, xhi - ylo, 2 * n)
+        gr = 0.0 if n in (0, 1) else _gap(xlo + ylo, xhi + yhi, 2 * n)
+        direct, reflected = gd <= high, gr <= high
+        if reflected:
+            shift = near - 2 * n if n <= 0 else far - 2 * (n - 1)
+        if direct and reflected:
+            out += term(diff - 2 * n, gd) - term(shift, gr)
+        elif direct:
+            out += term(diff - 2 * n, gd)
+        elif reflected:
+            out -= term(shift, gr)
+    return out
 
 
 class HeatKernel:
@@ -92,7 +147,9 @@ class HeatKernel:
     representation: "image" | "sine" | "auto" on the interval (the two series
     agree to 1e-10 for t >= 1e-3 and cross-check each other); the half line and
     half space use the reflection closed form.  Balls have no exact kernel here
-    and are handled downstream through majorants only.
+    and are handled downstream through majorants only.  Times broadcast against
+    the points: a scalar t keeps the point shape, an array of times appends its
+    axes after the point axes.
     """
 
     def __init__(self, domain, representation="auto"):
@@ -146,14 +203,17 @@ class HeatKernel:
 
     def _series(self, order, t, x, y):
         """d^order/dx^order G: image or sine series on the interval, reflection otherwise."""
-        if t <= 0:
+        # a single time or point computes in numpy scalars
+        t, x, y = np.asarray(t, float)[()], np.asarray(x, float)[()], np.asarray(y, float)[()]
+        if (t <= 0 if t.ndim == 0 else (t <= 0).any()):
             raise ValueError("t must be positive")
         kind = self.domain.kind
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
+        trail = (1,) * t.ndim
         if kind == "halfspace":
             if order == 2:
                 raise UnsupportedDomainError("second derivative implemented for 1-d domains")
+            x = x.reshape(x.shape[:-1] + trail + x.shape[-1:])
+            y = y.reshape(y.shape[:-1] + trail + y.shape[-1:])
             xb = np.array(x, float, copy=True)
             xb[..., 0] = -xb[..., 0]
             g = gauss_density(x - y, 2 * t, self.domain.dim)
@@ -161,41 +221,19 @@ class HeatKernel:
             if order == 0:
                 return g - gb
             u, ub = x[..., 0] - y[..., 0], xb[..., 0] - y[..., 0]
-            return -(u / (2 * t)) * g + (ub / (2 * t)) * gb
+            return -(u / (2 * t)) * g - (ub / (2 * t)) * gb
         if kind == "halfline":
+            x, y = x.reshape(x.shape + trail), y.reshape(y.shape + trail)
             return _dg1(order, x - y, t) - _dg1(order, x + y, t)
-        if self._rep(t) == "image":
-            out = np.zeros(np.broadcast(x, y).shape)
-            if out.size == 0:
-                return out
-            # a term whose shift stays beyond the tail reach at every point is
-            # below SERIES_TAIL of the order's peak; the ranges of x - y and x + y
-            # bound the shifts without forming them.  The five terms next to the
-            # domain always stay: dropping direct n = +-1 leaves G < 0 at far corners
-            reach = _TAIL_REACH[order] * np.sqrt(t)
-            xlo, xhi, ylo, yhi = x.min(), x.max(), y.min(), y.max()
-            # the reflected shift x + y - 2n is formed from the end it mirrors:
-            # (x - 1) + (y - 1) - 2(n - 1) for n >= 1 rounds like the direct x - y,
-            # so at x = 1 the pairs cancel as they do at x = 0
-            diff, near, far = x - y, x + y, (x - 1.0) + (y - 1.0)
-            for n in range(-_n_images(t), _n_images(t) + 1):
-                direct = abs(n) <= 1 or _gap(xlo - yhi, xhi - ylo, 2 * n) <= reach
-                reflected = n in (0, 1) or _gap(xlo + ylo, xhi + yhi, 2 * n) <= reach
-                if reflected:
-                    shift = near - 2 * n if n <= 0 else far - 2 * (n - 1)
-                if direct and reflected:
-                    out += _dg1(order, diff - 2 * n, t) - _dg1(order, shift, t)
-                elif direct:
-                    out += _dg1(order, diff - 2 * n, t)
-                elif reflected:
-                    out -= _dg1(order, shift, t)
-            return out
-        # d^order/dx^order sin(k pi x) is (k pi)^order times sin, cos, -sin; one
-        # contraction over a trailing mode axis serves every input shape
-        kpi = np.arange(1, _n_modes(t) + 1) * np.pi
-        coef = (2.0, 2 * kpi, -2 * kpi ** 2)[order] * np.exp(-kpi * kpi * t)
-        phi = (np.cos if order == 1 else np.sin)(kpi * x[..., None])
-        return np.einsum("...k,...k->...", phi, coef * np.sin(kpi * y[..., None]))
+        groups = self._series_groups(t)
+        if len(groups) == 1:
+            image, n, _ = groups[0]
+            return _interval_series(order, image, n, t, x.reshape(x.shape + trail),
+                                    y.reshape(y.shape + trail))
+        out = np.empty(np.broadcast_shapes(x.shape, y.shape) + t.shape)
+        for image, n, cols in groups:
+            out[..., cols] = _interval_series(order, image, n, t[cols], x[..., None], y[..., None])
+        return out
 
     # -- boundary flux ------------------------------------------------------
 
@@ -203,54 +241,25 @@ class HeatKernel:
         """dG/dn_y(t, x, b) with outward normal at the boundary point b.
 
         Nonpositive everywhere (the kernel vanishes at the boundary from
-        positive values), so -dG/dn is the heat influx density.  The times
-        broadcast against the points: a scalar t keeps the point shape, an
-        array of times appends its axes after the point axes.
+        positive values), so -dG/dn is the heat influx density.
         """
         kind = self.domain.kind
+        if kind == "interval01":
+            bval = float(b)
+            if abs(bval) > 1e-14 and abs(bval - 1.0) > 1e-14:
+                raise ValueError("interval boundary points are 0 and 1")
+            # G is symmetric, so dG/dn_y(t, x, b) = n_b dG/dx(t, b, x)
+            return self._series(1, t, 1.0, x) if bval > 0.5 else -self._series(1, t, 0.0, x)
         t = np.asarray(t, float)
         x = np.asarray(x, float)
         if kind == "halfspace":
             lead = x.shape[:-1] + (1,) * t.ndim
             diff = (x - np.asarray(b, float)).reshape(lead + x.shape[-1:])
             return -(x[..., 0].reshape(lead) / t) * gauss_density(diff, 2 * t, self.domain.dim)
+        if float(np.max(np.abs(np.asarray(b, float)))) > 1e-14:
+            raise ValueError("the half line boundary is the origin")
         xe = x.reshape(x.shape + (1,) * t.ndim)
-        if kind == "halfline":
-            if float(np.max(np.abs(np.asarray(b, float)))) > 1e-14:
-                raise ValueError("the half line boundary is the origin")
-            return -(xe / t) * _g1(xe, 2 * t)
-        bval = float(b)
-        if abs(bval) > 1e-14 and abs(bval - 1.0) > 1e-14:
-            raise ValueError("interval boundary points are 0 and 1")
-        groups = self._series_groups(t)
-        if len(groups) == 1:
-            image, n, _ = groups[0]
-            return self._flux_series(image, n, t, xe, bval)
-        out = np.empty(x.shape + t.shape)
-        for image, n, cols in groups:
-            out[..., cols] = self._flux_series(image, n, t[cols], x[..., None], bval)
-        return out
-
-    @staticmethod
-    def _flux_series(image, n, t, x, bval):
-        # interval dG/dn at boundary point bval; the point and time axes of x
-        # and t broadcast into one 2-d accumulator, summed term by term
-        t, x = t[()], x[()]     # a single node computes in numpy scalars
-        acc = 0.0
-        if image:
-            base = x if bval == 0.0 else x - 1.0
-            # _g1(u, 2t) with its normaliser hoisted; sqrt rounds alike for numpy
-            # scalars and arrays, ** -0.5 does not, and the image sum cancels
-            s = 2 * t
-            norm = 1.0 / np.sqrt(2 * np.pi * s)
-            for m in range(-n, n + 1):
-                u = base - 2 * m
-                acc += (u / t) * (norm * np.exp(-u * u / (2 * s)))
-        else:
-            for k in range(1, n + 1):
-                sgn = 1.0 if bval == 0.0 else (-1.0) ** k
-                acc += 2 * k * np.pi * sgn * np.sin(k * np.pi * x) * np.exp(-k * k * np.pi ** 2 * t)
-        return -acc if bval == 0.0 else acc
+        return -(xe / t) * _g1(xe, 2 * t)
 
     # -- resolvent ----------------------------------------------------------
 

@@ -180,32 +180,20 @@ class NoiseSpec:
 
     kind "endpoints": unit atoms at the boundary points of a 1-d domain.
     kind "finite_series": explicit boundary functions (callables on boundary
-    points) with their sup norms.  kind "circle_white": truncated Fourier
-    basis of L^2(S^1).  kind "homogeneous": spatially homogeneous process on
-    the flat boundary R^m given by a spectral measure with a frequency
-    truncation (z_max, n_cells).
+    points) with their sup norms.  kind "circle_white": white noise on S^1,
+    which only the majorant route treats, through its complete Fourier basis.
+    kind "homogeneous": spatially homogeneous process on the flat boundary
+    R^m given by a spectral measure with a frequency truncation (z_max,
+    n_cells).
     """
 
     kind: str
     n_atoms: int = 0
     functions: tuple = None
     sup_norms: tuple = None
-    truncation: int = 0
     measure: SpectralMeasure = None
     z_max: float = 0.0
     n_cells: int = 0
-
-    @property
-    def n_modes(self):
-        if self.kind == "endpoints":
-            return self.n_atoms
-        if self.kind == "finite_series":
-            return len(self.functions)
-        if self.kind == "circle_white":
-            return 2 * self.truncation + 1
-        if self.kind == "homogeneous":
-            return 2 * self.n_cells
-        raise ValueError(self.kind)
 
 
 def endpoint_noise(domain):
@@ -215,8 +203,8 @@ def endpoint_noise(domain):
     return NoiseSpec("endpoints", n_atoms=n)
 
 
-def circle_white_noise(truncation):
-    return NoiseSpec("circle_white", truncation=int(truncation))
+def circle_white_noise():
+    return NoiseSpec("circle_white")
 
 
 def rotational_noise(amplitudes, wave_vectors):

@@ -92,7 +92,7 @@ REGISTRY = {s.sid: s for s in (
              lambda o: (unit_ball(2), rotational_noise(
                  [1.0, 0.5, 0.25], [[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]]))),
     Scenario("p78", "white noise on the circle (ball d=2)", "theta in {mid}",
-             lambda o: (unit_ball(2), circle_white_noise(o.truncation)), theta_lo=_mid),
+             lambda o: (unit_ball(2), circle_white_noise()), theta_lo=_mid),
     Scenario("p711i", "bounded C^{1,a} region, sup-summable series (majorant route)",
              "theta in {low}", unbuilt=_MAJORANT_BALL_ONLY),
     Scenario("p711ii", "bounded C^{1,a} region in the plane, boundary white noise",
@@ -171,7 +171,7 @@ def predict_wellposedness(setup):
 
 
 def build_setup(scenario, p=2.0, theta=None, delta=None, horizon=0.5, alpha=0.0,
-                kappa=0.5, truncation=16, z_max=24.0, n_cells=64):
+                kappa=0.5, z_max=24.0, n_cells=64):
     """Instantiate the (domain, noise, params) tuple of a catalogued scenario.
 
     The case ids p718i and p718ii refuse a kappa of the other case.
@@ -183,7 +183,7 @@ def build_setup(scenario, p=2.0, theta=None, delta=None, horizon=0.5, alpha=0.0,
     if theta is None:
         raise ConfigurationError("theta is required")
     rec = REGISTRY["p718i" if sid == "p718" else sid]
-    opts = SimpleNamespace(kappa=kappa, truncation=truncation, z_max=z_max, n_cells=n_cells)
+    opts = SimpleNamespace(kappa=kappa, z_max=z_max, n_cells=n_cells)
     dom, nz = rec.build(opts)
     delta = rec.delta if delta is None else delta
     mode = "majorant" if dom.kind == "unitball" else "exact"

@@ -130,6 +130,24 @@ def test_cli_simulate_pipeline(tmp_path, monkeypatch):
     assert "replay ok: 1 data file(s) byte-identical" in res2.output
 
 
+def test_cli_manifest_mode_count_is_the_flux_mode_count(tmp_path):
+    runner = CliRunner()
+    # p713's two symmetric atoms draw a cosine and a sine mode each, whatever
+    # the cell count; the majorant route of p78 draws no modes
+    for sid, pipe, line in [("p713", "simulate", "resolved n_modes: 4\n"),
+                            ("p78", "j-diagnose", None)]:
+        cfg = tmp_path / f"{sid}.txt"
+        cfg.write_text(f"pipeline = {pipe}\nscenario = {sid}\nn_paths = 20\nbase_steps = 64\n"
+                       f"grid_level = 14\nout_dir = {tmp_path / sid}\n")
+        res = runner.invoke(cli.main, ["run", str(cfg)])
+        assert res.exit_code == 0, res.output
+        manifest = next((tmp_path / sid).glob("*/manifest.txt")).read_text()
+        if line:
+            assert line in manifest
+        else:
+            assert "resolved n_modes" not in manifest
+
+
 @pytest.mark.parametrize("pipe, sid, n_files", [("invariant", "p71", 2), ("invariant", "p72", 2),
                                                 ("j-diagnose", "p72", 1)])
 def test_cli_replay_is_byte_identical(tmp_path, monkeypatch, pipe, sid, n_files):

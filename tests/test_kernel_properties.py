@@ -268,14 +268,43 @@ def test_kernel_solves_the_heat_equation(ker, hi, t, x, y):
     np.testing.assert_allclose(dt, dxx, rtol=0, atol=1e-6 * (np.max(np.abs(dxx)) + t ** -1.5))
 
 
-@pytest.mark.parametrize("ker, hi", SERIES)
+def _points(ker, hi, v):
+    # half-space points take a tangential coordinate in [-hi/2, hi/2] from the
+    # same draws, reversed
+    if ker.domain.kind != "halfspace":
+        return hi * v
+    return np.stack([hi * v, hi * (v[::-1] - 0.5)], axis=-1)
+
+
+@pytest.mark.parametrize("ker, hi", SERIES + [
+    pytest.param(K.HeatKernel(geo.half_space(2)), 4.0, id="halfspace")])
 @given(t=series_time, x=unit_points, y=unit_points)
 def test_grad_x_is_the_x_difference_of_the_kernel(ker, hi, t, x, y):
-    X, Y = hi * x[:, None], hi * y[None, :]
+    X, Y = _points(ker, hi, x)[:, None], _points(ker, hi, y)[None, :]
     h = 1e-5 * np.sqrt(t)
-    dx = (ker.value(t, X + h, Y) - ker.value(t, X - h, Y)) / (2 * h)
+    # the half-space gradient is along the normal coordinate only
+    step = h * np.eye(2)[0] if ker.domain.kind == "halfspace" else h
+    dx = (ker.value(t, X + step, Y) - ker.value(t, X - step, Y)) / (2 * h)
     grad = ker.grad_x(t, X, Y)
     np.testing.assert_allclose(dx, grad, rtol=0, atol=1e-8 * (np.max(np.abs(grad)) + 1 / t))
+
+
+@pytest.mark.parametrize("ker, hi", SERIES)
+@pytest.mark.parametrize("name", ["value", "grad_x", "dxx"])
+# at large t the image sum cancels its O((4 pi t)^-1/2) terms down to
+# exp(-pi^2 t), so one rounding of a term that differs between a scalar and an
+# array time shows far above 1e-14
+@example(ts=np.array([1.0, np.exp(0.25)]), x=np.array([0.25]), y=np.array([0.999]))
+@given(ts=log_times, x=unit_points, y=unit_points)
+def test_series_time_array_matches_scalar_calls(ker, hi, name, ts, x, y):
+    X, Y = hi * x[:, None], hi * y[None, :]
+    series = getattr(ker, name)
+    vec = series(ts, X, Y)
+    assert vec.shape == (x.size, y.size, ts.size)
+    stacked = np.stack([series(float(t), X, Y) for t in ts], axis=-1)
+    np.testing.assert_allclose(vec, stacked, rtol=1e-14, atol=0)
+    # a time grid of any shape appends its axes after the point axes
+    np.testing.assert_array_equal(series(ts[None, :], X, Y), vec[:, :, None, :])
 
 
 def _every_image(order, t, x, y):
