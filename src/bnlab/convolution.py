@@ -31,24 +31,22 @@ class ConfigurationError(ValueError):
 
 @dataclass
 class ConvolutionSetup:
-    """Domain + noise + weighted space + (T, alpha) + evaluation mode."""
+    """Domain + noise + weighted space + (T, alpha)."""
 
     domain: object
     noise: NoiseSpec
     params: WeightedSpaceParams
     horizon: float = 1.0
     alpha: float = 0.0
-    mode: str = "exact"            # "exact" | "majorant"
-    majorant_c: float = 4.0
-    majorant_C: float = 1.0
 
     def __post_init__(self):
         if self.horizon <= 0 or self.alpha < 0:
             raise ConfigurationError("need horizon > 0 and alpha >= 0")
-        if self.domain.kind == "unitball" and self.mode != "majorant":
-            raise ConfigurationError("no exact kernel on this domain; majorant mode is mandatory")
-        if self.mode not in ("exact", "majorant"):
-            raise ConfigurationError(f"mode must be 'exact' or 'majorant', not {self.mode!r}")
+
+    @property
+    def mode(self):
+        """The flux route: "majorant" on the unit ball (no exact kernel here), else "exact"."""
+        return "majorant" if self.domain.kind == "unitball" else "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +197,9 @@ class HomogeneousFlux(_TimeQuadrature):
 
     The exact squared-flux sum over a complete basis collapses by Parseval to
     (x0/t)^2 g_{2t}(x0)^2 * int e^{-2t z^2} d mu(z), a profile in x0.  The modes
-    that simulations draw are cosine/sine pairs per frequency cell (`psi`); a
-    truncated flux sums those instead, at points (x0, x1).
+    that simulations draw are cosine/sine pairs per frequency cell (`psi`); an
+    atom of the measure is a one-node cell, so its pair is an exact mode.  A
+    truncated flux sums those modes instead, at points (x0, x1).
     """
 
     def __init__(self, domain, spec, truncated=False):
@@ -212,18 +211,11 @@ class HomogeneousFlux(_TimeQuadrature):
         self.spec = spec
         self.measure = spec.measure
         self.truncated = truncated
-        if self.measure.kind == "atoms":
-            # symmetric atom pairs are exact modes: sqrt(2 m_k) (cos, sin)(z_k x1)
-            self.atom_z = np.asarray(self.measure.points, float).reshape(-1)
-            self.atom_mass = np.asarray(self.measure.masses, float)
-            self.cells = None
-        else:
-            self.cells = frequency_cells(spec.measure, spec.z_max, spec.n_cells)
+        self.cells = frequency_cells(spec.measure, spec.z_max, spec.n_cells)
 
     @property
     def n_modes(self):
-        n = len(self.atom_mass) if self.cells is None else self.cells.n_cells
-        return 2 * n
+        return 2 * self.cells.n_cells
 
     def psi(self, u, xy):
         u = np.atleast_1d(np.asarray(u, float))
@@ -231,15 +223,9 @@ class HomogeneousFlux(_TimeQuadrature):
         x0, x1 = pts[:, 0], pts[:, 1]
         amp = -self.normal.normal_derivative(u, x0, 0.0)     # (nx, nu)
         out = np.empty((self.n_modes, pts.shape[0], u.size))
-        if self.cells is None:
-            for k, (z, mk) in enumerate(zip(self.atom_z, self.atom_mass)):
-                damp = np.exp(-u[None, :] * z * z)
-                out[2 * k] = np.sqrt(2.0 * mk) * amp * np.cos(z * x1)[:, None] * damp
-                out[2 * k + 1] = np.sqrt(2.0 * mk) * amp * np.sin(z * x1)[:, None] * damp
-            return out
         for kc in range(self.cells.n_cells):
-            z = np.asarray(self.cells.gl_nodes[kc])       # (q,)
-            w = np.asarray(self.cells.gl_weights[kc])
+            z = self.cells.nodes[kc]                        # (q,)
+            w = self.cells.weights[kc]
             mk = self.cells.masses[kc]
             damp = np.exp(-u[None, :] * z[:, None] ** 2) * w[:, None]    # (q, nu)
             cosb = np.cos(np.outer(x1, z)) @ damp          # (nx, nu)
@@ -305,7 +291,7 @@ class MajorantFlux(_TimeQuadrature):
 def flux_for(setup, truncated=False):
     """The setup's flux; `truncated` makes a homogeneous flux sum the modes it draws."""
     if setup.mode == "majorant":
-        return MajorantFlux(setup.domain, setup.noise, c=setup.majorant_c, big_c=setup.majorant_C)
+        return MajorantFlux(setup.domain, setup.noise)
     if setup.noise.kind == "endpoints":
         return EndpointFlux(setup.domain, n_atoms=setup.noise.n_atoms)
     if setup.noise.kind == "homogeneous":
@@ -721,8 +707,7 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     ens = PathEnsemble(M if return_paths else M[:0], probes, root_seed,
                        meta={"n_steps": n_steps, "schedule_edges": len(edges),
                              "normals_drawn": normals,
-                             "chunk_paths": chunk, "draw_threads": threads,
-                             "stats": stats})
+                             "chunk_paths": chunk, "draw_threads": threads})
     return ens, stats
 
 

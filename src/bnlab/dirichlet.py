@@ -16,67 +16,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import QuadratureGrid, UnsupportedDomainError
+from .geometry import QuadratureGrid, UnsupportedDomainError, boundary_quadrature
 from .kernels import HeatKernel
 from .semigroup import Field
 
 
 @dataclass
 class BoundaryData:
-    """Boundary datum: point atoms, or sampled values on a boundary grid."""
+    """Boundary datum: values at the nodes of a boundary quadrature.
 
-    kind: str                         # "atoms" | "sampled"
-    points: np.ndarray = None         # atoms: (m, d_boundary-coords in ambient space)
-    values: np.ndarray = None         # atom or sample values
-    grid: QuadratureGrid = None       # sampled: its boundary quadrature
+    A point atom is a one-node cell whose weight is its mass, so endpoint data
+    and sampled data on a boundary grid are the same object.
+    """
+
+    values: np.ndarray
+    grid: QuadratureGrid
 
     def __post_init__(self):
-        if self.values is not None:
-            self.values = np.asarray(self.values, dtype=float)
-        if self.kind == "atoms":
-            self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
-            if len(self.points) != len(self.values):
-                raise ValueError("atom points and values mismatch")
-        elif self.kind == "sampled":
-            if self.grid is None or len(self.values) != self.grid.n:
-                raise ValueError("sampled data needs a matching boundary grid")
-        else:
-            raise ValueError(f"unknown boundary data kind {self.kind}")
+        self.values = np.asarray(self.values, dtype=float)
+        if len(self.values) != self.grid.n:
+            raise ValueError(f"{len(self.values)} boundary values for {self.grid.n} boundary nodes")
 
 
 def endpoint_data(domain, *values):
-    """Atoms on the boundary of the interval (gamma0, gamma1) or half line (gamma0)."""
-    if domain.kind == "interval01":
-        if len(values) != 2:
-            raise ValueError("interval boundary data is a pair")
-        return BoundaryData("atoms", points=[[0.0], [1.0]], values=list(values))
-    if domain.kind == "halfline":
-        if len(values) != 1:
-            raise ValueError("half line boundary data is a single value")
-        return BoundaryData("atoms", points=[[0.0]], values=list(values))
-    raise UnsupportedDomainError("endpoint data lives on 1-d boundaries")
+    """Unit atoms at the boundary of the interval (gamma0, gamma1) or half line (gamma0)."""
+    if domain.kind not in ("interval01", "halfline"):
+        raise UnsupportedDomainError("endpoint data lives on 1-d boundaries")
+    return BoundaryData(values, boundary_quadrature(domain))
 
 
-@dataclass
-class PropagatorField(Field):
-    """Interior field generated by pushing a boundary datum through the flow."""
-
-    datum: BoundaryData = None
-    lam: float = 0.0
-
-
-def _atom_scalar(points):
-    pts = np.atleast_2d(np.asarray(points, float))
-    if pts.shape[1] == 1:
-        return pts[:, 0]
-    return pts
+def _boundary_sum(gamma, flux, shape):
+    """-sum_b w_b gamma_b flux(b) over the nodes b of the datum where gamma_b != 0."""
+    out = np.zeros(shape)
+    for b, gv, w in zip(gamma.grid.nodes, gamma.values, gamma.grid.weights):
+        if gv != 0.0:
+            out -= gv * w * flux(b[0] if len(b) == 1 else b)
+    return out
 
 
 def dirichlet_map(domain, lam, gamma, out_grid):
     """Solve the lambda-resolvent problem with boundary trace gamma.
 
-    u(x) = -sum_b gamma(b) * d/dn 𝒢_lam(x, b) for atomic data (time quadrature
-    of the kernel's boundary flux); lambda = 0 is allowed only on the bounded
+    u(x) = -sum_b w_b gamma(b) * d/dn 𝒢_lam(x, b) (time quadrature of the
+    kernel's boundary flux); lambda = 0 is allowed only on the bounded
     interval.  On the interval with lambda = 0 this is the linear interpolant
     of the endpoint values; on the half line it is gamma0 * exp(-sqrt(lam) x).
     """
@@ -86,21 +68,8 @@ def dirichlet_map(domain, lam, gamma, out_grid):
         raise ValueError("lambda = 0 is not admissible on unbounded domains")
     ker = HeatKernel(domain)
     x = out_grid.x if out_grid.nodes.shape[1] == 1 else out_grid.nodes
-    vals = np.zeros(out_grid.n)
-    if gamma.kind == "atoms":
-        for b, gv in zip(_atom_scalar(gamma.points), gamma.values):
-            if gv == 0.0:
-                continue
-            vals -= gv * ker.resolvent_normal(lam, x, b)
-    elif gamma.kind == "sampled":
-        for b, gv, w in zip(gamma.grid.nodes, gamma.values, gamma.grid.weights):
-            if gv == 0.0:
-                continue
-            bb = b[0] if len(b) == 1 else b
-            vals -= gv * w * ker.resolvent_normal(lam, x, bb)
-    else:
-        raise ValueError("dirichlet map needs atoms or sampled data")
-    return PropagatorField(domain, out_grid, vals, 0.0, datum=gamma, lam=lam)
+    vals = _boundary_sum(gamma, lambda b: ker.resolvent_normal(lam, x, b), out_grid.n)
+    return Field(domain, out_grid, vals, 0.0)
 
 
 def dirichlet_map_fn(domain, lam, gamma):
@@ -109,11 +78,7 @@ def dirichlet_map_fn(domain, lam, gamma):
 
     def u(x):
         xs = np.atleast_1d(np.asarray(x, float))
-        out = np.zeros(xs.shape)
-        for b, gv in zip(_atom_scalar(gamma.points), gamma.values):
-            if gv == 0.0:
-                continue
-            out -= gv * ker.resolvent_normal(lam, xs, b)
+        out = _boundary_sum(gamma, lambda b: ker.resolvent_normal(lam, xs, b), xs.shape)
         return out if np.ndim(x) else float(out[0])
 
     return u
@@ -123,7 +88,8 @@ def verify_harmonicity(domain, lam, gamma, h=1e-2, margin=0.1):
     """Finite-difference residual max |D2_h u - lam u| plus boundary recovery.
 
     Second-order central differences on a uniform interior sub-grid a fixed
-    margin away from the boundary; boundary recovery reports |u(near b) - gamma(b)|.
+    margin away from the boundary; boundary recovery reports |u(near b) - gamma(b)|
+    at the endpoints b of the datum's grid.
     """
     u = dirichlet_map_fn(domain, lam, gamma)
     hi = 1.0 - margin if domain.kind == "interval01" else 4.0
@@ -132,7 +98,7 @@ def verify_harmonicity(domain, lam, gamma, h=1e-2, margin=0.1):
     lap = (uv[2:] - 2 * uv[1:-1] + uv[:-2]) / h ** 2
     residual = float(np.max(np.abs(lap - lam * uv[1:-1])))
     recovery = 0.0
-    for b, gv in zip(_atom_scalar(gamma.points), gamma.values):
+    for b, gv in zip(gamma.grid.x, gamma.values):
         xb = float(b) + h if float(b) < 0.5 else float(b) - h
         recovery = max(recovery, abs(u(xb) - gv))
     return {"residual": residual, "boundary_recovery": recovery, "h": h}
@@ -148,42 +114,20 @@ def boundary_propagator(domain, t, e, out_grid, kernel=None):
         raise ValueError("t must be positive")
     ker = kernel or HeatKernel(domain)
     x = out_grid.x if out_grid.nodes.shape[1] == 1 else out_grid.nodes
-    vals = np.zeros(out_grid.n)
-    if e.kind == "atoms":
-        for b, ev in zip(_atom_scalar(e.points), e.values):
-            if ev == 0.0:
-                continue
-            vals -= ev * ker.normal_derivative(t, x, b)
-    elif e.kind == "sampled":
-        for b, ev, w in zip(e.grid.nodes, e.values, e.grid.weights):
-            if ev == 0.0:
-                continue
-            bb = b[0] if len(b) == 1 else b
-            vals -= ev * w * ker.normal_derivative(t, x, bb)
-    else:
-        raise ValueError("propagator needs atoms or sampled data")
-    return PropagatorField(domain, out_grid, vals, t, datum=e)
+    vals = _boundary_sum(e, lambda b: ker.normal_derivative(t, x, b), out_grid.n)
+    return Field(domain, out_grid, vals, t)
 
 
-def propagator_majorant(domain, t, e, out_grid, c=4.0, big_c=1.0, level=None):
+def propagator_majorant(domain, t, e, out_grid, c=4.0, big_c=1.0):
     """Pointwise Gaussian surface-integral majorant (C / sqrt(t)) int g_ct(x-y) |e| ds.
 
     This is the only propagator route on the ball, which has no exact kernel here.
     """
-    pts = np.atleast_2d(out_grid.nodes)
-    if e.kind == "atoms":
-        apts = np.atleast_2d(np.asarray(e.points, float))
-        if apts.shape[1] != pts.shape[1]:
-            apts = np.column_stack([apts, np.zeros((len(apts), pts.shape[1] - apts.shape[1]))])
-        d2 = ((pts[:, None, :] - apts[None, :, :]) ** 2).sum(axis=-1)
-        surf = (np.abs(e.values)[None, :] * (2 * np.pi * c * t) ** (-pts.shape[1] / 2.0)
-                * np.exp(-d2 / (2 * c * t))).sum(axis=1)
-    elif e.kind == "sampled":
-        d2 = ((pts[:, None, :] - e.grid.nodes[None, :, :]) ** 2).sum(axis=-1)
-        surf = ((2 * np.pi * c * t) ** (-pts.shape[1] / 2.0) * np.exp(-d2 / (2 * c * t))
-                * np.abs(e.values)[None, :] * e.grid.weights[None, :]).sum(axis=1)
-    else:
-        raise ValueError("majorant needs atoms or sampled data")
+    pts = out_grid.nodes
+    d2 = ((pts[:, None, :] - e.grid.nodes[None, :, :]) ** 2).sum(axis=-1)
+    mass = np.abs(e.values) * e.grid.weights
+    surf = (mass[None, :] * (2 * np.pi * c * t) ** (-pts.shape[1] / 2.0)
+            * np.exp(-d2 / (2 * c * t))).sum(axis=1)
     return Field(domain, out_grid, big_c / np.sqrt(t) * surf, t)
 
 

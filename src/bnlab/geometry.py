@@ -271,7 +271,7 @@ def interval_grid(n=None, graded=False, level=8, per_panel=8):
     return QuadratureGrid(mids[:, None], wts, level, 1e-15 * len(mids))
 
 
-def halfline_grid(graded=True, level=10, per_panel=8, cutoff=None, c=1.0, t_max=1.0):
+def halfline_grid(level=10, per_panel=8, cutoff=None, c=1.0, t_max=1.0):
     """Grid on (0, cutoff): geometric panels toward 0, doubling panels outward."""
     if cutoff is None:
         cutoff = max(4.0, gaussian_truncation_radius(c, t_max))
@@ -284,9 +284,8 @@ def halfline_grid(graded=True, level=10, per_panel=8, cutoff=None, c=1.0, t_max=
         a = b
     edges = np.concatenate([edges[0]] + edges[1:])
     mids, wts = _midpoint_cells(edges)
-    lev = level if graded else 0
     tol = np.exp(-cutoff ** 2 / (2 * c * t_max))
-    return QuadratureGrid(mids[:, None], wts, lev, tol)
+    return QuadratureGrid(mids[:, None], wts, level, tol)
 
 
 def ball_grid(d, level=8, per_panel=6, n_ang=64):
@@ -353,12 +352,14 @@ def halfspace_grid(d, level=8, per_panel=6, cutoff=None, tangential_cutoff=None,
 
 def interior_grid(domain, n=None, graded=False, level=8, per_panel=8, cutoff=None,
                   n_ang=64, c=1.0, t_max=1.0):
-    """Interior quadrature grid for the domain; graded grids cluster near the boundary."""
+    """Interior quadrature grid for the domain, clustered near the boundary.
+
+    `graded` and `n` act on the interval only: the other grids are always graded.
+    """
     if domain.kind == "interval01":
         return interval_grid(n=n, graded=graded, level=level, per_panel=per_panel)
     if domain.kind == "halfline":
-        return halfline_grid(graded=graded, level=level, per_panel=per_panel,
-                             cutoff=cutoff, c=c, t_max=t_max)
+        return halfline_grid(level=level, per_panel=per_panel, cutoff=cutoff, c=c, t_max=t_max)
     if domain.kind == "unitball":
         return ball_grid(domain.dim, level=level, per_panel=max(4, per_panel // 2), n_ang=n_ang)
     if domain.kind == "halfspace":

@@ -223,35 +223,39 @@ def homogeneous_noise(measure, z_max=12.0, n_cells=24):
     return NoiseSpec("homogeneous", measure=measure, z_max=float(z_max), n_cells=int(n_cells))
 
 
+# Gauss-Legendre nodes per frequency cell of a continuous measure
+_CELL_ORDER = 12
+
+
 @dataclass(frozen=True)
 class FrequencyCells:
-    """Symmetric partition of [-z_max, z_max] backing the homogeneous mode basis.
+    """Symmetric partition of frequency space backing the homogeneous mode basis.
 
     Each cell (0 < z1 < z2) yields a cosine and a sine mode, orthonormal in the
     measure-weighted symmetric L^2; cell masses are the measure of the cell.
+    A cell is a quadrature of the measure over it: Gauss-Legendre nodes in
+    [z1, z2] weighted by the density, or for an atom z_k a single node of
+    weight and mass m_k.
     """
 
-    edges: tuple
-    masses: tuple
-    gl_nodes: tuple            # per cell: quadrature nodes and mu-weights
-    gl_weights: tuple
+    masses: np.ndarray         # (n_cells,)
+    nodes: np.ndarray          # (n_cells, q) frequencies
+    weights: np.ndarray        # (n_cells, q) mu-weights
 
     @property
     def n_cells(self):
         return len(self.masses)
 
 
-def frequency_cells(measure, z_max, n_cells, gl_order=12):
+def frequency_cells(measure, z_max, n_cells):
+    """Cells of [0, z_max] for a continuous measure, one cell per atom of an atomic one."""
     if measure.kind == "atoms":
-        raise ValueError("atomic measures need no cell basis")
+        masses = np.asarray(measure.masses, float)
+        nodes = np.asarray(measure.points, float).reshape(len(masses), 1)
+        return FrequencyCells(masses, nodes, masses[:, None])
     edges = np.linspace(0.0, z_max, n_cells + 1)
-    gx, gw = gauss_legendre(gl_order)
-    nodes, wts, masses = [], [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        z = 0.5 * (b - a) * gx + 0.5 * (a + b)
-        w = 0.5 * (b - a) * gw * measure.density_at(z)
-        nodes.append(z)
-        wts.append(w)
-        masses.append(float(np.sum(w)))
-    return FrequencyCells(tuple(edges), tuple(masses),
-                          tuple(map(tuple, nodes)), tuple(map(tuple, wts)))
+    a, b = edges[:-1, None], edges[1:, None]
+    gx, gw = gauss_legendre(_CELL_ORDER)
+    nodes = 0.5 * (b - a) * gx + 0.5 * (a + b)
+    weights = 0.5 * (b - a) * gw * measure.density_at(nodes)
+    return FrequencyCells(weights.sum(axis=1), nodes, weights)

@@ -186,9 +186,8 @@ def build_setup(scenario, p=2.0, theta=None, delta=None, horizon=0.5, alpha=0.0,
     opts = SimpleNamespace(kappa=kappa, z_max=z_max, n_cells=n_cells)
     dom, nz = rec.build(opts)
     delta = rec.delta if delta is None else delta
-    mode = "majorant" if dom.kind == "unitball" else "exact"
     setup = ConvolutionSetup(dom, nz, WeightedSpaceParams(p, theta, delta),
-                             horizon=horizon, alpha=alpha, mode=mode)
+                             horizon=horizon, alpha=alpha)
     pred = predict_wellposedness(setup)
     if sid != "p718" and pred.scenario != sid:
         raise ConfigurationError(f"kappa = {kappa:g} is the {pred.scenario} case, not {sid}")

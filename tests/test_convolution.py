@@ -11,22 +11,13 @@ from bnlab import geometry as geo
 from bnlab import scenarios as sc
 from bnlab import semigroup as sg
 from bnlab.noise import (NoiseSpec, SpectralMeasure, bessel_measure, endpoint_noise,
-                         homogeneous_noise, lebesgue_measure, substream)
+                         frequency_cells, homogeneous_noise, lebesgue_measure, substream)
 
 
 def test_setup_validation():
     with pytest.raises(cv.ConfigurationError):
-        cv.ConvolutionSetup(geo.unit_ball(2), endpoint_noise(geo.interval01()),
-                            geo.WeightedSpaceParams(2, 2, 0), mode="exact")
-    with pytest.raises(cv.ConfigurationError):
         cv.ConvolutionSetup(geo.interval01(), endpoint_noise(geo.interval01()),
                             geo.WeightedSpaceParams(2, 2, 0), horizon=-1)
-
-
-def test_setup_rejects_unknown_mode():
-    with pytest.raises(cv.ConfigurationError, match="mode must be 'exact' or 'majorant'"):
-        cv.ConvolutionSetup(geo.interval01(), endpoint_noise(geo.interval01()),
-                            geo.WeightedSpaceParams(2, 2, 0), mode="exakt")
 
 
 def test_j_integral_needs_two_levels():
@@ -116,6 +107,23 @@ def test_truncated_homogeneous_variance_rises_to_the_parseval_sum(x0, x1, t, mea
         gaps.append(float((full - cv.variance_profile(flux, t, pts))[0] / full[0]))
     assert gaps[-1] >= 0.0
     assert all(wider <= narrower for narrower, wider in zip(gaps, gaps[1:])), gaps
+
+
+def test_atoms_are_exact_one_node_modes():
+    # an atom z_k of mass m_k is a one-node cell of weight m_k, whose cosine/sine
+    # pair is exact: the truncated mode sum is the complete (Parseval) sum
+    setup, _ = sc.build_setup("p713", p=2.0, theta=2.0)
+    mu = setup.noise.measure
+    cells = frequency_cells(mu, setup.noise.z_max, setup.noise.n_cells)
+    assert cells.nodes.shape == cells.weights.shape == (len(mu.masses), 1)
+    assert np.array_equal(cells.nodes[:, 0], np.ravel(mu.points))
+    assert np.array_equal(cells.weights[:, 0], mu.masses)
+    assert np.array_equal(cells.masses, mu.masses)
+    pts = np.array([[x0, x1] for x0 in (0.2, 0.5, 1.0) for x1 in (-0.7, 0.4)])
+    u = np.geomspace(1e-3, 2.0, 12)
+    full = cv.HomogeneousFlux(setup.domain, setup.noise).sum_sq(u, pts)
+    modes = cv.HomogeneousFlux(setup.domain, setup.noise, truncated=True).sum_sq(u, pts)
+    np.testing.assert_allclose(modes, full, rtol=1e-13, atol=0.0)
 
 
 def test_simulate_convolution_isometry_small():

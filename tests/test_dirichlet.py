@@ -146,10 +146,26 @@ def test_majorant_fit_and_domination():
         assert np.all(np.abs(exact.values) <= maj.values + 1e-15)
 
 
+def test_weighted_grid_datum_scales_its_node():
+    # a boundary node carries the mass of its weight: weight 2 doubles a unit atom
+    H = geo.half_line()
+    grid = geo.halfline_grid(level=4, cutoff=3.0, per_panel=4)
+    e = dm.BoundaryData([1.0], geo.QuadratureGrid([[0.0]], [2.0], 0, 0.0))
+    unit = dm.endpoint_data(H, 1.0)
+    assert np.array_equal(dm.boundary_propagator(H, 0.3, e, grid).values,
+                          2 * dm.boundary_propagator(H, 0.3, unit, grid).values)
+    assert np.array_equal(dm.dirichlet_map(H, 1.0, e, grid).values,
+                          2 * dm.dirichlet_map(H, 1.0, unit, grid).values)
+    with pytest.raises(ValueError):
+        dm.BoundaryData([1.0, 2.0], e.grid)
+    with pytest.raises(ValueError):
+        dm.endpoint_data(geo.interval01(), 1.0)
+
+
 def test_majorant_constant_datum_reduces_to_boundary_mass():
     B2 = geo.unit_ball(2)
     bq = geo.boundary_quadrature(B2, level=8)
-    e = dm.BoundaryData("sampled", values=np.ones(bq.n), grid=bq)
+    e = dm.BoundaryData(np.ones(bq.n), bq)
     inner = geo.QuadratureGrid([[0.3, 0.0], [0.0, 0.5]], [1.0, 1.0], 0, 0.0)
     c, t = 2.0, 0.2
     maj = dm.propagator_majorant(B2, t, e, inner, c=c, big_c=1.0)
