@@ -175,7 +175,6 @@ def run_scenario(cfg):
         verdicts.append(f"isometry_within_3se={ok}")
         resolved["n_steps"] = ens.meta["n_steps"]
         resolved["normals_drawn"] = ens.meta["normals_drawn"]
-        resolved["draw_threads"] = ens.meta["draw_threads"]
     elif pipe == "invariant":
         inv = invariant_diagnostics(setup)
         files["invariant_report.txt"] = (

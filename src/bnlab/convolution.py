@@ -11,8 +11,6 @@ deterministic coefficient is sampled at cell midpoints, and the cell touching
 the singular endpoint carries its exact local variance.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,6 +241,11 @@ class HomogeneousFlux(_TimeQuadrature):
             * self.measure.gauss_transform(2 * u)[None, :]
 
 
+# the Gaussian time scale c and the amplitude C of the majorant's pointwise flux bound
+_MAJORANT_C = 4.0
+_MAJORANT_BIG_C = 1.0
+
+
 class MajorantFlux(_TimeQuadrature):
     """Squared-flux surrogate on the unit ball, which has no exact kernel here.
 
@@ -252,13 +255,11 @@ class MajorantFlux(_TimeQuadrature):
     Both reduce to the radial boundary-mass profile on the ball.
     """
 
-    def __init__(self, domain, spec, c=4.0, big_c=1.0):
+    def __init__(self, domain, spec):
         if domain.kind != "unitball":
             raise ConfigurationError("majorant flux implemented on the unit ball")
         self.domain = domain
         self.spec = spec
-        self.c = c
-        self.big_c = big_c
         if spec.kind == "circle_white":
             if domain.dim != 2:
                 raise ConfigurationError("circle white noise lives on the 2-d ball")
@@ -281,11 +282,11 @@ class MajorantFlux(_TimeQuadrature):
         if self.white:
             # g_ct^2 = (2 pi c t)^{-d} exp(-|z|^2/(ct)); surface integral of the
             # half-scale Gaussian is the boundary-mass profile at scale c/2
-            mass = ball_boundary_mass_exact(d, u, rho, self.c / 2.0)
-            return (self.big_c ** 2 / u) * (2 * np.pi * self.c * u) ** (-d) * mass
-        mass = ball_boundary_mass_exact(d, u, rho, 2.0 * self.c)
-        return (self.big_c ** 2 / u) * self.A \
-            * ((2 * np.pi * self.c * u) ** (-d / 2.0) * mass) ** 2
+            mass = ball_boundary_mass_exact(d, u, rho, _MAJORANT_C / 2.0)
+            return (_MAJORANT_BIG_C ** 2 / u) * (2 * np.pi * _MAJORANT_C * u) ** (-d) * mass
+        mass = ball_boundary_mass_exact(d, u, rho, 2.0 * _MAJORANT_C)
+        return (_MAJORANT_BIG_C ** 2 / u) * self.A \
+            * ((2 * np.pi * _MAJORANT_C * u) ** (-d / 2.0) * mass) ** 2
 
 
 def flux_for(setup, truncated=False):
@@ -591,38 +592,27 @@ def _gaussian_factor(coeff):
 
 
 # bytes of one block of variates; draws are path-major, so the block size
-# bounds memory without entering the bitstream.  One block per draw thread is
-# in flight at a time.
+# bounds memory without entering the bitstream
 _CHUNK_BYTES = 32 * 2 ** 20
-# variates a call must draw before its modes go to threads: on a 2-core box a
-# whole call drew no faster on two threads below ~0.5 M, and ~1 ms faster at it
-_THREAD_NORMALS = 500_000
 
 
 def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed=2024,
-                         per_octave=10, return_paths=False, law="gaussian", df=3.0):
+                         per_octave=10, return_paths=False, law="gaussian", df=5.0):
     """One-shot ensemble of M(t, x) at (t, x) probe pairs.
 
-    Gaussian by construction; the Ito sums use the global step schedule with
+    Gaussian by default; the Ito sums use the global step schedule with
     geometric refinement toward every probe time.  Returns probe statistics
     plus the quadrature variance at each probe (the isometry oracle).
-    law "student_t" swaps variance-matched heavy-tailed increments in as the
-    negative control for tail diagnostics.
+    law "student_t" is the heavy-tailed negative control for tail diagnostics.
 
-    Gaussian sums are drawn at reduced rank across all modes: every path is
-    R^T z with z ~ N(0, I_r) from the one substream (root_seed, 0), where R is
-    upper triangular with R^T R = sum_k C_k C_k^T, the probe covariance of the
-    Ito sums (see `_gaussian_factor`); r = min(probes, sum of mode ranks).
-    Student-t increments keep one variate per step and mode, because rotating
-    them would change their law.  Substreams advance path by path, so the
-    values do not depend on how paths are chunked.
-
-    A Student-t call that draws at least _THREAD_NORMALS variates draws its
-    modes on min(modes, cores) threads, the caller among them, one mode per
-    thread: numpy's generators and the BLAS product release the GIL.  Smaller
-    calls, and every Gaussian call, draw on the caller alone.  Each substream
-    still advances block by block in path order and the parts are added in
-    mode order, so the values do not depend on the thread count either.
+    Both laws are drawn at reduced rank across all modes: every path is
+    xi @ R with xi from the one substream (root_seed, 0), where R is upper
+    triangular with R^T R = sum_k C_k C_k^T, the probe covariance of the Ito
+    sums (see `_gaussian_factor`); r = min(probes, sum of mode ranks).  xi is
+    N(0, I_r), or has i.i.d. variance-matched standard_t(df) entries: a
+    non-Gaussian law with the same covariance, whose innovations live in the
+    reduced basis rather than per step and mode.  The substream advances path
+    by path, so the values do not depend on how paths are chunked.
     """
     if law not in ("gaussian", "student_t"):
         raise ValueError(f"unknown law {law!r}; expected 'gaussian' or 'student_t'")
@@ -648,42 +638,20 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     n_steps = len(edges) - 1
     n_probes = len(probes)
     probe_t = np.array([float(t) for t, _ in probes])
-    coeff = _coefficient_tensor(flux, probe_t, xs, edges)
-    gaussian = law == "gaussian"
-    # one stream: the joint Gaussian draw, or one Student-t draw per mode
-    factors = [_gaussian_factor(coeff)] if gaussian else [c.T for c in coeff]
-    width = factors[0].shape[0] if gaussian else n_steps
+    factor = _gaussian_factor(_coefficient_tensor(flux, probe_t, xs, edges))
+    width = factor.shape[0]
     chunk = max(1, min(n_paths, _CHUNK_BYTES // (8 * max(width, 1))))
-    n_streams = len(factors)
-    gens = [substream(root_seed, k) for k in range(n_streams)]
-
-    def part(k, m):
-        # row i of xi @ factor is path i's sum; coeff already carries sqrt(ds)
-        if gaussian:
-            xi = gens[k].normal(size=(m, width))
-        else:
-            xi = gens[k].standard_t(df, size=(m, width))
-            xi *= np.sqrt((df - 2.0) / df)
-        return xi @ factors[k]
-
-    normals = n_streams * width * n_paths
-    threads = 1
-    if normals >= _THREAD_NORMALS:
-        threads = max(1, min(n_streams, len(os.sched_getaffinity(0))))
+    gen = substream(root_seed, 0)
     M = np.zeros((n_paths, n_probes))
-    # the caller draws the first stream of each group and pool threads the rest;
-    # a pool thread starts only when a group has a second stream
-    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
-        for start in range(0, n_paths, chunk):
-            m = min(chunk, n_paths - start)
-            rows = M[start:start + m]
-            # groups of `threads` streams bound the blocks and parts in flight
-            for k0 in range(0, n_streams, threads):
-                rest = [pool.submit(part, k, m)
-                        for k in range(k0 + 1, min(k0 + threads, n_streams))]
-                rows += part(k0, m)
-                for f in rest:
-                    rows += f.result()
+    for start in range(0, n_paths, chunk):
+        m = min(chunk, n_paths - start)
+        if law == "gaussian":
+            xi = gen.normal(size=(m, width))
+        else:
+            xi = gen.standard_t(df, size=(m, width))
+            xi *= np.sqrt((df - 2.0) / df)
+        # row i of xi @ factor is path i's sum; coeff already carries sqrt(ds)
+        M[start:start + m] += xi @ factor
     # the isometry oracle: like the tensor, one call per distinct probe time
     var_oracle = np.empty(n_probes)
     for ti in np.unique(probe_t):
@@ -706,8 +674,7 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     }
     ens = PathEnsemble(M if return_paths else M[:0], probes, root_seed,
                        meta={"n_steps": n_steps, "schedule_edges": len(edges),
-                             "normals_drawn": normals,
-                             "chunk_paths": chunk, "draw_threads": threads})
+                             "normals_drawn": width * n_paths, "chunk_paths": chunk})
     return ens, stats
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bnlab import cli, convolution
+from bnlab import cli
 from bnlab import scenarios as sc
 
 
@@ -108,10 +108,6 @@ def test_cli_list_catalog():
 
 def test_cli_simulate_pipeline(tmp_path, monkeypatch):
     monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
-    # p71 has two modes; on two cores, a draw large enough for threads would take
-    # one per mode, but the Gaussian law is a single joint draw on the caller
-    monkeypatch.setattr(convolution, "_THREAD_NORMALS", 1)
-    monkeypatch.setattr(convolution.os, "sched_getaffinity", lambda pid: {0, 1})
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("pipeline = simulate\nscenario = p71\nn_paths = 2000\n"
                    "base_steps = 256\nhorizon = 0.4\nseed = 5\n")
@@ -124,7 +120,6 @@ def test_cli_simulate_pipeline(tmp_path, monkeypatch):
     # draw counts go to the manifest, never into the hashed data files
     manifest = next((tmp_path / "out").glob("*/manifest.txt"))
     assert "resolved normals_drawn: " in manifest.read_text()
-    assert "resolved draw_threads: 1\n" in manifest.read_text()
     res2 = runner.invoke(cli.main, ["replay", str(manifest)])
     assert res2.exit_code == 0, res2.output
     assert "replay ok: 1 data file(s) byte-identical" in res2.output

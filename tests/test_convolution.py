@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -168,10 +166,9 @@ def test_probe_statistics_equal_the_numpy_formulas_bit_for_bit():
 
 def test_simulate_probes_sharing_a_time_match_a_subset_run():
     # extra probes at the same times (no closer to the boundary) leave the schedule
-    # unchanged, and the shared-time rows of the coefficient tensor are the smaller
-    # run's tensor.  Student-t keeps one variate per step, so the draws coincide too
-    # and the shared rows reproduce the smaller run path by path; Gaussian draws are
-    # reduced-rank, keyed to the probe set, and give up this coupling by design
+    # unchanged, and the shared-time rows of the coefficient tensor and of the
+    # isometry oracle are the smaller run's.  The draws are reduced-rank, keyed to
+    # the probe set, so the paths of the two runs are not coupled
     setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
     small = [(0.3, 0.5), (0.1, 0.35)]
     large = [(0.1, 0.6), (0.3, 0.5), (0.3, 0.7), (0.1, 0.35), (0.3, 0.4)]
@@ -183,11 +180,10 @@ def test_simulate_probes_sharing_a_time_match_a_subset_run():
                                      np.array([x for _, x in large]), edges)
     assert np.array_equal(coeff_l[:, [1, 3]], coeff_s)
     ens_s, st_s = cv.simulate_convolution(setup, small, n_paths=300, base_steps=128,
-                                          root_seed=3, return_paths=True, law="student_t")
+                                          root_seed=3)
     ens_l, st_l = cv.simulate_convolution(setup, large, n_paths=300, base_steps=128,
-                                          root_seed=3, return_paths=True, law="student_t")
+                                          root_seed=3)
     assert ens_s.meta["n_steps"] == ens_l.meta["n_steps"] == len(edges) - 1
-    assert np.allclose(ens_l.values[:, [1, 3]], ens_s.values, rtol=1e-12, atol=1e-15)
     assert np.allclose(st_l["var_oracle"][[1, 3]], st_s["var_oracle"], rtol=1e-14)
 
 
@@ -197,63 +193,15 @@ def test_simulate_does_not_depend_on_chunking(law, monkeypatch):
     probes = [(0.3, 0.5), (0.1, 0.35), (0.3, 0.7)]
     ref, _ = cv.simulate_convolution(setup, probes, n_paths=700, base_steps=128,
                                      root_seed=3, return_paths=True, law=law)
-    # Gaussian: one joint draw of r = min(probes, sum of mode ranks) = 3 normals
-    # per path; Student-t: one variate per step and mode
-    if law == "gaussian":
-        width, draws = 3, 1
-    else:
-        width, draws = ref.meta["n_steps"], cv.flux_for(setup).n_modes
+    # both laws: one joint draw of r = min(probes, sum of mode ranks) = 3 variates
+    # per path
     assert ref.meta["chunk_paths"] == 700
-    assert ref.meta["normals_drawn"] == draws * width * 700
-    monkeypatch.setattr(cv, "_CHUNK_BYTES", 8 * width * 41)
+    assert ref.meta["normals_drawn"] == 3 * 700
+    monkeypatch.setattr(cv, "_CHUNK_BYTES", 8 * 3 * 41)
     small, _ = cv.simulate_convolution(setup, probes, n_paths=700, base_steps=128,
                                        root_seed=3, return_paths=True, law=law)
     assert small.meta["chunk_paths"] == 41
-    if law == "gaussian":
-        assert np.array_equal(small.values, ref.values)
-    else:
-        # BLAS may block the per-step sum differently for another row count: the
-        # terms move by an ulp of their own size, not of the (possibly tiny) sum
-        np.testing.assert_allclose(small.values, ref.values, rtol=1e-12,
-                                   atol=1e-12 * np.abs(ref.values).max())
-
-
-@pytest.mark.parametrize("law", ["gaussian", "student_t"])
-@pytest.mark.parametrize("sid", ["p71", "p713"])
-def test_simulate_does_not_depend_on_thread_count(sid, law, monkeypatch):
-    setup, _ = sc.build_setup(sid, p=2.0, theta=2.0, horizon=0.3)
-    if setup.domain.dim == 1:
-        probes = [(0.3, 0.5), (0.1, 0.35), (0.3, 0.7)]
-    else:
-        probes = [(0.3, (0.5, 0.4)), (0.1, (0.2, -0.3)), (0.3, (1.0, 0.4))]
-    n_modes = cv.flux_for(setup).n_modes
-
-    def run(cores):
-        monkeypatch.setattr(cv.os, "sched_getaffinity", lambda pid: set(range(cores)))
-        ens, _ = cv.simulate_convolution(setup, probes, n_paths=300, base_steps=128,
-                                         root_seed=3, return_paths=True, law=law)
-        # the Gaussian law is one joint draw, so only Student-t modes go to threads
-        threaded = law == "student_t" and ens.meta["normals_drawn"] >= cv._THREAD_NORMALS
-        assert ens.meta["draw_threads"] == (min(n_modes, cores) if threaded else 1)
-        return ens
-
-    # a call this small draws on the caller alone
-    serial = run(3)
-    assert serial.meta["draw_threads"] == 1
-    width = 3 if law == "gaussian" else serial.meta["n_steps"]
-    # lower the threshold so that every call below goes to the threads
-    monkeypatch.setattr(cv, "_THREAD_NORMALS", 1)
-    # four blocks of paths, so every substream advances across blocks
-    monkeypatch.setattr(cv, "_CHUNK_BYTES", 8 * width * 97)
-    ref = run(1)
-    assert ref.meta["chunk_paths"] == 97
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)         # interleave the draw threads as often as possible
-    try:
-        for cores in (2, 3):
-            assert np.array_equal(run(cores).values, ref.values)
-    finally:
-        sys.setswitchinterval(switch)
+    assert np.array_equal(small.values, ref.values)
 
 
 @pytest.mark.parametrize("law, df, message", [("normal", 3.0, "unknown law 'normal'"),
@@ -351,6 +299,27 @@ def test_single_mode_gaussian_run_keeps_its_draws():
     assert np.array_equal(ens.values, ref)
 
 
+@pytest.mark.parametrize("sid, probes", [
+    ("p71", [(0.3, 0.5), (0.1, 0.35), (0.3, 0.7)]),
+    ("p713", [(0.3, (0.5, 0.4)), (0.1, (0.2, -0.3)), (0.3, (1.0, 0.4))])], ids=["p71", "p713"])
+def test_student_t_is_variance_matched_t_in_the_reduced_basis(sid, probes):
+    # both laws take xi @ R with the joint factor R and xi from substream
+    # (root_seed, 0): normals for the Gaussian law, i.i.d. standard_t(df) entries
+    # scaled to unit variance for the Student-t law
+    setup, _ = sc.build_setup(sid, p=2.0, theta=2.0, horizon=0.3)
+    df, n = 5.0, 300
+    R = cv._gaussian_factor(_tensor(setup, probes)[1])
+    r = R.shape[0]
+    ens = {law: cv.simulate_convolution(setup, probes, n_paths=n, base_steps=128, root_seed=3,
+                                        return_paths=True, law=law, df=df)[0]
+           for law in ("gaussian", "student_t")}
+    xi = substream(3, 0).standard_t(df, size=(n, r))
+    assert np.array_equal(ens["student_t"].values, (np.sqrt((df - 2.0) / df) * xi) @ R)
+    assert np.array_equal(ens["gaussian"].values, substream(3, 0).normal(size=(n, r)) @ R)
+    for e in ens.values():
+        assert e.meta["normals_drawn"] == r * n
+
+
 def test_invariant_diagnostics_refuses_half_space_before_grid():
     setup, _ = sc.build_setup("p717", p=2.0, theta=2.0)
     with pytest.raises(geo.UnsupportedDomainError):
@@ -389,8 +358,9 @@ def test_time_quadrature_is_one_array_call_over_its_nodes(monkeypatch):
     flux = cv.flux_for(sc.build_setup("p78", p=2.0, theta=2.5)[0])
     assert flux.white and flux.domain.dim == 2
     # the former loop over time nodes
-    ref = np.column_stack([flux.big_c ** 2 / uu * (2 * np.pi * flux.c * uu) ** -2
-                           * mass(2, uu, rho, flux.c / 2.0) for uu in u])
+    c, big_c = cv._MAJORANT_C, cv._MAJORANT_BIG_C
+    ref = np.column_stack([big_c ** 2 / uu * (2 * np.pi * c * uu) ** -2
+                           * mass(2, uu, rho, c / 2.0) for uu in u])
     assert np.allclose(flux.sum_sq(u, rho), ref, rtol=1e-14, atol=0)
     calls["mass"] = 0
     cv.variance_profile(flux, 0.5, rho)
