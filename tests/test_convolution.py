@@ -1,3 +1,7 @@
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -202,6 +206,42 @@ def test_simulate_does_not_depend_on_chunking(law, monkeypatch):
                                        root_seed=3, return_paths=True, law=law)
     assert small.meta["chunk_paths"] == 41
     assert np.array_equal(small.values, ref.values)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "student_t"])
+@pytest.mark.parametrize("sid", ["p71", "p713"])
+def test_simulate_does_not_depend_on_thread_count(sid, law, monkeypatch):
+    # every draw runs on the calling thread from its own substream: the values are
+    # one function of the seed, whatever the visible core count, and calls made
+    # from several threads at once share no generator state
+    setup, _ = sc.build_setup(sid, p=2.0, theta=2.0, horizon=0.3)
+    if setup.domain.dim == 1:
+        probes = [(0.3, 0.5), (0.1, 0.35), (0.3, 0.7)]
+    else:
+        probes = [(0.3, (0.5, 0.4)), (0.1, (0.2, -0.3)), (0.3, (1.0, 0.4))]
+    # four blocks of r = 3 variates per path, so the substream advances across blocks
+    monkeypatch.setattr(cv, "_CHUNK_BYTES", 8 * 3 * 97)
+
+    def run(_=None):
+        ens, _ = cv.simulate_convolution(setup, probes, n_paths=300, base_steps=128,
+                                         root_seed=3, return_paths=True, law=law)
+        return ens
+
+    ref = run()
+    assert ref.meta["chunk_paths"] == 97
+    assert ref.meta["normals_drawn"] == 3 * 300
+    assert "draw_threads" not in ref.meta
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)         # interleave the calling threads as often as possible
+    try:
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: set(range(c)),
+                                raising=False)
+            with ThreadPoolExecutor(max_workers=cores) as pool:
+                for ens in pool.map(run, range(cores)):
+                    assert np.array_equal(ens.values, ref.values)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 @pytest.mark.parametrize("law, df, message", [("normal", 3.0, "unknown law 'normal'"),
