@@ -175,6 +175,7 @@ def run_scenario(cfg):
         verdicts.append(f"isometry_within_3se={ok}")
         resolved["n_steps"] = ens.meta["n_steps"]
         resolved["normals_drawn"] = ens.meta["normals_drawn"]
+        resolved["stat_block_paths"] = ens.meta["stat_block_paths"]
     elif pipe == "invariant":
         inv = invariant_diagnostics(setup)
         files["invariant_report.txt"] = (

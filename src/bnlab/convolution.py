@@ -594,6 +594,111 @@ def _gaussian_factor(coeff):
 # bytes of one block of variates; draws are path-major, so the block size
 # bounds memory without entering the bitstream
 _CHUNK_BYTES = 32 * 2 ** 20
+# paths per sub-block of the probe statistics; fixed, so that the statistics do
+# not depend on the draw blocks either
+_STAT_BLOCK_PATHS = 4096
+
+
+def _draw_plan(setup, probes, base_steps, per_octave):
+    """Flux, probe points and times, step edges and the factor R of a probe set."""
+    if setup.mode != "exact":
+        raise ConfigurationError("simulation requires exact mode")
+    flux = flux_for(setup, truncated=True)
+    times = sorted({float(t) for t, _ in probes})
+    pts = [p for _, p in probes]
+    dom1d = setup.domain.dim == 1
+    xs = np.array([float(p) for p in pts]) if dom1d else np.atleast_2d(np.asarray(pts, float))
+    rho = distance_to_boundary(setup.domain, xs.reshape(-1, 1) if dom1d else xs)
+    rho_min = float(np.min(rho))
+    t_max = max(times)
+    if base_steps < 64 or t_max / base_steps > min(times) / 4.0:
+        raise NumericalRefusal(
+            f"base step {t_max / base_steps:.3g} too coarse for probe times down to "
+            f"{min(times):.3g}; need base_steps >= 64 and step <= t_min/4")
+    edges = _step_schedule(t_max, times, base_steps, rho_min, per_octave)
+    probe_t = np.array([float(t) for t, _ in probes])
+    factor = _gaussian_factor(_coefficient_tensor(flux, probe_t, xs, edges))
+    return flux, xs, probe_t, edges, factor
+
+
+def _chunk_paths(n_paths, width):
+    return max(1, min(n_paths, _CHUNK_BYTES // (8 * max(width, 1))))
+
+
+def _draws(factor, n_paths, root_seed, law="gaussian", df=5.0):
+    """The one draw loop: path-major blocks of xi from the substream (root_seed, 0)."""
+    width = factor.shape[0]
+    chunk = _chunk_paths(n_paths, width)
+    gen = substream(root_seed, 0)
+    for start in range(0, n_paths, chunk):
+        m = min(chunk, n_paths - start)
+        if law == "gaussian":
+            yield gen.normal(size=(m, width))
+        else:
+            xi = gen.standard_t(df, size=(m, width))
+            xi *= np.sqrt((df - 2.0) / df)
+            yield xi
+
+
+def _paths_into(out, xi, factor):
+    """out = xi @ factor, each row rounded as in a product of two or more rows.
+
+    numpy sends a one-row product to BLAS gemv, which sums in another order
+    than gemm; a lone row goes through a two-row product instead.
+    """
+    if len(xi) == 1:
+        out[:] = (np.concatenate([xi, xi]) @ factor)[:1]
+    else:
+        np.matmul(xi, factor, out=out)
+
+
+def _block_moments(X):
+    """(count, mean, M2, M3, M4) of the rows of X, M_k the centred power sums.
+
+    numpy's own mean and centring; the powers are products (d^4 = d^2 d^2), as
+    libm pow costs tens of ns per element.
+    """
+    mean = X.mean(axis=0)
+    d = X - mean
+    d2 = d * d
+    m2 = d2.sum(axis=0)
+    d *= d2
+    m3 = d.sum(axis=0)
+    d2 *= d2
+    return len(X), mean, m2, m3, d2.sum(axis=0)
+
+
+def _merge_moments(a, b):
+    """Moments of the union of two disjoint path sets; `a` None is the empty set.
+
+    Pairwise updates of Chan, Golub & LeVeque (1979) for M2 and Pebay (2008)
+    for M3 and M4; M3 is carried because the M4 update needs it.
+    """
+    if a is None:
+        return b
+    na, ma, m2a, m3a, m4a = a
+    nb, mb, m2b, m3b, m4b = b
+    n = na + nb
+    delta = mb - ma
+    dn = delta / n
+    dn2 = dn * dn
+    cross = delta * dn * na * nb                 # na nb delta^2 / n
+    m4 = (m4a + m4b + cross * dn2 * (na * na - na * nb + nb * nb)
+          + 6.0 * dn2 * (na * na * m2b + nb * nb * m2a) + 4.0 * dn * (na * m3b - nb * m3a))
+    m3 = m3a + m3b + cross * dn * (na - nb) + 3.0 * dn * (na * m2b - nb * m2a)
+    return n, ma + nb * dn, m2a + m2b + cross, m3, m4
+
+
+def _convolution_paths(setup, probes, n_paths, base_steps=512, root_seed=2024):
+    """The Gaussian paths of `simulate_convolution` (paths x probes) and its draw
+    counts, without probe statistics or the isometry oracle."""
+    _, _, _, edges, factor = _draw_plan(setup, probes, base_steps, per_octave=10)
+    M = np.empty((n_paths, len(probes)))
+    start = 0
+    for xi in _draws(factor, n_paths, root_seed):
+        _paths_into(M[start:start + len(xi)], xi, factor)
+        start += len(xi)
+    return M, {"n_steps": len(edges) - 1, "normals_drawn": factor.shape[0] * n_paths}
 
 
 def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed=2024,
@@ -613,6 +718,14 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     non-Gaussian law with the same covariance, whose innovations live in the
     reduced basis rather than per step and mode.  The substream advances path
     by path, so the values do not depend on how paths are chunked.
+
+    The statistics are folded in path order over fixed sub-blocks of
+    `_STAT_BLOCK_PATHS` paths, inside the draw loop: numpy's mean and centred
+    sums per sub-block, merged pairwise (`_merge_moments`).  They do not depend
+    on the chunking either, and a run of at most one sub-block gives numpy's
+    mean and variance bit for bit.  The paths array exists only with
+    `return_paths`; otherwise memory is one draw block and one sub-block,
+    whatever `n_paths`.
     """
     if law not in ("gaussian", "student_t"):
         raise ValueError(f"unknown law {law!r}; expected 'gaussian' or 'student_t'")
@@ -620,61 +733,46 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
         raise ValueError(f"student_t needs df > 2 for variance matching, got df={df}")
     if n_paths < 2:
         raise ValueError(f"n_paths must be at least 2 for sample variances, got {n_paths}")
-    if setup.mode != "exact":
-        raise ConfigurationError("simulation requires exact mode")
-    flux = flux_for(setup, truncated=True)
-    times = sorted({float(t) for t, _ in probes})
-    pts = [p for _, p in probes]
-    dom1d = setup.domain.dim == 1
-    xs = np.array([float(p) for p in pts]) if dom1d else np.atleast_2d(np.asarray(pts, float))
-    rho = distance_to_boundary(setup.domain, xs.reshape(-1, 1) if dom1d else xs)
-    rho_min = float(np.min(rho))
-    t_max = max(times)
-    if base_steps < 64 or t_max / base_steps > min(times) / 4.0:
-        raise NumericalRefusal(
-            f"base step {t_max / base_steps:.3g} too coarse for probe times down to "
-            f"{min(times):.3g}; need base_steps >= 64 and step <= t_min/4")
-    edges = _step_schedule(t_max, times, base_steps, rho_min, per_octave)
-    n_steps = len(edges) - 1
-    n_probes = len(probes)
-    probe_t = np.array([float(t) for t, _ in probes])
-    factor = _gaussian_factor(_coefficient_tensor(flux, probe_t, xs, edges))
-    width = factor.shape[0]
-    chunk = max(1, min(n_paths, _CHUNK_BYTES // (8 * max(width, 1))))
-    gen = substream(root_seed, 0)
-    M = np.zeros((n_paths, n_probes))
-    for start in range(0, n_paths, chunk):
-        m = min(chunk, n_paths - start)
-        if law == "gaussian":
-            xi = gen.normal(size=(m, width))
-        else:
-            xi = gen.standard_t(df, size=(m, width))
-            xi *= np.sqrt((df - 2.0) / df)
+    flux, xs, probe_t, edges, factor = _draw_plan(setup, probes, base_steps, per_octave)
+    width, n_probes = factor.shape[0], len(probes)
+    chunk = _chunk_paths(n_paths, width)
+    block = _STAT_BLOCK_PATHS
+    # with paths kept, the sub-blocks are views of M; without, the partial
+    # sub-block at the end of a draw block moves to the front of a buffer
+    M = np.empty((n_paths, n_probes)) if return_paths else None
+    buf = M if return_paths else np.empty((min(n_paths, chunk + block - 1), n_probes))
+    moments, lo, hi = None, 0, 0
+    for xi in _draws(factor, n_paths, root_seed, law, df):
         # row i of xi @ factor is path i's sum; coeff already carries sqrt(ds)
-        M[start:start + m] += xi @ factor
+        _paths_into(buf[hi:hi + len(xi)], xi, factor)
+        hi += len(xi)
+        while hi - lo >= block:
+            moments = _merge_moments(moments, _block_moments(buf[lo:lo + block]))
+            lo += block
+        if M is None and lo:
+            buf[:hi - lo] = buf[lo:hi]
+            lo, hi = 0, hi - lo
+    if hi > lo:
+        moments = _merge_moments(moments, _block_moments(buf[lo:hi]))
     # the isometry oracle: like the tensor, one call per distinct probe time
     var_oracle = np.empty(n_probes)
     for ti in np.unique(probe_t):
         rows = np.flatnonzero(probe_t == ti)
         var_oracle[rows] = variance_profile(flux, ti, xs[rows], pts_per_octave=12)
-    # the numpy formulas' own steps, each once: one centred copy of M, raised
-    # to the fourth power in place (squaring twice would round differently)
-    mean = M.mean(axis=0)
-    d = M - mean
-    S = np.square(d).sum(axis=0)
-    var1, var0 = S / (n_paths - 1), S / n_paths
+    _, mean, m2, _, m4 = moments
+    var1, var0 = m2 / (n_paths - 1), m2 / n_paths
     stats = {
         "mean": mean,
         "var": var1,
-        "fourth_moment_ratio": np.power(d, 4, out=d).mean(axis=0)
-        / np.maximum(var0 ** 2, 1e-300),
+        "fourth_moment_ratio": m4 / n_paths / np.maximum(var0 * var0, 1e-300),
         "var_oracle": var_oracle,
         "var_se": var1 * np.sqrt(2.0 / (n_paths - 1)),
         "mean_se": np.sqrt(var1) / np.sqrt(n_paths),
     }
-    ens = PathEnsemble(M if return_paths else M[:0], probes, root_seed,
-                       meta={"n_steps": n_steps, "schedule_edges": len(edges),
-                             "normals_drawn": width * n_paths, "chunk_paths": chunk})
+    ens = PathEnsemble(M if return_paths else np.empty((0, n_probes)), probes, root_seed,
+                       meta={"n_steps": len(edges) - 1, "schedule_edges": len(edges),
+                             "normals_drawn": width * n_paths, "chunk_paths": chunk,
+                             "stat_block_paths": block})
     return ens, stats
 
 
@@ -689,11 +787,11 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
     The grid is uniform and the flux does not depend on time, so the noise of
     step i is M(dt, .) with fresh increments (the flow property): every (path,
     step) pair is one path-major row of a single `simulate_convolution`
-    ensemble at the probes (dt, x).  With `drift` f (scalar Lipschitz), solves
-    the semilinear fixed point by Picard iteration over all paths at once; a
-    path freezes once its own increment falls below picard_tol.  Drift None is
-    the linear equation, and drift f = 0 reproduces it path by path under the
-    same seed.
+    ensemble at the probes (dt, x), drawn without its statistics.  With
+    `drift` f (scalar Lipschitz), solves the semilinear fixed point by Picard
+    iteration over all paths at once; a path freezes once its own increment
+    falls below picard_tol.  Drift None is the linear equation, and drift
+    f = 0 reproduces it path by path under the same seed.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be at least 1, got {n_paths}")
@@ -715,13 +813,10 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
     n_t = len(edges)
     nx = grid.n
     x = grid.x if grid.nodes.shape[1] == 1 else grid.nodes
-    # draws are prefix-stable, so a single row is the first of two
-    rows = n_paths * (n_t - 1)
-    noise, _ = simulate_convolution(setup, [(dt, node) for node in x], max(rows, 2),
-                                    root_seed=root_seed, return_paths=True)
-    meta = {"grid": grid, "dt": dt, "n_steps": noise.meta["n_steps"],
-            "normals_drawn": noise.meta["normals_drawn"]}
-    eta = noise.values[:rows].reshape(n_paths, n_t - 1, nx)
+    noise, draws = _convolution_paths(setup, [(dt, node) for node in x], n_paths * (n_t - 1),
+                                      root_seed=root_seed)
+    meta = {"grid": grid, "dt": dt, **draws}
+    eta = noise.reshape(n_paths, n_t - 1, nx)
     # deterministic part, one-shot per output time (no compounding quadrature error)
     xdet = np.zeros((n_t, nx))
     if x0_field is not None:
@@ -770,7 +865,8 @@ def flow_consistency_check(setup, s, t, n_paths=10000, root_seed=13, grid=None,
     """
     if not 0 < s < t:
         raise ValueError("need 0 < s < t")
-    flux = flux_for(setup)
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be at least 2 for sample variances, got {n_paths}")
     dom = setup.domain
     grid = grid or interior_grid(dom, graded=True, level=8, per_panel=8)
     kernel = HeatKernel(dom)
@@ -780,17 +876,13 @@ def flow_consistency_check(setup, s, t, n_paths=10000, root_seed=13, grid=None,
     probes_s = [(s, x) for x in xs]
     probes_dt = [(t - s, x) for x in xs]
     probes_t = [(t, xs[i]) for i in probe_idx]
-    ens_1, _ = simulate_convolution(setup, probes_t, n_paths, base_steps, root_seed + 2,
-                                    return_paths=True)
-    ens_s, _ = simulate_convolution(setup, probes_s, n_paths, base_steps, root_seed,
-                                    return_paths=True)
-    ens_f, _ = simulate_convolution(setup, probes_dt, n_paths, base_steps, root_seed + 1,
-                                    return_paths=True)
+    one_probe, _ = _convolution_paths(setup, probes_t, n_paths, base_steps, root_seed + 2)
+    at_s, _ = _convolution_paths(setup, probes_s, n_paths, base_steps, root_seed)
+    fresh, _ = _convolution_paths(setup, probes_dt, n_paths, base_steps, root_seed + 1)
     P = semigroup_matrix(kernel, t - s, grid)
     # stage 2: push the stage-1 field through S(t-s), add the fresh convolution
-    two_stage = ens_s.values @ P.T + ens_f.values
+    two_stage = at_s @ P.T + fresh
     two_probe = two_stage[:, probe_idx]
-    one_probe = ens_1.values
     cov2 = np.cov(two_probe.T)
     cov1 = np.cov(one_probe.T)
     var1 = np.diag(cov1)

@@ -120,6 +120,7 @@ def test_cli_simulate_pipeline(tmp_path, monkeypatch):
     # draw counts go to the manifest, never into the hashed data files
     manifest = next((tmp_path / "out").glob("*/manifest.txt"))
     assert "resolved normals_drawn: " in manifest.read_text()
+    assert "resolved stat_block_paths: 4096\n" in manifest.read_text()
     res2 = runner.invoke(cli.main, ["replay", str(manifest)])
     assert res2.exit_code == 0, res2.output
     assert "replay ok: 1 data file(s) byte-identical" in res2.output

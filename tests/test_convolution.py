@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -142,10 +143,12 @@ def test_simulate_convolution_isometry_small():
 def test_fourth_moment_ratio_is_centred_kurtosis():
     setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
     probes = [(t, x) for t in (0.1, 0.3) for x in (0.25, 0.5, 0.8)]
-    ens, stats = cv.simulate_convolution(setup, probes, n_paths=800, base_steps=128,
-                                         root_seed=11, return_paths=True)
-    kurt = stats_mod.kurtosis(ens.values, axis=0, fisher=False, bias=True)
-    assert np.allclose(stats["fourth_moment_ratio"], kurt, rtol=1e-12, atol=0)
+    # one statistics sub-block, and several merged ones
+    for n_paths in (800, 5 * cv._STAT_BLOCK_PATHS + 123):
+        ens, stats = cv.simulate_convolution(setup, probes, n_paths=n_paths, base_steps=128,
+                                             root_seed=11, return_paths=True)
+        kurt = stats_mod.kurtosis(ens.values, axis=0, fisher=False, bias=True)
+        assert np.allclose(stats["fourth_moment_ratio"], kurt, rtol=1e-12, atol=0)
 
 
 def test_probe_statistics_equal_the_numpy_formulas_bit_for_bit():
@@ -206,6 +209,57 @@ def test_simulate_does_not_depend_on_chunking(law, monkeypatch):
                                        root_seed=3, return_paths=True, law=law)
     assert small.meta["chunk_paths"] == 41
     assert np.array_equal(small.values, ref.values)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "student_t"])
+def test_probe_statistics_do_not_depend_on_chunking(law, monkeypatch):
+    # 8,201 paths span three statistics sub-blocks, the last of 9 paths; 41-path
+    # draw blocks cut across their boundaries and end in a block of one path,
+    # whose row BLAS would round unlike a block's at this seed (r = 6)
+    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
+    probes = [(t, x) for t in (0.1, 0.3) for x in (0.25, 0.5, 0.8)]
+    n = 8201
+    ref, st_ref = cv.simulate_convolution(setup, probes, n_paths=n, base_steps=128,
+                                          root_seed=3, return_paths=True, law=law)
+    assert ref.meta["chunk_paths"] == n
+    assert ref.meta["stat_block_paths"] == cv._STAT_BLOCK_PATHS < n / 2
+    monkeypatch.setattr(cv, "_CHUNK_BYTES", 8 * 6 * 41)
+    for keep in (True, False):
+        ens, st = cv.simulate_convolution(setup, probes, n_paths=n, base_steps=128,
+                                          root_seed=3, return_paths=keep, law=law)
+        assert ens.meta["chunk_paths"] == 41
+        assert ens.values.shape == ((n if keep else 0), len(probes))
+        if keep:
+            assert np.array_equal(ens.values, ref.values)
+        for name, value in st.items():
+            assert np.array_equal(value, st_ref[name]), name
+    M = ref.values
+    numpy_formulas = {
+        "mean": M.mean(axis=0),
+        "var": M.var(axis=0, ddof=1),
+        "fourth_moment_ratio": ((M - M.mean(axis=0)) ** 4).mean(axis=0) / M.var(axis=0) ** 2,
+    }
+    for name, want in numpy_formulas.items():
+        np.testing.assert_allclose(st_ref[name], want, rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_statistics_only_memory_does_not_grow_with_paths(monkeypatch):
+    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
+    probes = [(t, x) for t in (0.1, 0.3) for x in (0.25, 0.5, 0.8)]
+    monkeypatch.setattr(cv, "_CHUNK_BYTES", 8 * 6 * 1000)
+
+    def traced_peak(n_paths):
+        tracemalloc.start()
+        try:
+            cv.simulate_convolution(setup, probes, n_paths=n_paths, base_steps=128, root_seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(2000)                   # first-call caches stay out of the comparison
+    small, large = traced_peak(50_000), traced_peak(200_000)
+    # a paths array would be 2.4 MB at 50,000 paths and 9.6 MB at 200,000
+    assert large <= 1.1 * small, (small, large)
 
 
 @pytest.mark.parametrize("law", ["gaussian", "student_t"])
@@ -492,6 +546,21 @@ def test_mild_step_noise_is_rows_of_one_convolution_ensemble():
     one = cv.simulate_mild(setup, None, tg[:2], n_paths=1, root_seed=4, grid=grid)
     two = cv.simulate_mild(setup, None, tg[:2], n_paths=2, root_seed=4, grid=grid)
     assert np.array_equal(one.values[0], two.values[0])
+
+
+def test_mild_memory_is_its_output_plus_one_draw():
+    # drift-free, 2,000 paths x 20 steps on the default 144-node grid: the output
+    # is 46 MB, and the step noise (40,000 x 144, another 46 MB) is freed before
+    # the output is complete; forming probe statistics on it peaked at 144 MB
+    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
+    tracemalloc.start()
+    try:
+        ens = cv.simulate_mild(setup, None, np.linspace(0, 0.2, 21), n_paths=2000, root_seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.values.shape == (2000, 21, 144)
+    assert peak <= 100 * 2 ** 20, peak / 2 ** 20
 
 
 def test_batched_picard_does_not_couple_paths():
