@@ -275,18 +275,23 @@ def main():
     """Numerical laboratory for heat equations with white-noise boundary data."""
 
 
+def _run_and_write(config, written):
+    """Parse a config text, run and write it, then echo where and the verdicts."""
+    cfg = parse_config(config)
+    manifest, files = run_scenario(cfg)
+    run_dir = write_run(cfg, manifest, files, out_root(cfg))
+    click.echo(f"{written} written to {run_dir}")
+    for line in manifest.splitlines():
+        if line.startswith("verdicts:"):
+            click.echo(line)
+
+
 @main.command("run")
 @click.argument("config_path", type=click.Path(exists=True))
 @_exit_codes
 def run_cmd(config_path):
     """Run the pipeline described by a config file."""
-    cfg = parse_config(Path(config_path).read_text())
-    manifest, files = run_scenario(cfg)
-    run_dir = write_run(cfg, manifest, files, out_root(cfg))
-    click.echo(f"run written to {run_dir}")
-    for line in manifest.splitlines():
-        if line.startswith("verdicts:"):
-            click.echo(line)
+    _run_and_write(Path(config_path).read_text(), "run")
 
 
 @main.command("list")
@@ -308,14 +313,8 @@ def verify_cmd(suite, scenario, theta, seed):
     """Run a named verifier suite with default settings."""
     pipe = {"kernels": "verify-kernels", "schur": "schur", "appendix": "appendix-checks",
             "j": "j-diagnose", "simulate": "simulate", "invariant": "invariant"}[suite]
-    cfg = parse_config(f"pipeline = {pipe}\nscenario = {scenario}\n"
-                       f"theta = {theta}\nseed = {seed}\n")
-    manifest, files = run_scenario(cfg)
-    run_dir = write_run(cfg, manifest, files, out_root(cfg))
-    click.echo(f"suite written to {run_dir}")
-    for line in manifest.splitlines():
-        if line.startswith("verdicts:"):
-            click.echo(line)
+    _run_and_write(f"pipeline = {pipe}\nscenario = {scenario}\ntheta = {theta}\nseed = {seed}\n",
+                   "suite")
 
 
 @main.command("replay")

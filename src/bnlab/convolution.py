@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import exp1, gamma, gammaincc
 
-from .geometry import (UnsupportedDomainError, WeightedSpaceParams, distance_to_boundary,
-                       gauss_legendre, half_line, interior_grid, weight)
+from .geometry import (UnsupportedDomainError, WeightedSpaceParams, _graded_edges_01,
+                       distance_to_boundary, gauss_legendre, half_line, halfline_grid,
+                       interior_grid, weight)
 from .kernels import HeatKernel, NumericalRefusal, ball_boundary_mass_exact
 from .noise import NoiseSpec, frequency_cells, substream
 from .semigroup import semigroup_matrix
@@ -158,15 +159,15 @@ def _upper_gamma(a, z):
     return out
 
 
-def _sine_pairs(x, b, t_lo, t_hi, alpha, kmax=6):
+def _sine_pairs(x, b, t_lo, t_hi, alpha):
     """int_{t_lo}^{t_hi} s^{-alpha} psi_b(s, x)^2 ds from the sine series of the flux.
 
     psi_b = +-sum_k A_k e^{-k^2 pi^2 s} with A_k = 2 k pi sin(k pi x) (+-1)^k, so
     each mode pair integrates to lam^{alpha-1} (Gamma(1-alpha, lam t_lo) -
-    Gamma(1-alpha, lam t_hi)), lam = (k^2 + j^2) pi^2.  From t_lo = 1 the first
-    mode left out weighs e^{-50 pi^2} against the kept ones.
+    Gamma(1-alpha, lam t_hi)), lam = (k^2 + j^2) pi^2.  Modes k = 1..6 are kept:
+    from t_lo = 1 the first mode left out weighs e^{-50 pi^2} against them.
     """
-    k = np.arange(1, kmax + 1)
+    k = np.arange(1, 7)
     amp = 2 * np.pi * k * np.sin(np.pi * np.outer(x, k)) * ((-1.0) ** k if b else 1.0)
     lam = np.pi ** 2 * (k[:, None] ** 2 + k[None, :] ** 2)
     w = lam ** (alpha - 1.0) * (_upper_gamma(1.0 - alpha, lam * t_lo)
@@ -379,12 +380,12 @@ class JReport:
         return "\n".join(lines) + "\n"
 
 
-def _j_verdict(js, rel_tol=0.01, growth=2.0):
+def _j_verdict(js):
     js = [float(v) for v in js]
-    if abs(js[-1] - js[-2]) <= rel_tol * abs(js[-1]):
+    if abs(js[-1] - js[-2]) <= 0.01 * abs(js[-1]):
         return "finite"
     increasing = all(b > a for a, b in zip(js[:-1], js[1:]))
-    if increasing and js[-1] > growth * js[0]:
+    if increasing and js[-1] > 2.0 * js[0]:
         return "divergent"
     return "inconclusive"
 
@@ -393,7 +394,6 @@ def _j_radial_ball(setup, flux, level, pts_per_octave):
     # rotation invariance: J = |S^{d-1}| int_0^1 F(1-r)^{p/2-like} ... r^{d-1} dr
     d = setup.domain.dim
     p = setup.params.p
-    from .geometry import _graded_edges_01
     redges = 1.0 - _graded_edges_01(level, 6)[::-1]
     rc = 0.5 * (redges[:-1] + redges[1:])
     wr = np.diff(redges)
@@ -422,7 +422,12 @@ def _tangential_weight(theta, delta, x0):
     return np.minimum(x0, 1.0) ** theta * (1.0 + x0 ** 2) ** (0.5 - delta) * const
 
 
-def j_integral(setup, levels=(10, 14, 18, 22, 26), pts_per_octave=8, prediction=None):
+# Gauss-Legendre points per octave of the J time quadrature; the time-refinement
+# check doubles them
+_J_PTS_PER_OCTAVE = 8
+
+
+def j_integral(setup, levels=(10, 14, 18, 22, 26), prediction=None):
     """The weighted space-time integral of the squared flux sum, with verdict.
 
     Refinement runs over boundary-grading levels of the outer space grid; the
@@ -439,13 +444,13 @@ def j_integral(setup, levels=(10, 14, 18, 22, 26), pts_per_octave=8, prediction=
     p, theta, delta = setup.params.p, setup.params.theta, setup.params.delta
     js = []
     for lev in levels:
-        js.append(_j_level(setup, flux, lev, pts_per_octave))
+        js.append(_j_level(setup, flux, lev, _J_PTS_PER_OCTAVE))
     checks = {}
     if flux.exact_in_time:
         checks["time_refinement_rel_change"] = "exact"
     else:
         checks["time_refinement_rel_change"] = abs(
-            _j_level(setup, flux, levels[-1], 2 * pts_per_octave) - js[-1]) / abs(js[-1]) \
+            _j_level(setup, flux, levels[-1], 2 * _J_PTS_PER_OCTAVE) - js[-1]) / abs(js[-1]) \
             if js[-1] > 0 else 0.0
     if setup.noise.kind == "homogeneous" and setup.noise.measure.kind != "atoms":
         # the J verdict uses the complete-basis sum; the declared truncation is
@@ -492,7 +497,6 @@ def _j_level(setup, flux, level, pts_per_octave):
         w = weight(dom, grid.nodes, setup.params)
         return float(np.sum(prof ** (p / 2.0) * w * grid.weights))
     if dom.kind == "halfspace":
-        from .geometry import halfline_grid
         g1 = halfline_grid(level=level, per_panel=6, cutoff=cutoff)
         prof = variance_profile(flux, setup.horizon, g1.x, alpha=setup.alpha,
                                 pts_per_octave=pts_per_octave)
@@ -517,12 +521,12 @@ class PathEnsemble:
     meta: dict = field(default_factory=dict)
 
 
-def _step_schedule(t_max, probe_times, base_steps, rho_min, per_octave=10):
+def _step_schedule(t_max, probe_times, base_steps, rho_min):
     """Uniform backbone with geometric ladders toward s = 0 and every probe time.
 
     The squared flux concentrates toward u = t - s -> 0 near the boundary and
     has an exponential layer at s -> 0 when the probe sits far from it; both
-    ends are graded.
+    ends are graded, ten steps per octave.
     """
     edges = set(np.linspace(0.0, t_max, base_steps + 1).tolist())
     d0 = t_max / base_steps
@@ -530,12 +534,12 @@ def _step_schedule(t_max, probe_times, base_steps, rho_min, per_octave=10):
     s = u_min
     while s < 2 * d0:
         edges.add(s)
-        s *= 2.0 ** (1.0 / per_octave)
+        s *= 2.0 ** (1.0 / 10)
     for ti in probe_times:
         u = u_min
         while u < min(2 * d0, ti):
             edges.add(ti - u)
-            u *= 2.0 ** (1.0 / per_octave)
+            u *= 2.0 ** (1.0 / 10)
         edges.add(float(ti))
     edges = np.array(sorted(e for e in edges if 0.0 <= e <= t_max))
     keep = np.concatenate([[True], np.diff(edges) > 1e-15])
@@ -591,15 +595,13 @@ def _gaussian_factor(coeff):
     return stacked if len(coeff) == 1 else np.linalg.qr(stacked, mode="r")
 
 
-# bytes of one block of variates; draws are path-major, so the block size
-# bounds memory without entering the bitstream
-_CHUNK_BYTES = 32 * 2 ** 20
-# paths per sub-block of the probe statistics; fixed, so that the statistics do
-# not depend on the draw blocks either
-_STAT_BLOCK_PATHS = 4096
+# paths per draw block, which is also the sub-block of the probe statistics;
+# draws are path-major, so the block size bounds memory without entering the
+# bitstream
+_BLOCK_PATHS = 4096
 
 
-def _draw_plan(setup, probes, base_steps, per_octave):
+def _draw_plan(setup, probes, base_steps):
     """Flux, probe points and times, step edges and the factor R of a probe set."""
     if setup.mode != "exact":
         raise ConfigurationError("simulation requires exact mode")
@@ -615,23 +617,18 @@ def _draw_plan(setup, probes, base_steps, per_octave):
         raise NumericalRefusal(
             f"base step {t_max / base_steps:.3g} too coarse for probe times down to "
             f"{min(times):.3g}; need base_steps >= 64 and step <= t_min/4")
-    edges = _step_schedule(t_max, times, base_steps, rho_min, per_octave)
+    edges = _step_schedule(t_max, times, base_steps, rho_min)
     probe_t = np.array([float(t) for t, _ in probes])
     factor = _gaussian_factor(_coefficient_tensor(flux, probe_t, xs, edges))
     return flux, xs, probe_t, edges, factor
 
 
-def _chunk_paths(n_paths, width):
-    return max(1, min(n_paths, _CHUNK_BYTES // (8 * max(width, 1))))
-
-
 def _draws(factor, n_paths, root_seed, law="gaussian", df=5.0):
     """The one draw loop: path-major blocks of xi from the substream (root_seed, 0)."""
     width = factor.shape[0]
-    chunk = _chunk_paths(n_paths, width)
     gen = substream(root_seed, 0)
-    for start in range(0, n_paths, chunk):
-        m = min(chunk, n_paths - start)
+    for start in range(0, n_paths, _BLOCK_PATHS):
+        m = min(_BLOCK_PATHS, n_paths - start)
         if law == "gaussian":
             yield gen.normal(size=(m, width))
         else:
@@ -692,7 +689,7 @@ def _merge_moments(a, b):
 def _convolution_paths(setup, probes, n_paths, base_steps=512, root_seed=2024):
     """The Gaussian paths of `simulate_convolution` (paths x probes) and its draw
     counts, without probe statistics or the isometry oracle."""
-    _, _, _, edges, factor = _draw_plan(setup, probes, base_steps, per_octave=10)
+    _, _, _, edges, factor = _draw_plan(setup, probes, base_steps)
     M = np.empty((n_paths, len(probes)))
     start = 0
     for xi in _draws(factor, n_paths, root_seed):
@@ -702,7 +699,7 @@ def _convolution_paths(setup, probes, n_paths, base_steps=512, root_seed=2024):
 
 
 def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed=2024,
-                         per_octave=10, return_paths=False, law="gaussian", df=5.0):
+                         return_paths=False, law="gaussian", df=5.0):
     """One-shot ensemble of M(t, x) at (t, x) probe pairs.
 
     Gaussian by default; the Ito sums use the global step schedule with
@@ -717,15 +714,13 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     N(0, I_r), or has i.i.d. variance-matched standard_t(df) entries: a
     non-Gaussian law with the same covariance, whose innovations live in the
     reduced basis rather than per step and mode.  The substream advances path
-    by path, so the values do not depend on how paths are chunked.
+    by path, so the values do not depend on the draw block size.
 
-    The statistics are folded in path order over fixed sub-blocks of
-    `_STAT_BLOCK_PATHS` paths, inside the draw loop: numpy's mean and centred
-    sums per sub-block, merged pairwise (`_merge_moments`).  They do not depend
-    on the chunking either, and a run of at most one sub-block gives numpy's
+    The statistics are folded in path order over the draw blocks of
+    `_BLOCK_PATHS` paths: numpy's mean and centred sums per block, merged
+    pairwise (`_merge_moments`).  A run of at most one block gives numpy's
     mean and variance bit for bit.  The paths array exists only with
-    `return_paths`; otherwise memory is one draw block and one sub-block,
-    whatever `n_paths`.
+    `return_paths`; otherwise memory is one draw block, whatever `n_paths`.
     """
     if law not in ("gaussian", "student_t"):
         raise ValueError(f"unknown law {law!r}; expected 'gaussian' or 'student_t'")
@@ -733,27 +728,17 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
         raise ValueError(f"student_t needs df > 2 for variance matching, got df={df}")
     if n_paths < 2:
         raise ValueError(f"n_paths must be at least 2 for sample variances, got {n_paths}")
-    flux, xs, probe_t, edges, factor = _draw_plan(setup, probes, base_steps, per_octave)
+    flux, xs, probe_t, edges, factor = _draw_plan(setup, probes, base_steps)
     width, n_probes = factor.shape[0], len(probes)
-    chunk = _chunk_paths(n_paths, width)
-    block = _STAT_BLOCK_PATHS
-    # with paths kept, the sub-blocks are views of M; without, the partial
-    # sub-block at the end of a draw block moves to the front of a buffer
-    M = np.empty((n_paths, n_probes)) if return_paths else None
-    buf = M if return_paths else np.empty((min(n_paths, chunk + block - 1), n_probes))
-    moments, lo, hi = None, 0, 0
+    # with paths kept, each block is a view of M; without, M is one block reused
+    M = np.empty((n_paths if return_paths else min(n_paths, _BLOCK_PATHS), n_probes))
+    moments, start = None, 0
     for xi in _draws(factor, n_paths, root_seed, law, df):
+        block = M[start:start + len(xi)] if return_paths else M[:len(xi)]
         # row i of xi @ factor is path i's sum; coeff already carries sqrt(ds)
-        _paths_into(buf[hi:hi + len(xi)], xi, factor)
-        hi += len(xi)
-        while hi - lo >= block:
-            moments = _merge_moments(moments, _block_moments(buf[lo:lo + block]))
-            lo += block
-        if M is None and lo:
-            buf[:hi - lo] = buf[lo:hi]
-            lo, hi = 0, hi - lo
-    if hi > lo:
-        moments = _merge_moments(moments, _block_moments(buf[lo:hi]))
+        _paths_into(block, xi, factor)
+        moments = _merge_moments(moments, _block_moments(block))
+        start += len(xi)
     # the isometry oracle: like the tensor, one call per distinct probe time
     var_oracle = np.empty(n_probes)
     for ti in np.unique(probe_t):
@@ -771,8 +756,8 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     }
     ens = PathEnsemble(M if return_paths else np.empty((0, n_probes)), probes, root_seed,
                        meta={"n_steps": len(edges) - 1, "schedule_edges": len(edges),
-                             "normals_drawn": width * n_paths, "chunk_paths": chunk,
-                             "stat_block_paths": block})
+                             "normals_drawn": width * n_paths,
+                             "stat_block_paths": _BLOCK_PATHS})
     return ens, stats
 
 
@@ -780,8 +765,14 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
 # trajectory engine (recursion over a time grid) and the semilinear solver
 
 
+# a path's Picard iteration stops once its increment falls below this tolerance;
+# a run that keeps a live path past _PICARD_MAX iterations is refused
+_PICARD_TOL = 1e-10
+_PICARD_MAX = 50
+
+
 def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=None,
-                  drift=None, picard_tol=1e-10, picard_max=50):
+                  drift=None):
     """Trajectory ensemble of the mild solution X(t) = S(t)X0 + convolution.
 
     The grid is uniform and the flux does not depend on time, so the noise of
@@ -790,7 +781,7 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
     ensemble at the probes (dt, x), drawn without its statistics.  With
     `drift` f (scalar Lipschitz), solves the semilinear fixed point by Picard
     iteration over all paths at once; a path freezes once its own increment
-    falls below picard_tol.  Drift None is the linear equation, and drift
+    falls below _PICARD_TOL.  Drift None is the linear equation, and drift
     f = 0 reproduces it path by path under the same seed.
     """
     if n_paths < 1:
@@ -835,7 +826,7 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
         w = weight(dom, grid.nodes, setup.params)     # for the Picard stopping rule
         Y = base.copy()
         live = np.arange(n_paths)
-        for it in range(picard_max):
+        for it in range(_PICARD_MAX):
             # one time row of the live paths at a time, so no copy of their iterate
             Z = np.zeros((live.size, n_t, nx))
             for i in range(n_t - 1):
@@ -846,7 +837,7 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
                            axis=1) ** (1.0 / p)
             Y[live] = Z
             iters[live] = it + 1
-            live = live[~(delta < picard_tol)]        # a NaN increment never converges
+            live = live[~(delta < _PICARD_TOL)]       # a NaN increment never converges
             if not live.size:
                 break
         else:
@@ -855,13 +846,13 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
     return PathEnsemble(Y, [], root_seed, time_grid=edges, nodes=grid.nodes, meta=meta)
 
 
-def flow_consistency_check(setup, s, t, n_paths=10000, root_seed=13, grid=None,
-                           probe_idx=None, base_steps=384):
+def flow_consistency_check(setup, s, t, n_paths=10000, root_seed=13, grid=None):
     """Two-stage (restart at s with fresh noise) vs one-shot law of M(t).
 
     Both routes are Gaussian with mean zero; the check compares the covariance
     matrices at probe nodes within Monte Carlo error (the flow/Markov proxy:
-    M(t) = S(t-s) M(s) + M'(t-s) in law).
+    M(t) = S(t-s) M(s) + M'(t-s) in law), at 7 grid nodes spread over the middle
+    70% of the grid.
     """
     if not 0 < s < t:
         raise ValueError("need 0 < s < t")
@@ -871,11 +862,11 @@ def flow_consistency_check(setup, s, t, n_paths=10000, root_seed=13, grid=None,
     grid = grid or interior_grid(dom, graded=True, level=8, per_panel=8)
     kernel = HeatKernel(dom)
     xs = grid.x
-    if probe_idx is None:
-        probe_idx = np.linspace(grid.n * 0.15, grid.n * 0.85, 7).astype(int)
+    probe_idx = np.linspace(grid.n * 0.15, grid.n * 0.85, 7).astype(int)
     probes_s = [(s, x) for x in xs]
     probes_dt = [(t - s, x) for x in xs]
     probes_t = [(t, xs[i]) for i in probe_idx]
+    base_steps = 384
     one_probe, _ = _convolution_paths(setup, probes_t, n_paths, base_steps, root_seed + 2)
     at_s, _ = _convolution_paths(setup, probes_s, n_paths, base_steps, root_seed)
     fresh, _ = _convolution_paths(setup, probes_dt, n_paths, base_steps, root_seed + 1)
@@ -898,7 +889,7 @@ def flow_consistency_check(setup, s, t, n_paths=10000, root_seed=13, grid=None,
 # long-run and tail diagnostics
 
 
-def invariant_diagnostics(setup, grid=None):
+def invariant_diagnostics(setup):
     """J at T = infinity plus convergence of the variance field to its limit.
 
     sigma^2_inf is the endpoint closed form at t = inf: 1/(pi x^2) on the half
@@ -908,8 +899,8 @@ def invariant_diagnostics(setup, grid=None):
     if dom.kind not in ("interval01", "halfline"):
         raise UnsupportedDomainError("invariant diagnostics on interval or half line")
     flux = flux_for(setup)
-    grid = grid or interior_grid(dom, graded=True, level=10, per_panel=6,
-                                 cutoff=None if dom.kind == "interval01" else 30.0)
+    grid = interior_grid(dom, graded=True, level=10, per_panel=6,
+                         cutoff=None if dom.kind == "interval01" else 30.0)
     x = grid.x
     sigma_inf = variance_profile(flux, np.inf, x)
     w = weight(dom, grid.nodes, setup.params)
@@ -924,15 +915,17 @@ def invariant_diagnostics(setup, grid=None):
             "max_rel_gap_at_probe": rel, "sigma_inf": sigma_inf, "grid": grid}
 
 
-def gaussian_tail_diagnostic(norm_samples, q_lo=0.80, q_hi=0.9995, min_tail=200):
+def gaussian_tail_diagnostic(norm_samples):
     """Fit of the tail exponent gamma in P(||X|| > r) ~ exp(-beta r^gamma).
 
     Gaussian norms have gamma = 2; the fit regresses log(-log P) on log r over
-    the upper quantile window and reports the implied beta (labeled empirical).
+    the quantile window [0.80, 0.9995) and reports the implied beta (labeled
+    empirical).  Fewer than 200 samples above the window's start is inconclusive.
     """
+    q_lo, q_hi = 0.80, 0.9995
     s = np.sort(np.asarray(norm_samples, float))
     n = len(s)
-    if n * (1 - q_lo) < min_tail:
+    if n * (1 - q_lo) < 200:
         return {"verdict": "inconclusive", "n": n}
     if s[-1] <= s[0] * (1 + 1e-12):
         return {"verdict": "degenerate", "n": n, "value": float(s[0])}

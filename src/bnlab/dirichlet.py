@@ -84,14 +84,15 @@ def dirichlet_map_fn(domain, lam, gamma):
     return u
 
 
-def verify_harmonicity(domain, lam, gamma, h=1e-2, margin=0.1):
+def verify_harmonicity(domain, lam, gamma, h=1e-2):
     """Finite-difference residual max |D2_h u - lam u| plus boundary recovery.
 
-    Second-order central differences on a uniform interior sub-grid a fixed
-    margin away from the boundary; boundary recovery reports |u(near b) - gamma(b)|
+    Second-order central differences on a uniform interior sub-grid 0.1 away
+    from the boundary; boundary recovery reports |u(near b) - gamma(b)|
     at the endpoints b of the datum's grid.
     """
     u = dirichlet_map_fn(domain, lam, gamma)
+    margin = 0.1
     hi = 1.0 - margin if domain.kind == "interval01" else 4.0
     xs = np.arange(margin, hi + h / 2, h)
     uv = u(xs)

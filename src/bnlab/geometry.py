@@ -169,9 +169,10 @@ def weight(domain, x, params):
     return w[0] if np.ndim(x) == 0 or (domain.dim > 1 and np.ndim(x) == 1) else w
 
 
-def gaussian_truncation_radius(c=1.0, t_max=1.0, eps=GAUSS_TAIL_EPS):
-    """Radius R with exp(-R^2/(2 c t_max)) < eps; all downstream integrands carry this factor."""
-    return float(np.sqrt(2.0 * c * t_max * np.log(1.0 / eps)))
+def gaussian_truncation_radius(c=1.0, t_max=1.0):
+    """Radius R with exp(-R^2/(2 c t_max)) < GAUSS_TAIL_EPS; all downstream integrands
+    carry this factor."""
+    return float(np.sqrt(2.0 * c * t_max * np.log(1.0 / GAUSS_TAIL_EPS)))
 
 
 @lru_cache(maxsize=None)
@@ -271,10 +272,14 @@ def interval_grid(n=None, graded=False, level=8, per_panel=8):
     return QuadratureGrid(mids[:, None], wts, level, 1e-15 * len(mids))
 
 
-def halfline_grid(level=10, per_panel=8, cutoff=None, c=1.0, t_max=1.0):
-    """Grid on (0, cutoff): geometric panels toward 0, doubling panels outward."""
+def halfline_grid(level=10, per_panel=8, cutoff=None):
+    """Grid on (0, cutoff): geometric panels toward 0, doubling panels outward.
+
+    The default cutoff is the Gaussian truncation radius at c = t_max = 1, at
+    least 4.
+    """
     if cutoff is None:
-        cutoff = max(4.0, gaussian_truncation_radius(c, t_max))
+        cutoff = max(4.0, gaussian_truncation_radius())
     inner = _graded_edges_01(level, per_panel)          # covers (0, 1/2]
     edges = [inner]
     a = 0.5
@@ -284,7 +289,7 @@ def halfline_grid(level=10, per_panel=8, cutoff=None, c=1.0, t_max=1.0):
         a = b
     edges = np.concatenate([edges[0]] + edges[1:])
     mids, wts = _midpoint_cells(edges)
-    tol = np.exp(-cutoff ** 2 / (2 * c * t_max))
+    tol = np.exp(-cutoff ** 2 / 2.0)
     return QuadratureGrid(mids[:, None], wts, level, tol)
 
 
@@ -330,14 +335,17 @@ def ball_grid(d, level=8, per_panel=6, n_ang=64):
     raise UnsupportedDomainError("ball grids support d=2,3")
 
 
-def halfspace_grid(d, level=8, per_panel=6, cutoff=None, tangential_cutoff=None,
-                   n_tang=48, c=1.0, t_max=1.0):
-    """Grid on the half space {x_1 > 0}: graded in x_1, uniform truncated box tangentially."""
-    g1 = halfline_grid(level=level, per_panel=per_panel, cutoff=cutoff, c=c, t_max=t_max)
+def halfspace_grid(d, level=8, per_panel=6, cutoff=None):
+    """Grid on the half space {x_1 > 0}: graded in x_1, uniform truncated box tangentially.
+
+    The box has 64 cells per tangential axis over the Gaussian truncation
+    radius at c = t_max = 1.
+    """
+    g1 = halfline_grid(level=level, per_panel=per_panel, cutoff=cutoff)
     if d == 1:
         return g1
-    R = tangential_cutoff or gaussian_truncation_radius(c, t_max)
-    edges = np.linspace(-R, R, n_tang + 1)
+    R = gaussian_truncation_radius()
+    edges = np.linspace(-R, R, 64 + 1)
     mids, h = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
     axes = [g1.x] + [mids] * (d - 1)
     wtaxes = [g1.weights] + [h] * (d - 1)
@@ -347,11 +355,10 @@ def halfspace_grid(d, level=8, per_panel=6, cutoff=None, tangential_cutoff=None,
     wts = np.ones(nodes.shape[0])
     for wm in wmesh:
         wts = wts * wm.ravel()
-    return QuadratureGrid(nodes, wts, level, g1.tolerance + (d - 1) * np.exp(-R ** 2 / (2 * c * t_max)))
+    return QuadratureGrid(nodes, wts, level, g1.tolerance + (d - 1) * np.exp(-R ** 2 / 2.0))
 
 
-def interior_grid(domain, n=None, graded=False, level=8, per_panel=8, cutoff=None,
-                  n_ang=64, c=1.0, t_max=1.0):
+def interior_grid(domain, n=None, graded=False, level=8, per_panel=8, cutoff=None):
     """Interior quadrature grid for the domain, clustered near the boundary.
 
     `graded` and `n` act on the interval only: the other grids are always graded.
@@ -359,10 +366,10 @@ def interior_grid(domain, n=None, graded=False, level=8, per_panel=8, cutoff=Non
     if domain.kind == "interval01":
         return interval_grid(n=n, graded=graded, level=level, per_panel=per_panel)
     if domain.kind == "halfline":
-        return halfline_grid(level=level, per_panel=per_panel, cutoff=cutoff, c=c, t_max=t_max)
+        return halfline_grid(level=level, per_panel=per_panel, cutoff=cutoff)
     if domain.kind == "unitball":
-        return ball_grid(domain.dim, level=level, per_panel=max(4, per_panel // 2), n_ang=n_ang)
+        return ball_grid(domain.dim, level=level, per_panel=max(4, per_panel // 2))
     if domain.kind == "halfspace":
         return halfspace_grid(domain.dim, level=level, per_panel=max(4, per_panel // 2),
-                              cutoff=cutoff, n_tang=n_ang, c=c, t_max=t_max)
+                              cutoff=cutoff)
     raise UnsupportedDomainError(f"no interior grid for kind {domain.kind}")

@@ -340,13 +340,14 @@ def halfline_resolvent_exact(lam, x, y):
 # estimate certifiers
 
 
-def difference_bound_report(n_z=200, n_v=200, z_range=(-5.0, 8.0), v_max=10.0):
+def difference_bound_report(n_z=200, n_v=200):
     """Certify |e^{-z^2} - e^{-(z+v)^2}| <= C (v ^ 1) e^{-z^2/2} on the kernel region.
 
     The substitution behind the inequality has z = (x1-y1)/(2 sqrt t),
     v = y1/sqrt t with x1, y1 >= 0, so only z >= -v/2 occurs; without that
     restriction the inequality is false (z large negative, v = -z).
     """
+    z_range, v_max = (-5.0, 8.0), 10.0
     sups = []
     for level, (nz, nv) in enumerate([(n_z // 2, n_v // 2), (n_z, n_v), (2 * n_z, 2 * n_v)]):
         z = np.linspace(z_range[0], z_range[1], nz)
@@ -363,24 +364,20 @@ def difference_bound_report(n_z=200, n_v=200, z_range=(-5.0, 8.0), v_max=10.0):
         sups, fitted={"C": sups[-1]})
 
 
-def verify_kernel_upper_bounds(kernel, c, t_grid=None, levels=3, x_max=None):
+def verify_kernel_upper_bounds(kernel, c):
     """Suprema of G/(m_t(y) g_ct(x-y)) and |dG/dx| sqrt(t)/(m_t(y) g_ct(x-y)).
 
     Returns (value_report, gradient_report).  Divergence is a verdict, not an
-    error: refinement extends the t-grid downward and doubles the (x, y)
-    sampling density, so scales c that are too tight show monotone growth.
+    error: each of the three refinement levels extends the t-grid downward and
+    doubles the (x, y) sampling density, so scales c that are too tight show
+    monotone growth.  Off the interval, x and y run over (0, 6].
     """
     dom = kernel.domain
-    if dom.kind == "interval01":
-        x_hi = 1.0
-    else:
-        x_hi = x_max or 6.0
+    levels = 3
+    x_hi = 1.0 if dom.kind == "interval01" else 6.0
     sup_val, sup_grad = [], []
     for lev in range(levels):
-        if t_grid is None:
-            ts = np.geomspace(10.0 ** -(2 + lev), 1.0, 8 + 4 * lev)
-        else:
-            ts = np.asarray(t_grid, float)
+        ts = np.geomspace(10.0 ** -(2 + lev), 1.0, 8 + 4 * lev)
         n = 48 * 2 ** lev
         sv = sg = 0.0
         for t in ts:
@@ -432,19 +429,22 @@ def ball_boundary_mass_exact(d, t, rho, c=1.0):
         return 2 * np.pi * special.i0e(2 * q / a) * np.exp(-(1 - q) ** 2 / a)
     if d == 3:
         out = np.pi * a / q * np.exp(-(1 - q) ** 2 / a) * (1 - np.exp(-4 * q / a))
-        center = 4 * np.pi * np.exp(-1 / a)     # q -> 0 limit... q=1-rho -> x at center is q=... rho=1
+        center = 4 * np.pi * np.exp(-1 / a)     # the q -> 0 limit, at the ball's centre
         return np.where(q > 1e-12, out, center)
     raise UnsupportedDomainError("closed forms for d=2,3 only")
 
 
-def fit_boundary_mass_constant(d, c=1.0, t_range=(1e-3, 1.0), rho_max=0.6, levels=3,
-                               n_t=12, n_rho=20):
+def fit_boundary_mass_constant(d):
     """Fit the smallest C1 with I(t,x) <= C1 t^{(d-1)/2} e^{-rho^2/(C1 t)} on a (t,x) grid.
 
-    The existence bound pins no value, so the fit is the oracle: the report
-    gives the fitted constant per grid-refinement level and its relative
-    spread, which certifies that the fit itself is stable.
+    I is the boundary mass at c = 1 over t in [1e-3, 1] and rho <= 0.6, on a
+    12 x 20 grid doubled twice.  The existence bound pins no value, so the fit
+    is the oracle: the report gives the fitted constant per grid-refinement
+    level and its relative spread, which certifies that the fit itself is
+    stable.
     """
+    c, t_range, rho_max = 1.0, (1e-3, 1.0), 0.6
+    levels, n_t, n_rho = 3, 12, 20
 
     def fit_on(nt, nr):
         ts = np.geomspace(t_range[0], t_range[1], nt)
@@ -481,10 +481,12 @@ def fit_boundary_mass_constant(d, c=1.0, t_range=(1e-3, 1.0), rho_max=0.6, level
 # -- distance-power Gaussian moments (the scaling assumption) ----------------
 
 
-def singular_moment(domain, alpha, c, t, x_values=None):
+def singular_moment(domain, alpha, c, t):
     """sup_x int_domain rho(y)^alpha g_{ct}(x-y) dy for alpha in (-1, 0).
 
     The endpoint singularity is removed by the substitution y = v^{1/(1+alpha)}.
+    The sup runs over x = 0 and x = (1/4 ... 3) sqrt(ct), plus x = 1/2 on the
+    interval, where the points beyond 1/2 are clipped to it.
     """
     if not -1.0 < alpha < 0.0:
         raise ValueError("alpha must lie in (-1, 0)")
@@ -499,8 +501,7 @@ def singular_moment(domain, alpha, c, t, x_values=None):
             f = lambda v: q ** 0 * _g1(x - v ** q, s) / (1.0 + alpha)
             upper = (x + 10 * np.sqrt(s) + 1.0) ** (1.0 / q)
             return integrate.quad(f, 0.0, upper, epsabs=1e-12, epsrel=1e-10, limit=300)[0]
-        if x_values is None:
-            x_values = np.concatenate([[0.0], np.sqrt(s) * np.array([0.25, 0.5, 1, 1.5, 2, 3])])
+        x_values = np.concatenate([[0.0], np.sqrt(s) * np.array([0.25, 0.5, 1, 1.5, 2, 3])])
     else:
         def integral(x):
             # split at 1/2; mirror the right half onto the left form
@@ -510,14 +511,15 @@ def singular_moment(domain, alpha, c, t, x_values=None):
             a = integrate.quad(f1, 0.0, ub, epsabs=1e-12, epsrel=1e-10, limit=300)[0]
             b = integrate.quad(f2, 0.0, ub, epsabs=1e-12, epsrel=1e-10, limit=300)[0]
             return a + b
-        if x_values is None:
-            base = np.sqrt(s) * np.array([0.25, 0.5, 1, 1.5, 2, 3])
-            x_values = np.clip(np.concatenate([[0.0], base, [0.5]]), 0.0, 0.5)
-    return max(integral(float(xx)) for xx in np.atleast_1d(x_values))
+        base = np.sqrt(s) * np.array([0.25, 0.5, 1, 1.5, 2, 3])
+        x_values = np.clip(np.concatenate([[0.0], base, [0.5]]), 0.0, 0.5)
+    return max(integral(float(xx)) for xx in x_values)
 
 
-def fit_singular_moment_exponent(domain, alpha, c=1.0, t_range=(1e-3, 1.0), n_t=9):
-    """Log-log slope of the sup-moment against t; the scaling assumption predicts alpha/2."""
+def fit_singular_moment_exponent(domain, alpha, n_t=9):
+    """Log-log slope of the sup-moment at c = 1 against t in [1e-3, 1]; the scaling
+    assumption predicts alpha/2."""
+    c, t_range = 1.0, (1e-3, 1.0)
     ts = np.geomspace(t_range[0], t_range[1], n_t)
     sups = np.array([singular_moment(domain, alpha, c, t) for t in ts])
     slope = loglog_slope(ts, sups)
@@ -530,26 +532,18 @@ def fit_singular_moment_exponent(domain, alpha, c=1.0, t_range=(1e-3, 1.0), n_t=
 # -- far-field weight constants ----------------------------------------------
 
 
-def far_weight_constants(theta, c=1.0, d=1, y_grid=None, domain_kind="halfline"):
+def far_weight_constants(theta, c=1.0):
     """A1, A2 and the dominating constant N = 2 int (1+|z|)^theta e^{-|z|^2/c} dz.
 
     A1 = sup_{y: rho(y)>=1} int_{rho(x)>=1} (rho(x)/rho(y))^theta e^{-|x-y|^2/c} dx,
     A2 = sup_{y: rho(y)<1}  int_{rho(x)>=1} rho(x)^theta e^{-|x-y|^2/c} dx,
     both on the half line (the far set {rho >= 1} is empty on the interval).
     """
-    if domain_kind != "halfline":
-        raise UnsupportedDomainError("far-field constants computed on the half line")
     from scipy import integrate
-    if d == 1:
-        N = 2 * integrate.quad(lambda z: (1 + abs(z)) ** theta * np.exp(-z * z / c),
-                               -np.inf, np.inf, limit=200)[0]
-    else:
-        area = 2 * np.pi ** (d / 2.0) / special.gamma(d / 2.0)
-        N = 2 * area * integrate.quad(lambda r: (1 + r) ** theta * np.exp(-r * r / c) * r ** (d - 1),
-                                      0, np.inf, limit=200)[0]
-    ys_far = y_grid if y_grid is not None else np.array([1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 9.0, 17.0])
+    N = 2 * integrate.quad(lambda z: (1 + abs(z)) ** theta * np.exp(-z * z / c),
+                           -np.inf, np.inf, limit=200)[0]
     A1 = 0.0
-    for y in ys_far:
+    for y in (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 9.0, 17.0):
         val = integrate.quad(lambda x: (x / y) ** theta * np.exp(-(x - y) ** 2 / c),
                              1.0, np.inf, limit=200)[0]
         A1 = max(A1, val)
@@ -559,7 +553,7 @@ def far_weight_constants(theta, c=1.0, d=1, y_grid=None, domain_kind="halfline")
                              1.0, np.inf, limit=200)[0]
         A2 = max(A2, val)
     rep = EstimateReport.from_trace(
-        "far_weight_constants", f"halfline, theta={theta}, c={c}, d={d}",
+        "far_weight_constants", f"halfline, theta={theta}, c={c}, d=1",
         [A1 + A2, A1 + A2], fitted={"A1": A1, "A2": A2, "N": N})
     rep.verdict = "bounded" if A1 + A2 <= N * (1 + 1e-12) else "diverging"
     return rep

@@ -110,9 +110,9 @@ def lebesgue_measure(m=1):
     return SpectralMeasure("lebesgue", m=m)
 
 
-def atomic_measure(points, masses, m=None):
+def atomic_measure(points, masses):
     pts = np.atleast_2d(np.asarray(points, float))
-    return SpectralMeasure("atoms", m=m or pts.shape[1],
+    return SpectralMeasure("atoms", m=pts.shape[1],
                            points=tuple(map(tuple, pts)), masses=tuple(np.asarray(masses, float)))
 
 

@@ -9,10 +9,10 @@ DIVERGING = "diverging"
 INCONCLUSIVE = "inconclusive"
 
 
-def verdict_from_trace(sups, flat_tol=0.05, growth_factor=2.0):
+def verdict_from_trace(sups, growth_factor=2.0):
     """Classify a refinement trace of suprema.
 
-    bounded: the sup is non-increasing within `flat_tol` across the last two
+    bounded: the sup is non-increasing within 5% across the last two
     refinement levels.  diverging: growth by more than `growth_factor` across
     two refinement levels.  Anything else is inconclusive.
     """
@@ -21,7 +21,7 @@ def verdict_from_trace(sups, flat_tol=0.05, growth_factor=2.0):
         return INCONCLUSIVE
     if len(sups) >= 3 and sups[-1] > growth_factor * sups[-3] and sups[-1] > sups[-2] > sups[-3]:
         return DIVERGING
-    if sups[-1] <= (1.0 + flat_tol) * sups[-2]:
+    if sups[-1] <= 1.05 * sups[-2]:
         return BOUNDED
     if sups[-1] > growth_factor * sups[-2]:
         return DIVERGING

@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (QuadratureGrid, distance_to_boundary, interior_grid, interval_grid,
-                       weight)
+from .geometry import (QuadratureGrid, WeightedSpaceParams, distance_to_boundary,
+                       interior_grid, interval_grid, weight)
+from .kernels import gauss_density
 from .reports import EstimateReport, SchurReport, loglog_slope
 
 
@@ -38,9 +39,9 @@ class Field:
         return "\n".join(lines) + "\n"
 
 
-def field_from_function(domain, grid, fn, time_tag=0.0):
+def field_from_function(domain, grid, fn):
     x = grid.x if grid.nodes.shape[1] == 1 else grid.nodes
-    return Field(domain, grid, np.asarray(fn(x), dtype=float), time_tag)
+    return Field(domain, grid, np.asarray(fn(x), dtype=float))
 
 
 def semigroup_matrix(kernel, t, in_grid, out_grid=None):
@@ -60,13 +61,12 @@ def apply_semigroup(kernel, t, psi, out_grid=None):
     return Field(psi.domain, out_grid, M @ psi.values, psi.time_tag + t)
 
 
-def _gradient_matrix(kernel, t, in_grid, out_grid=None, order=1):
+def _gradient_matrix(kernel, t, grid, order=1):
     """Quadrature matrix of d^order/dx^order S(t) from the differentiated kernel series."""
-    out_grid = out_grid or in_grid
-    X = out_grid.x[:, None]
-    Y = in_grid.x[None, :]
+    X = grid.x[:, None]
+    Y = grid.x[None, :]
     dk = kernel.grad_x(t, X, Y) if order == 1 else kernel.dxx(t, X, Y)
-    return dk * in_grid.weights[None, :]
+    return dk * grid.weights[None, :]
 
 
 def weighted_norm(field, params):
@@ -80,8 +80,8 @@ def weighted_norm(field, params):
 # sampled witness families
 
 
-def smooth_fields(domain, grid, n=4, seed=0):
-    rng = np.random.default_rng(seed)
+def smooth_fields(domain, grid, n=4):
+    rng = np.random.default_rng(0)
     x = grid.x
     out = []
     for _ in range(n):
@@ -96,11 +96,10 @@ def smooth_fields(domain, grid, n=4, seed=0):
     return out
 
 
-def boundary_witness(domain, grid, s, cutoff=0.25):
-    """rho^{-s} concentrated within distance `cutoff` of the boundary."""
+def boundary_witness(domain, grid, s):
+    """rho^{-s} concentrated within distance 1/4 of the boundary."""
     rho = distance_to_boundary(domain, grid.nodes)
-    vals = np.where(rho < cutoff, rho ** (-s), 0.0)
-    return vals
+    return np.where(rho < 0.25, rho ** (-s), 0.0)
 
 
 def boundary_bump(grid, domain, center, width):
@@ -112,7 +111,7 @@ def boundary_bump(grid, domain, center, width):
 # operator-level certificates
 
 
-def extension_bound(kernel, params, t_grid=None, levels=3, seed=0):
+def extension_bound(kernel, params, t_grid=None, levels=3):
     """Refinement trace of sup_psi ||S(t)psi|| / ||psi|| over the sampled family.
 
     Bounded is the expected verdict for theta < 2p-1; beyond that threshold the
@@ -126,7 +125,7 @@ def extension_bound(kernel, params, t_grid=None, levels=3, seed=0):
     sups = []
     for lev in range(levels):
         grid = interior_grid(dom, graded=True, level=10 + 3 * lev, per_panel=8)
-        fams = smooth_fields(dom, grid, seed=seed)
+        fams = smooth_fields(dom, grid)
         fams.append(boundary_witness(dom, grid, s_wit))
         norms = [weighted_norm(Field(dom, grid, vals), params) for vals in fams]
         sup = 0.0
@@ -153,7 +152,7 @@ def _top_singular_value(B):
     return float(svds(B, k=1, v0=v0, return_singular_vectors=False)[0])
 
 
-def gradient_smoothing_ratio(kernel, params, t_grid=None, order=1, seed=0, level=14):
+def gradient_smoothing_ratio(kernel, params, t_grid=None, order=1, level=14):
     """Fit of log sup_psi ||d^order/dx^order S(t)psi|| / ||psi|| against log t.
 
     Expected slope -order/2 in the small-t regime.  The sampled family holds
@@ -168,7 +167,7 @@ def gradient_smoothing_ratio(kernel, params, t_grid=None, order=1, seed=0, level
     ts = np.asarray(t_grid if t_grid is not None else np.geomspace(1e-3, 2e-2, 7))
     grid = interior_grid(dom, graded=True, level=level, per_panel=16)
     s_wit = (params.theta + 1.0) / params.p * 0.95
-    static = smooth_fields(dom, grid, n=2, seed=seed)
+    static = smooth_fields(dom, grid, n=2)
     static.append(boundary_witness(dom, grid, s_wit))
     # the discrete-norm member needs the grid to resolve the kernel everywhere,
     # which holds on the interval; on unbounded domains the sampled family is
@@ -214,22 +213,22 @@ def _schur_regions(domain, t, level):
     return grid, x, rho, near
 
 
-def schur_constants(domain, p, theta, c=4.0, t_grid=None, levels=3, base_level=10):
+def schur_constants(domain, p, theta, c=4.0, levels=3):
     """Suprema of the eight near/far split integrals of the weighted Schur kernel.
 
     The kernel is (rho(x)/rho(y))^((theta+1)/p) m_t(y) g_{ct}(x-y) rho(y),
     integrated against dy/rho(y) (odd constants, x fixed) or dx/rho(x) (even,
-    y fixed), split over {rho < sqrt(t)} and its complement.
+    y fixed), split over {rho < sqrt(t)} and its complement, at 6 times in
+    [1e-3, 1] on grids of level 10, 12, 14, ...
     """
-    from .kernels import gauss_density
     beta = (theta + 1.0) / p
-    ts = np.asarray(t_grid if t_grid is not None else np.geomspace(1e-3, 1.0, 6))
+    ts = np.geomspace(1e-3, 1.0, 6)
     names = [f"k{j}" for j in range(1, 9)]
     traces = {nm: [] for nm in names}
     for lev in range(levels):
         sups = {nm: 0.0 for nm in names}
         for t in ts:
-            grid, xs, rho, near = _schur_regions(domain, t, base_level + 2 * lev)
+            grid, xs, rho, near = _schur_regions(domain, t, 10 + 2 * lev)
             far = ~near
             if not near.any():
                 continue
@@ -245,13 +244,11 @@ def schur_constants(domain, p, theta, c=4.0, t_grid=None, levels=3, base_level=1
                     ("k3", far, near, True), ("k4", near, far, False),
                     ("k5", near, far, True), ("k6", far, near, False),
                     ("k7", far, far, True), ("k8", far, far, False)):
+                if not (xmask.any() and ymask.any()):
+                    continue
                 if over_y:
-                    if not (xmask.any() and ymask.any()):
-                        continue
                     vals = inte_y[np.ix_(xmask, ymask)].sum(axis=1)
                 else:
-                    if not (xmask.any() and ymask.any()):
-                        continue
                     vals = inte_x[np.ix_(ymask, xmask)].sum(axis=0)
                 sups[nm] = max(sups[nm], float(vals.max()))
         for nm in names:
@@ -259,17 +256,16 @@ def schur_constants(domain, p, theta, c=4.0, t_grid=None, levels=3, base_level=1
     return SchurReport(p, theta, c, traces)
 
 
-def min_weight_splice_check(kernel, t, params, n_fields=100, seed=0, level=10):
+def min_weight_splice_check(kernel, t, params, n_fields=100, seed=0):
     """Check ||T psi||_w <= 2^((p-1)/p) max(per-weight ratios) ||psi||_w on random fields.
 
     w = min(w1, w2) with w1 = rho^theta, w2 = (1+|x|^2)^(-delta); the bound uses
     the splitting over D = {w1 < w2} from the splice lemma's proof, so it holds
     field by field without knowing the true operator norms.
     """
-    from .geometry import WeightedSpaceParams
     dom = kernel.domain
     p = params.p
-    grid = interior_grid(dom, graded=True, level=level)
+    grid = interior_grid(dom, graded=True, level=10)
     x = grid.x
     rho = distance_to_boundary(dom, grid.nodes)
     w1 = rho ** params.theta
@@ -300,18 +296,17 @@ def min_weight_splice_check(kernel, t, params, n_fields=100, seed=0, level=10):
     return {"worst_ratio": worst, "failures": failures, "factor": factor, "n_fields": n_fields}
 
 
-def cross_space_smoothing(kernel, params, t_grid=None, eps=0.02, level=14):
+def cross_space_smoothing(kernel, params):
     """Fit of ||S(t)psi||_{theta=0,delta} / ||psi||_{theta,delta} for the boundary witness.
 
     The smoothing lemma gives slope at least -theta/(2p); the witness family
-    rho^{-(1-eps)(theta+1)/p} realizes it.
+    rho^{-(1-eps)(theta+1)/p}, here with eps = 0.02, realizes it.
     """
-    from .geometry import WeightedSpaceParams
     dom = kernel.domain
-    ts = np.asarray(t_grid if t_grid is not None else np.geomspace(1e-3, 1e-1, 7))
+    ts = np.geomspace(1e-3, 1e-1, 7)
     target = WeightedSpaceParams(params.p, 0.0, params.delta)
-    grid = interior_grid(dom, graded=True, level=level, per_panel=16)
-    vals = boundary_witness(dom, grid, (1 - eps) * (params.theta + 1.0) / params.p)
+    grid = interior_grid(dom, graded=True, level=14, per_panel=16)
+    vals = boundary_witness(dom, grid, 0.98 * (params.theta + 1.0) / params.p)
     psi = Field(dom, grid, vals)
     n0 = weighted_norm(psi, params)
     ratios = [weighted_norm(apply_semigroup(kernel, t, psi), target) / n0 for t in ts]
@@ -321,8 +316,8 @@ def cross_space_smoothing(kernel, params, t_grid=None, eps=0.02, level=14):
         ratios[::-1], fitted={"slope": slope, "target": -params.theta / (2 * params.p)})
 
 
-def stability_rate(kernel, params, horizon=2.0, psi_values=None, n_t=8, grid=None):
-    """Exponential decay rate of ||S(t)psi|| fitted over t in [0.5, horizon]."""
+def stability_rate(kernel, params, horizon=2.0, psi_values=None, grid=None):
+    """Exponential decay rate of ||S(t)psi|| fitted at 8 times over t in [0.5, horizon]."""
     dom = kernel.domain
     if dom.kind != "interval01":
         raise ValueError("stability rate is fitted on the bounded interval")
@@ -331,7 +326,7 @@ def stability_rate(kernel, params, horizon=2.0, psi_values=None, n_t=8, grid=Non
         x = grid.x
         psi_values = x * (1 - x) * (1.2 + np.sin(3 * x))
     psi = Field(dom, grid, np.asarray(psi_values))
-    ts = np.linspace(0.5, horizon, n_t)
+    ts = np.linspace(0.5, horizon, 8)
     norms = [weighted_norm(apply_semigroup(kernel, t, psi), params) for t in ts]
     A = np.column_stack([ts, np.ones_like(ts)])
     slope, _ = np.linalg.lstsq(A, np.log(norms), rcond=None)[0]

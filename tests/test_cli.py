@@ -164,6 +164,9 @@ def test_cli_verify_suites(tmp_path, monkeypatch):
     runner = CliRunner()
     res = runner.invoke(cli.main, ["verify", "appendix"])
     assert res.exit_code == 0, res.output
+    written, verdicts = res.output.splitlines()
+    assert written.startswith(f"suite written to {tmp_path / 'out'}")
+    assert verdicts == "verdicts: appendix_b=bounded; boundary_mass=bounded"
     rep = next((tmp_path / "out").glob("*/appendix_report.txt")).read_text()
     assert "N: 3.544907" in rep
 

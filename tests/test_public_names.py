@@ -1,4 +1,5 @@
-"""Every public top-level function and class of bnlab has a reader that matters.
+"""Every public top-level function and class of bnlab has a reader that matters,
+and every keyword parameter with a default has a caller that sets it.
 
 A name counts as read when it is named outside its own definition in the
 package itself, in perfbench/ or in tests/test_acceptance.py: a name that only
@@ -7,6 +8,9 @@ Click commands count as read through their decorator.  Names are taken from
 the syntax tree: names, attributes, imports, and strings that are a dotted name,
 as perfbench's span keys are ("kernels.HeatKernel.value" names all three parts).
 Prose, such as a docstring that mentions a name, does not count.
+
+A parameter with a default that no call sets is a setting with one value: it
+belongs in the body as a constant.
 """
 
 import ast
@@ -69,3 +73,71 @@ def _unread_public_names():
 def test_every_public_name_is_read_outside_the_unit_tests():
     unread = _unread_public_names()
     assert sorted(n.split(".")[1] for n in unread) == sorted(IDENTITIES), unread
+
+
+def _defaulted_parameters(path):
+    """(callee, parameter, position) of every parameter with a default in the file.
+
+    The callee is the name a call uses: the class for __init__.  The position
+    counts from the first argument a call passes (None for keyword-only), so a
+    method's self is not counted.
+    """
+    out = []
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args.posonlyargs + node.args.args
+                skip = 1 if cls and "staticmethod" not in {getattr(d, "id", None)
+                                                           for d in node.decorator_list} else 0
+                callee = cls if node.name == "__init__" else node.name
+                first = len(args) - len(node.args.defaults)
+                out.extend((callee, a.arg, i - skip) for i, a in enumerate(args[first:], first))
+                out.extend((callee, a.arg, None) for a, d in zip(node.args.kwonlyargs,
+                                                                 node.args.kw_defaults)
+                           if d is not None)
+                visit(node.body, None)
+
+    visit(ast.parse(path.read_text()).body, None)
+    return out
+
+
+def _calls(path):
+    """(callee name, call) of every call in the file.
+
+    A bare name that the file defines at top level is its own function, unless
+    the file is the package module that defines it: perfbench's _j_verdict is
+    not convolution's.
+    """
+    tree = ast.parse(path.read_text())
+    own = set() if path.parent == PACKAGE else {
+        n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id not in own:
+                yield node.func.id, node
+            elif isinstance(node.func, ast.Attribute):
+                yield node.func.attr, node
+
+
+def _sets(call, param, position):
+    """Whether the call passes the parameter: by keyword, by position, or by unpacking."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position
+                                     or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    callers = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) \
+        + sorted((ROOT / "tests").glob("*.py"))
+    calls = {}
+    for path in callers:
+        for name, call in _calls(path):
+            calls.setdefault(name, []).append(call)
+    unset = [f"{path.stem}.{callee}({param})" for path in sorted(PACKAGE.glob("*.py"))
+             for callee, param, position in _defaulted_parameters(path)
+             if not any(_sets(c, param, position) for c in calls.get(callee, []))]
+    assert not unset, unset
