@@ -582,17 +582,22 @@ def _coefficient_tensor(flux, probe_t, xs, edges):
 
 
 def _gaussian_factor(coeff):
-    """Upper-triangular R with R^T R = sum_k C_k C_k^T over the modes C_k of coeff.
+    """F = C^{1/2} D^{1/2}, so F^T F = Sigma = sum_k C_k C_k^T over the modes C_k of coeff.
 
-    Two-stage (tall-skinny) QR: R_k from a thin QR of each C_k^T, then R from a
-    thin QR of the stacked R_k.  Householder QR keeps each probe's variance, a
-    column norm of R, to relative round-off even where the variances span many
-    orders; a factor of the summed Gram matrix would lose the small ones to
-    absolute error.  One mode keeps its R_0: a second QR could flip row signs
-    and so change the values drawn with it.
+    D = diag Sigma, C = D^{-1/2} Sigma D^{-1/2}, and C^{1/2} is the symmetric root
+    from `eigh` with negative eigenvalues clipped.  It is Hoelder-1/2 in Sigma, so
+    round-off in coeff cannot redraw the paths, and D keeps small variances to
+    relative round-off.  One row per probe of positive variance.
     """
-    stacked = np.reshape([np.linalg.qr(c.T, mode="r") for c in coeff], (-1, coeff.shape[1]))
-    return stacked if len(coeff) == 1 else np.linalg.qr(stacked, mode="r")
+    sigma = np.zeros((coeff.shape[1],) * 2)
+    for c in coeff:                     # mode by mode: no copy of the tensor
+        sigma += c @ c.T
+    sd = np.sqrt(np.diag(sigma))
+    live = sd > 0
+    w, v = np.linalg.eigh(sigma[np.ix_(live, live)] / np.outer(sd[live], sd[live]))
+    factor = np.zeros((len(w), len(sd)))
+    factor[:, live] = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T * sd[live]
+    return factor
 
 
 # paths per draw block, which is also the sub-block of the probe statistics;
@@ -602,7 +607,7 @@ _BLOCK_PATHS = 4096
 
 
 def _draw_plan(setup, probes, base_steps):
-    """Flux, probe points and times, step edges and the factor R of a probe set."""
+    """Flux, probe points and times, step edges and the factor F of a probe set."""
     if setup.mode != "exact":
         raise ConfigurationError("simulation requires exact mode")
     flux = flux_for(setup, truncated=True)
@@ -707,14 +712,13 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     plus the quadrature variance at each probe (the isometry oracle).
     law "student_t" is the heavy-tailed negative control for tail diagnostics.
 
-    Both laws are drawn at reduced rank across all modes: every path is
-    xi @ R with xi from the one substream (root_seed, 0), where R is upper
-    triangular with R^T R = sum_k C_k C_k^T, the probe covariance of the Ito
-    sums (see `_gaussian_factor`); r = min(probes, sum of mode ranks).  xi is
-    N(0, I_r), or has i.i.d. variance-matched standard_t(df) entries: a
-    non-Gaussian law with the same covariance, whose innovations live in the
-    reduced basis rather than per step and mode.  The substream advances path
-    by path, so the values do not depend on the draw block size.
+    Both laws draw one variate per probe, whatever the mode count: a path is
+    xi @ F, xi from the one substream (root_seed, 0) and F the scaled square
+    root of the Ito sums' probe covariance (see `_gaussian_factor`).  xi is
+    N(0, I), or has i.i.d. variance-matched standard_t(df) entries: the same
+    covariance, with innovations in the probe basis rather than per step and
+    mode.  The substream advances path by path, so the values do not depend
+    on the draw block size.
 
     The statistics are folded in path order over the draw blocks of
     `_BLOCK_PATHS` paths: numpy's mean and centred sums per block, merged
@@ -860,21 +864,17 @@ def flow_consistency_check(setup, s, t, n_paths=10000, root_seed=13, grid=None):
         raise ValueError(f"n_paths must be at least 2 for sample variances, got {n_paths}")
     dom = setup.domain
     grid = grid or interior_grid(dom, graded=True, level=8, per_panel=8)
-    kernel = HeatKernel(dom)
     xs = grid.x
     probe_idx = np.linspace(grid.n * 0.15, grid.n * 0.85, 7).astype(int)
-    probes_s = [(s, x) for x in xs]
-    probes_dt = [(t - s, x) for x in xs]
     probes_t = [(t, xs[i]) for i in probe_idx]
     base_steps = 384
     one_probe, _ = _convolution_paths(setup, probes_t, n_paths, base_steps, root_seed + 2)
-    at_s, _ = _convolution_paths(setup, probes_s, n_paths, base_steps, root_seed)
-    fresh, _ = _convolution_paths(setup, probes_dt, n_paths, base_steps, root_seed + 1)
-    P = semigroup_matrix(kernel, t - s, grid)
+    at_s, _ = _convolution_paths(setup, [(s, x) for x in xs], n_paths, base_steps, root_seed)
+    fresh, _ = _convolution_paths(setup, [(t - s, x) for x in xs], n_paths, base_steps,
+                                  root_seed + 1)
+    P = semigroup_matrix(HeatKernel(dom), t - s, grid)
     # stage 2: push the stage-1 field through S(t-s), add the fresh convolution
-    two_stage = at_s @ P.T + fresh
-    two_probe = two_stage[:, probe_idx]
-    cov2 = np.cov(two_probe.T)
+    cov2 = np.cov((at_s @ P.T + fresh)[:, probe_idx].T)
     cov1 = np.cov(one_probe.T)
     var1 = np.diag(cov1)
     # asymptotic SE of a covariance entry for Gaussian samples

@@ -178,8 +178,8 @@ def test_probe_statistics_equal_the_numpy_formulas_bit_for_bit():
 def test_simulate_probes_sharing_a_time_match_a_subset_run():
     # extra probes at the same times (no closer to the boundary) leave the schedule
     # unchanged, and the shared-time rows of the coefficient tensor and of the
-    # isometry oracle are the smaller run's.  The draws are reduced-rank, keyed to
-    # the probe set, so the paths of the two runs are not coupled
+    # isometry oracle are the smaller run's.  The draws are joint across modes,
+    # keyed to the probe set, so the paths of the two runs are not coupled
     setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
     small = [(0.3, 0.5), (0.1, 0.35)]
     large = [(0.1, 0.6), (0.3, 0.5), (0.3, 0.7), (0.1, 0.35), (0.3, 0.4)]
@@ -204,8 +204,7 @@ def test_simulate_does_not_depend_on_chunking(law, monkeypatch):
     probes = [(0.3, 0.5), (0.1, 0.35), (0.3, 0.7)]
     ref, _ = cv.simulate_convolution(setup, probes, n_paths=700, base_steps=128,
                                      root_seed=3, return_paths=True, law=law)
-    # both laws: one joint draw of r = min(probes, sum of mode ranks) = 3 variates
-    # per path
+    # both laws: one joint draw of one variate per probe, 3 per path
     assert ref.meta["stat_block_paths"] == cv._BLOCK_PATHS > 700
     assert ref.meta["normals_drawn"] == 3 * 700
     monkeypatch.setattr(cv, "_BLOCK_PATHS", 41)
@@ -335,15 +334,15 @@ def test_simulate_without_noise_modes_draws_nothing(law):
 
 def test_simulate_more_probes_than_steps():
     # rank-deficient coefficients: each mode has rank n_steps < n_probes, and the
-    # joint draw takes r = min(probes, modes x n_steps) normals per path
+    # summed covariance is numerically singular; the joint draw still takes one
+    # normal per probe, which the factor maps onto the covariance's range
     setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
     probes = [(0.3, x) for x in np.linspace(0.2, 0.8, 300)]
     ens, stats = cv.simulate_convolution(setup, probes, n_paths=4000, base_steps=64,
                                          root_seed=29)
     n_steps = ens.meta["n_steps"]
     assert n_steps < len(probes)
-    rank = min(len(probes), cv.flux_for(setup).n_modes * n_steps)
-    assert ens.meta["normals_drawn"] == rank * 4000
+    assert ens.meta["normals_drawn"] == len(probes) * 4000
     z = (stats["var"] - stats["var_oracle"]) / stats["var_se"]
     assert np.max(np.abs(z)) < 3.0
 
@@ -360,64 +359,75 @@ def _tensor(setup, probes, base_steps=128):
 
 # p72-style: x up to 2.5 at t = 0.05, so the probe variances span > 20 orders
 WIDE_P72_PROBES = [(t, x) for t in (0.05, 0.15, 0.3) for x in (0.15, 0.4, 0.8, 1.5, 2.5)]
+# the 24 acceptance-1 probes of the half plane (p717's)
+HALF_PLANE_PROBES = [(t, (x0, x1)) for t in (0.08, 0.2, 0.35)
+                     for x0 in (0.2, 0.45, 0.7, 1.0) for x1 in (-0.7, 0.4)]
 
 
 @pytest.mark.parametrize("sid, probes", [
     ("p71", [(t, x) for t in (0.05, 0.2, 0.35) for x in (0.12, 0.5, 0.88)]),
     ("p713", [(0.3, (0.5, 0.4)), (0.1, (0.2, -0.3)), (0.3, (1.0, 0.4))]),
-    ("p717", [(t, (x0, x1)) for t in (0.08, 0.2, 0.35)
-              for x0 in (0.2, 0.45, 0.7, 1.0) for x1 in (-0.7, 0.4)]),
+    ("p717", HALF_PLANE_PROBES),
     ("p72", WIDE_P72_PROBES)], ids=["p71", "p713", "p717", "p72"])
 def test_joint_gaussian_factor_holds_the_summed_covariance(sid, probes):
     setup, _ = sc.build_setup(sid, p=2.0, theta=2.0, horizon=0.35)
     _, coeff = _tensor(setup, probes)
     if sid == "p72":
         # one mode: split its steps into two independent halves, which have the
-        # same summed covariance, so the second QR stage is exercised too
+        # same summed covariance, so the sum over modes is exercised too
         even = coeff.copy()
         even[..., 1::2] = 0.0
         coeff = np.concatenate([even, coeff - even])
     G = np.einsum("kps,kqs->pq", coeff, coeff)
     d = np.sqrt(np.diag(G))
     if sid == "p72":
+        # an unscaled square root of G would lose the small variances here
         assert d.max() ** 2 > 1e20 * d[d > 0].min() ** 2
-    R = cv._gaussian_factor(coeff)
-    assert R.shape == (min(len(probes), coeff.shape[0] * coeff.shape[2]), len(probes))
-    assert np.array_equal(R, np.triu(R))
-    assert np.all(np.abs(R.T @ R - G) <= 1e-12 * np.outer(d, d))
+    F = cv._gaussian_factor(coeff)
+    assert np.all(np.abs(F.T @ F - G) <= 1e-12 * np.outer(d, d))
 
 
-def test_single_mode_gaussian_run_keeps_its_draws():
-    # one mode: the joint factor is that mode's own QR factor, and the draw is
-    # substream (root_seed, 0), so a p72 run has the values of the per-mode layout
-    setup, _ = sc.build_setup("p72", p=2.0, theta=2.0, horizon=0.3)
-    probes = WIDE_P72_PROBES
-    ens, _ = cv.simulate_convolution(setup, probes, n_paths=600, base_steps=128,
-                                     root_seed=5, return_paths=True)
-    _, coeff = _tensor(setup, probes)
-    assert coeff.shape[0] == 1
-    R0 = np.linalg.qr(coeff[0].T, mode="r")
-    ref = substream(5, 0).normal(size=(600, R0.shape[0])) @ R0
-    assert np.array_equal(ens.values, ref)
+@pytest.mark.parametrize("case", ["p713", "mild"])
+def test_draws_do_not_move_with_round_off_in_the_tensor(case):
+    # the draws are a continuous function of the covariance: a relative 1e-15
+    # change in the tensor moves no path by more than 1e-6 of its probe's sd,
+    # where a QR of the rank-deficient mode blocks draws afresh (7 and 5 sd).
+    # "mild" is the probe set of one simulate_mild step on the 84-node graded
+    # grid at dt = 0.01
+    if case == "p713":
+        setup, _ = sc.build_setup("p713", p=2.0, theta=2.0, horizon=0.35)
+        probes = HALF_PLANE_PROBES
+    else:
+        setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
+        grid = geo.interior_grid(geo.interval01(), graded=True, level=6, per_panel=6)
+        assert grid.n == 84
+        probes = [(0.01, x) for x in grid.x]
+    _, coeff = _tensor(setup, probes, base_steps=512)
+    rng = np.random.default_rng(17)
+    bumped = coeff * (1.0 + 1e-15 * rng.standard_normal(coeff.shape))
+    F, F_bumped = cv._gaussian_factor(coeff), cv._gaussian_factor(bumped)
+    sd = np.sqrt(np.einsum("kps,kps->p", coeff, coeff))
+    xi = rng.standard_normal((2000, len(F)))
+    assert np.max(np.abs(xi @ (F_bumped - F)) / sd) <= 1e-6
 
 
 @pytest.mark.parametrize("sid, probes", [
     ("p71", [(0.3, 0.5), (0.1, 0.35), (0.3, 0.7)]),
     ("p713", [(0.3, (0.5, 0.4)), (0.1, (0.2, -0.3)), (0.3, (1.0, 0.4))])], ids=["p71", "p713"])
 def test_student_t_is_variance_matched_t_in_the_reduced_basis(sid, probes):
-    # both laws take xi @ R with the joint factor R and xi from substream
+    # both laws take xi @ F with the joint factor F and xi from substream
     # (root_seed, 0): normals for the Gaussian law, i.i.d. standard_t(df) entries
     # scaled to unit variance for the Student-t law
     setup, _ = sc.build_setup(sid, p=2.0, theta=2.0, horizon=0.3)
     df, n = 5.0, 300
-    R = cv._gaussian_factor(_tensor(setup, probes)[1])
-    r = R.shape[0]
+    F = cv._gaussian_factor(_tensor(setup, probes)[1])
+    r = F.shape[0]
     ens = {law: cv.simulate_convolution(setup, probes, n_paths=n, base_steps=128, root_seed=3,
                                         return_paths=True, law=law, df=df)[0]
            for law in ("gaussian", "student_t")}
     xi = substream(3, 0).standard_t(df, size=(n, r))
-    assert np.array_equal(ens["student_t"].values, (np.sqrt((df - 2.0) / df) * xi) @ R)
-    assert np.array_equal(ens["gaussian"].values, substream(3, 0).normal(size=(n, r)) @ R)
+    assert np.array_equal(ens["student_t"].values, (np.sqrt((df - 2.0) / df) * xi) @ F)
+    assert np.array_equal(ens["gaussian"].values, substream(3, 0).normal(size=(n, r)) @ F)
     for e in ens.values():
         assert e.meta["normals_drawn"] == r * n
 
@@ -533,9 +543,8 @@ def test_picard_weight_is_built_once_per_call(monkeypatch):
     ens = cv.simulate_mild(setup, x0, np.linspace(0, 0.1, 11), n_paths=4, root_seed=5,
                            grid=grid, drift=np.sin)
     assert len(calls) == 1
-    # step noise drawn from one simulate_convolution ensemble; on the older
-    # per-(path, mode) substreams these were [5, 5, 5, 5]
-    assert ens.meta["picard_iterations"] == [6, 6, 6, 5]
+    # step noise drawn from one simulate_convolution ensemble
+    assert ens.meta["picard_iterations"] == [5, 6, 5, 5]
 
 
 def test_mild_step_noise_is_rows_of_one_convolution_ensemble():
