@@ -3,9 +3,10 @@ Monte Carlo ensembles of the mild solution, and the semilinear fixed-point solve
 
 The boundary flux of mode k is psi_k(t, x) = -int dG/dn(t,x,y) e_k(y) ds(y);
 everything here is built from the per-mode squared flux.  Exact mode evaluates
-psi_k from the closed kernels (interval, half line, half space); majorant mode,
-mandatory on the ball, replaces the squared-flux sum by the Gaussian surface
-majorant the existence proofs bound it with.  Stochastic sums are Ito: left
+psi_k from the closed 1-d kernels (interval, half line; the half plane takes
+the half-line influx times frequency-cell modes); majorant mode, mandatory on
+the ball, replaces the squared-flux sum by the Gaussian surface majorant the
+existence proofs bound it with.  Stochastic sums are Ito: left
 (independent-forward) Wiener increments with no Stratonovich correction; the
 deterministic coefficient is sampled at cell midpoints, and the cell touching
 the singular endpoint carries its exact local variance.
@@ -798,6 +799,8 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
     if setup.mode != "exact":
         raise ConfigurationError("simulation requires exact mode")
     dom = setup.domain
+    if dom.dim != 1:
+        raise UnsupportedDomainError("mild trajectories on interval or half line")
     grid = grid or interior_grid(dom, graded=True, level=8, per_panel=8)
     kernel = HeatKernel(dom)
     steps = np.diff(edges)
@@ -807,7 +810,7 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
     P = semigroup_matrix(kernel, dt, grid)
     n_t = len(edges)
     nx = grid.n
-    x = grid.x if grid.nodes.shape[1] == 1 else grid.nodes
+    x = grid.x
     noise, draws = _convolution_paths(setup, [(dt, node) for node in x], n_paths * (n_t - 1),
                                       root_seed=root_seed)
     meta = {"grid": grid, "dt": dt, **draws}
@@ -863,6 +866,8 @@ def flow_consistency_check(setup, s, t, n_paths=10000, root_seed=13, grid=None):
     if n_paths < 2:
         raise ValueError(f"n_paths must be at least 2 for sample variances, got {n_paths}")
     dom = setup.domain
+    if dom.dim != 1:
+        raise UnsupportedDomainError("flow consistency check on interval or half line")
     grid = grid or interior_grid(dom, graded=True, level=8, per_panel=8)
     xs = grid.x
     probe_idx = np.linspace(grid.n * 0.15, grid.n * 0.85, 7).astype(int)

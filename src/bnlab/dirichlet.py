@@ -67,9 +67,9 @@ def dirichlet_map(domain, lam, gamma, out_grid):
     if lam == 0 and domain.kind != "interval01":
         raise ValueError("lambda = 0 is not admissible on unbounded domains")
     ker = HeatKernel(domain)
-    x = out_grid.x if out_grid.nodes.shape[1] == 1 else out_grid.nodes
+    x = out_grid.x
     vals = _boundary_sum(gamma, lambda b: ker.resolvent_normal(lam, x, b), out_grid.n)
-    return Field(domain, out_grid, vals, 0.0)
+    return Field(domain, out_grid, vals)
 
 
 def dirichlet_map_fn(domain, lam, gamma):
@@ -114,9 +114,9 @@ def boundary_propagator(domain, t, e, out_grid, kernel=None):
     if t <= 0:
         raise ValueError("t must be positive")
     ker = kernel or HeatKernel(domain)
-    x = out_grid.x if out_grid.nodes.shape[1] == 1 else out_grid.nodes
+    x = out_grid.x
     vals = _boundary_sum(e, lambda b: ker.normal_derivative(t, x, b), out_grid.n)
-    return Field(domain, out_grid, vals, t)
+    return Field(domain, out_grid, vals)
 
 
 def propagator_majorant(domain, t, e, out_grid, c=4.0, big_c=1.0):
@@ -129,7 +129,7 @@ def propagator_majorant(domain, t, e, out_grid, c=4.0, big_c=1.0):
     mass = np.abs(e.values) * e.grid.weights
     surf = (mass[None, :] * (2 * np.pi * c * t) ** (-pts.shape[1] / 2.0)
             * np.exp(-d2 / (2 * c * t))).sum(axis=1)
-    return Field(domain, out_grid, big_c / np.sqrt(t) * surf, t)
+    return Field(domain, out_grid, big_c / np.sqrt(t) * surf)
 
 
 def fit_majorant_constant(domain, e, out_grid, c=4.0, t_grid=None):

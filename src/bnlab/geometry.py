@@ -1,9 +1,11 @@
 """Concrete spatial domains: boundary distance, interior/boundary quadrature, weights.
 
-Supported domain kinds: the unit interval (0,1), the half line (0,inf), the
-half space {x_1 > 0} in R^d and the unit ball in R^d (d >= 2).  All
-quadrature grids are immutable after construction and carry a recorded
-tolerance for how well the weights cover the target measure.
+Domain kinds: the unit interval (0,1), the half line (0,inf), the half space
+{x_1 > 0} in R^d and the unit ball in R^d (d >= 2), each with its exact
+boundary distance.  Interior grids are 1-d (interval, half line); the half
+plane and the ball reach the 1-d machinery by symmetry.  All quadrature grids
+are immutable after construction and carry a recorded tolerance for how well
+the weights cover the target measure.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-GAUSS_TAIL_EPS = 1e-12  # truncation target for unbounded domains: exp(-R^2/(2 c t_max)) < eps
+GAUSS_TAIL_EPS = 1e-12  # truncation target of the half-line grid: exp(-R^2/2) < eps
 
 
 class DomainMembershipError(ValueError):
@@ -132,7 +134,7 @@ def _points(domain, x):
     return arr.reshape(-1, d)
 
 
-def distance_to_boundary(domain, x, check=True):
+def distance_to_boundary(domain, x):
     """Distance from x to the boundary of the domain (exact closed forms).
 
     Raises DomainMembershipError if any point lies outside the closure.
@@ -141,17 +143,17 @@ def distance_to_boundary(domain, x, check=True):
     pts = _points(domain, x)
     if domain.kind == "interval01":
         xi = pts[:, 0]
-        if check and (np.any(xi < -1e-14) or np.any(xi > 1 + 1e-14)):
+        if np.any(xi < -1e-14) or np.any(xi > 1 + 1e-14):
             raise DomainMembershipError("point outside [0,1]")
         rho = np.minimum(xi, 1.0 - xi)
     elif domain.kind in ("halfline", "halfspace"):
         xi = pts[:, 0]
-        if check and np.any(xi < -1e-14):
+        if np.any(xi < -1e-14):
             raise DomainMembershipError("point outside the half space closure")
         rho = xi.copy()
     elif domain.kind == "unitball":
         r = np.linalg.norm(pts, axis=1)
-        if check and np.any(r > 1 + 1e-12):
+        if np.any(r > 1 + 1e-12):
             raise DomainMembershipError("point outside the closed unit ball")
         rho = 1.0 - r
     else:
@@ -169,10 +171,9 @@ def weight(domain, x, params):
     return w[0] if np.ndim(x) == 0 or (domain.dim > 1 and np.ndim(x) == 1) else w
 
 
-def gaussian_truncation_radius(c=1.0, t_max=1.0):
-    """Radius R with exp(-R^2/(2 c t_max)) < GAUSS_TAIL_EPS; all downstream integrands
-    carry this factor."""
-    return float(np.sqrt(2.0 * c * t_max * np.log(1.0 / GAUSS_TAIL_EPS)))
+def gaussian_truncation_radius():
+    """Radius R with exp(-R^2/2) < GAUSS_TAIL_EPS: the Gaussian tail at unit time scale."""
+    return float(np.sqrt(2.0 * np.log(1.0 / GAUSS_TAIL_EPS)))
 
 
 @lru_cache(maxsize=None)
@@ -187,13 +188,12 @@ def gauss_legendre(order):
 # boundary quadrature
 
 
-def boundary_quadrature(domain, level=4, c=1.0, t_max=1.0):
+def boundary_quadrature(domain, level=4):
     """Nodes and weights approximating the surface measure on the boundary.
 
     Interval01 has the two-atom measure (unit mass at 0 and 1); the half line
-    a single atom at 0.  Unbounded boundaries are truncated at the Gaussian
-    tail radius for (c, t_max) and the truncation bound is recorded in the
-    grid tolerance.
+    a single atom at 0.  The circle and the sphere get product rules: the
+    quadrature reference for the ball's closed-form boundary mass.
     """
     if domain.kind == "interval01":
         return QuadratureGrid(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]), level, 0.0)
@@ -217,21 +217,6 @@ def boundary_quadrature(domain, level=4, c=1.0, t_max=1.0):
             wts = (np.outer(wz, np.full(nphi, 2 * np.pi / nphi))).ravel()
             return QuadratureGrid(nodes, wts, level, 1e-13 * nodes.shape[0])
         raise UnsupportedDomainError("unit ball boundary quadrature supports d=2,3")
-    if domain.kind == "halfspace":
-        R = gaussian_truncation_radius(c, t_max)
-        m = domain.dim - 1
-        if m == 0:
-            return QuadratureGrid(np.array([[0.0]]), np.array([1.0]), level, 0.0)
-        n1 = 2 ** (level + 2)
-        edges = np.linspace(-R, R, n1 + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        h = edges[1] - edges[0]
-        axes = np.meshgrid(*([mids] * m), indexing="ij")
-        tang = np.column_stack([a.ravel() for a in axes])
-        nodes = np.column_stack([np.zeros(len(tang)), tang])
-        wts = np.full(len(tang), h ** m)
-        tol = 2 * m * (2 * R) ** (m - 1) * np.exp(-R ** 2 / (2 * c * t_max))
-        return QuadratureGrid(nodes, wts, level, tol)
     raise UnsupportedDomainError(domain.kind)
 
 
@@ -275,8 +260,7 @@ def interval_grid(n=None, graded=False, level=8, per_panel=8):
 def halfline_grid(level=10, per_panel=8, cutoff=None):
     """Grid on (0, cutoff): geometric panels toward 0, doubling panels outward.
 
-    The default cutoff is the Gaussian truncation radius at c = t_max = 1, at
-    least 4.
+    The default cutoff is the Gaussian truncation radius, at least 4.
     """
     if cutoff is None:
         cutoff = max(4.0, gaussian_truncation_radius())
@@ -293,83 +277,15 @@ def halfline_grid(level=10, per_panel=8, cutoff=None):
     return QuadratureGrid(mids[:, None], wts, level, tol)
 
 
-def ball_grid(d, level=8, per_panel=6, n_ang=64):
-    """Grid on the unit ball: radius graded toward r=1, uniform angles.
-
-    Cell weights carry the exact radial volume element, so the weights sum to
-    the ball volume up to float roundoff.
-    """
-    redges = 1.0 - _graded_edges_01(level, per_panel)[::-1]   # ascending in r, graded toward 1
-    if d == 2:
-        ang = 2 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
-        nodes, wts = [], []
-        for r0, r1 in zip(redges[:-1], redges[1:]):
-            mass = (r1 ** 2 - r0 ** 2) / 2.0            # per unit angle
-            rc = np.sqrt((r0 ** 2 + r1 ** 2) / 2.0)
-            nodes.append(np.column_stack([rc * np.cos(ang), rc * np.sin(ang)]))
-            wts.append(np.full(n_ang, mass * 2 * np.pi / n_ang))
-        # central disc
-        r0 = redges[0]
-        nodes.append(np.array([[0.0, 0.0]]))
-        wts.append(np.array([np.pi * r0 ** 2]))
-        return QuadratureGrid(np.vstack(nodes), np.concatenate(wts), level, 1e-13)
-    if d == 3:
-        nz = max(8, n_ang // 8)
-        z, wz = gauss_legendre(nz)
-        nphi = n_ang
-        phi = 2 * np.pi * (np.arange(nphi) + 0.5) / nphi
-        zz, pp = np.meshgrid(z, phi, indexing="ij")
-        s = np.sqrt(1 - zz ** 2)
-        dirs = np.column_stack([(s * np.cos(pp)).ravel(), (s * np.sin(pp)).ravel(), zz.ravel()])
-        dwts = np.outer(wz, np.full(nphi, 2 * np.pi / nphi)).ravel()
-        nodes, wts = [], []
-        for r0, r1 in zip(redges[:-1], redges[1:]):
-            mass = (r1 ** 3 - r0 ** 3) / 3.0
-            rc = ((r0 ** 3 + r1 ** 3) / 2.0) ** (1.0 / 3.0)
-            nodes.append(rc * dirs)
-            wts.append(mass * dwts)
-        r0 = redges[0]
-        nodes.append(np.zeros((1, 3)))
-        wts.append(np.array([4 * np.pi * r0 ** 3 / 3.0]))
-        return QuadratureGrid(np.vstack(nodes), np.concatenate(wts), level, 1e-12)
-    raise UnsupportedDomainError("ball grids support d=2,3")
-
-
-def halfspace_grid(d, level=8, per_panel=6, cutoff=None):
-    """Grid on the half space {x_1 > 0}: graded in x_1, uniform truncated box tangentially.
-
-    The box has 64 cells per tangential axis over the Gaussian truncation
-    radius at c = t_max = 1.
-    """
-    g1 = halfline_grid(level=level, per_panel=per_panel, cutoff=cutoff)
-    if d == 1:
-        return g1
-    R = gaussian_truncation_radius()
-    edges = np.linspace(-R, R, 64 + 1)
-    mids, h = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
-    axes = [g1.x] + [mids] * (d - 1)
-    wtaxes = [g1.weights] + [h] * (d - 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.column_stack([m.ravel() for m in mesh])
-    wmesh = np.meshgrid(*wtaxes, indexing="ij")
-    wts = np.ones(nodes.shape[0])
-    for wm in wmesh:
-        wts = wts * wm.ravel()
-    return QuadratureGrid(nodes, wts, level, g1.tolerance + (d - 1) * np.exp(-R ** 2 / 2.0))
-
-
 def interior_grid(domain, n=None, graded=False, level=8, per_panel=8, cutoff=None):
-    """Interior quadrature grid for the domain, clustered near the boundary.
+    """Interior quadrature grid on the interval or the half line, clustered near the boundary.
 
-    `graded` and `n` act on the interval only: the other grids are always graded.
+    `graded` and `n` act on the interval only: the half-line grid is always
+    graded.  The half plane and the ball have no interior grid: they reach the
+    1-d machinery through the half-line influx and the radial majorant.
     """
     if domain.kind == "interval01":
         return interval_grid(n=n, graded=graded, level=level, per_panel=per_panel)
     if domain.kind == "halfline":
         return halfline_grid(level=level, per_panel=per_panel, cutoff=cutoff)
-    if domain.kind == "unitball":
-        return ball_grid(domain.dim, level=level, per_panel=max(4, per_panel // 2))
-    if domain.kind == "halfspace":
-        return halfspace_grid(domain.dim, level=level, per_panel=max(4, per_panel // 2),
-                              cutoff=cutoff)
     raise UnsupportedDomainError(f"no interior grid for kind {domain.kind}")

@@ -1,9 +1,12 @@
 """Dirichlet heat kernels for the concrete domains and their estimate certifiers.
 
-The Laplacian kernels are exact: method of images on the interval (with the
-sine eigenseries as an independent second representation), reflection formula
-on the half line and half space.  Resolvent kernels come from Laplace-transform
-quadrature in time, cross-checked on the half line against the ODE closed form.
+The Laplacian kernels are exact and one-dimensional: method of images on the
+interval (with the sine eigenseries as an independent second representation),
+reflection formula on the half line.  The half plane needs no kernel of its
+own, since its flux is the half-line influx times frequency-cell modes; the
+ball has none and goes through its radial boundary-mass majorant.  Resolvent
+kernels come from Laplace-transform quadrature in time, cross-checked on the
+half line against the ODE closed form.
 The verifier operations re-derive, as numerical suprema with refinement traces,
 the Gaussian upper bounds with boundary decay that the whole construction rests
 on; the caller supplies the Gaussian scale c, the best constant is fitted.
@@ -29,17 +32,15 @@ class NumericalRefusal(RuntimeError):
     """Requested discretization cannot honor the declared tolerance."""
 
 
-def gauss_density(z, t, d=1):
-    """Centered Gaussian density (2 pi t)^(-d/2) exp(-|z|^2 / (2 t)).
+def gauss_density(z, t):
+    """Centered 1-d Gaussian density (2 pi t)^(-1/2) exp(-z^2 / (2 t)).
 
-    For d > 1 the coordinates run along the last axis of z; for d = 1 the
-    argument is used entrywise (so broadcast matrices of differences work).
+    The argument is used entrywise, so broadcast matrices of differences work.
     """
     if np.any(np.asarray(t) <= 0):
         raise ValueError("t must be positive")
     z = np.asarray(z, dtype=float)
-    sq = z * z if d == 1 else np.sum(z ** 2, axis=-1)
-    return (2 * np.pi * t) ** (-0.5 * d) * np.exp(-sq / (2.0 * t))
+    return (2 * np.pi * t) ** (-0.5) * np.exp(-(z * z) / (2.0 * t))
 
 
 def _n_images(t):
@@ -145,17 +146,18 @@ class HeatKernel:
     """Dirichlet heat kernel G(t, x, y) of the Laplacian on a concrete domain.
 
     representation: "image" | "sine" | "auto" on the interval (the two series
-    agree to 1e-10 for t >= 1e-3 and cross-check each other); the half line and
-    half space use the reflection closed form.  Balls have no exact kernel here
-    and are handled downstream through majorants only.  Times broadcast against
-    the points: a scalar t keeps the point shape, an array of times appends its
-    axes after the point axes.
+    agree to 1e-10 for t >= 1e-3 and cross-check each other); the half line
+    uses the reflection closed form.  Other domains have no kernel here: the
+    half plane's flux is built from the half-line kernel, and the ball is
+    handled through majorants only.  Times broadcast against the points: a
+    scalar t keeps the point shape, an array of times appends its axes after
+    the point axes.
     """
 
     def __init__(self, domain, representation="auto"):
-        if domain.kind not in ("interval01", "halfline", "halfspace"):
+        if domain.kind not in ("interval01", "halfline"):
             raise UnsupportedDomainError(
-                f"no exact Green kernel for {domain.kind}; use the majorant route")
+                f"heat kernels are one-dimensional (interval or half line), not {domain.kind}")
         if domain.kind != "interval01" and representation not in ("auto", "closed"):
             raise ValueError("series representations exist only on the interval")
         self.domain = domain
@@ -194,35 +196,21 @@ class HeatKernel:
         return self._series(0, t, x, y)
 
     def grad_x(self, t, x, y):
-        """d/dx G (first coordinate only in the half space)."""
+        """d/dx G."""
         return self._series(1, t, x, y)
 
     def dxx(self, t, x, y):
-        """Second x-derivative (1-d domains)."""
+        """Second x-derivative."""
         return self._series(2, t, x, y)
 
     def _series(self, order, t, x, y):
-        """d^order/dx^order G: image or sine series on the interval, reflection otherwise."""
+        """d^order/dx^order G: image or sine series on the interval, reflection on the half line."""
         # a single time or point computes in numpy scalars
         t, x, y = np.asarray(t, float)[()], np.asarray(x, float)[()], np.asarray(y, float)[()]
         if (t <= 0 if t.ndim == 0 else (t <= 0).any()):
             raise ValueError("t must be positive")
-        kind = self.domain.kind
         trail = (1,) * t.ndim
-        if kind == "halfspace":
-            if order == 2:
-                raise UnsupportedDomainError("second derivative implemented for 1-d domains")
-            x = x.reshape(x.shape[:-1] + trail + x.shape[-1:])
-            y = y.reshape(y.shape[:-1] + trail + y.shape[-1:])
-            xb = np.array(x, float, copy=True)
-            xb[..., 0] = -xb[..., 0]
-            g = gauss_density(x - y, 2 * t, self.domain.dim)
-            gb = gauss_density(xb - y, 2 * t, self.domain.dim)
-            if order == 0:
-                return g - gb
-            u, ub = x[..., 0] - y[..., 0], xb[..., 0] - y[..., 0]
-            return -(u / (2 * t)) * g - (ub / (2 * t)) * gb
-        if kind == "halfline":
+        if self.domain.kind == "halfline":
             x, y = x.reshape(x.shape + trail), y.reshape(y.shape + trail)
             return _dg1(order, x - y, t) - _dg1(order, x + y, t)
         groups = self._series_groups(t)
@@ -243,8 +231,7 @@ class HeatKernel:
         Nonpositive everywhere (the kernel vanishes at the boundary from
         positive values), so -dG/dn is the heat influx density.
         """
-        kind = self.domain.kind
-        if kind == "interval01":
+        if self.domain.kind == "interval01":
             bval = float(b)
             if abs(bval) > 1e-14 and abs(bval - 1.0) > 1e-14:
                 raise ValueError("interval boundary points are 0 and 1")
@@ -252,10 +239,6 @@ class HeatKernel:
             return self._series(1, t, 1.0, x) if bval > 0.5 else -self._series(1, t, 0.0, x)
         t = np.asarray(t, float)
         x = np.asarray(x, float)
-        if kind == "halfspace":
-            lead = x.shape[:-1] + (1,) * t.ndim
-            diff = (x - np.asarray(b, float)).reshape(lead + x.shape[-1:])
-            return -(x[..., 0].reshape(lead) / t) * gauss_density(diff, 2 * t, self.domain.dim)
         if float(np.max(np.abs(np.asarray(b, float)))) > 1e-14:
             raise ValueError("the half line boundary is the origin")
         xe = x.reshape(x.shape + (1,) * t.ndim)
@@ -404,15 +387,18 @@ def verify_kernel_upper_bounds(kernel, c):
 # -- Gaussian boundary mass --------------------------------------------------
 
 
-def gaussian_boundary_mass(domain, t, x, c=1.0, level=None):
-    """Surface integral int_{boundary} exp(-|x-y|^2/(c t)) ds(y) by quadrature."""
+def gaussian_boundary_mass(domain, t, x, level=None):
+    """Surface integral int_{boundary} exp(-|x-y|^2/t) ds(y) by quadrature.
+
+    The quadrature reference for the closed form `ball_boundary_mass_exact` at c = 1.
+    """
     if level is None:
-        # resolve the Gaussian angular scale sqrt(ct)
-        level = int(np.clip(np.ceil(np.log2(64.0 / np.sqrt(c * t))), 6, 13))
-    grid = boundary_quadrature(domain, level=level, c=c, t_max=max(t, 1.0))
+        # resolve the Gaussian angular scale sqrt(t)
+        level = int(np.clip(np.ceil(np.log2(64.0 / np.sqrt(t))), 6, 13))
+    grid = boundary_quadrature(domain, level=level)
     pts = np.atleast_2d(np.asarray(x, float))
     d2 = ((pts[:, None, :] - grid.nodes[None, :, :]) ** 2).sum(axis=-1)
-    vals = (np.exp(-d2 / (c * t)) * grid.weights[None, :]).sum(axis=1)
+    vals = (np.exp(-d2 / t) * grid.weights[None, :]).sum(axis=1)
     return float(vals[0]) if np.ndim(x) <= 1 else vals
 
 

@@ -1,10 +1,12 @@
 """Boundary Wiener processes: mode bases, spectral measures, reproducible sampling.
 
-Noise is specified as a finite or truncated series of boundary functions with
-independent scalar Wiener coefficients.  Spatially homogeneous processes on
-the flat boundary of a half space are described by a symmetric spectral
-measure; their mode bases come from a symmetric cell partition of frequency
-space, and the space correlation is the Fourier transform of the measure.
+Noise is a finite or truncated series of boundary modes with independent
+scalar Wiener coefficients: endpoint atoms (interval, half line), frequency
+cells on the boundary line of the half plane, and on the circle white noise
+or a sup-summable series known by the sup norms of its terms.  Homogeneous
+processes on that line are described by a symmetric spectral measure; their
+mode bases come from a symmetric cell partition of frequency space, and the
+space correlation is the Fourier transform of the measure.
 
 Sampling is counter-based: every (purpose, index...) tuple deterministically
 derives its own Philox substream from the root seed, so ensembles replay
@@ -34,11 +36,11 @@ def substream(root_seed, *indices):
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Symmetric spectral measure: atoms, Lebesgue, Bessel family, or a density.
+    """Symmetric spectral measure: atoms, Lebesgue or the Bessel family.
 
     kind "atoms": points (k, m) with masses, symmetrized under z -> -z.
-    kind "bessel": density (1+|z|^2)^(-kappa/2).  kind "density": an even
-    callable (m = 1 only).  kind "lebesgue": the flat measure.
+    kind "bessel": density (1+|z|^2)^(-kappa/2).  kind "lebesgue": the flat
+    measure.
     """
 
     kind: str
@@ -46,22 +48,6 @@ class SpectralMeasure:
     kappa: float = None
     points: tuple = None
     masses: tuple = None
-    density: object = None
-
-    def total_mass(self):
-        if self.kind == "atoms":
-            return 2.0 * float(np.sum(self.masses))
-        if self.kind == "lebesgue":
-            return np.inf
-        from scipy import integrate
-        if self.kind == "bessel":
-            if self.kappa <= self.m:
-                return np.inf
-            if self.m == 1:
-                return float(integrate.quad(lambda z: 2 * (1 + z * z) ** (-self.kappa / 2),
-                                            0, np.inf, limit=200)[0])
-            raise UnsupportedDomainError("bessel mass computed for m = 1")
-        return float(integrate.quad(lambda z: 2 * self.density(z), 0, np.inf, limit=200)[0])
 
     def gauss_transform(self, s):
         """int exp(-s |z|^2) d mu(z); the time-dependent mode mass of half-space variances.
@@ -77,18 +63,13 @@ class SpectralMeasure:
                                * np.exp(-s[..., None] * (pts ** 2).sum(axis=1)), axis=-1)
         elif self.kind == "lebesgue":
             out = (np.pi / s) ** (self.m / 2.0)
-        elif self.kind == "bessel":
+        else:
             if self.m != 1:
                 raise UnsupportedDomainError("bessel transform computed for m = 1")
             # int (1+z^2)^(-k/2) e^(-s z^2) dz = sqrt(pi) U(1/2, (3-k)/2, s), uniformly
             # accurate down to s -> 0 (direct quadrature loses the spike there)
             from scipy.special import hyperu
             out = np.sqrt(np.pi) * hyperu(0.5, (3.0 - self.kappa) / 2.0, s)
-        else:
-            from scipy import integrate
-            out = np.reshape([2.0 * integrate.quad(lambda z: self.density(z) * np.exp(-v * z * z),
-                                                   0, np.inf, limit=200)[0] for v in s.ravel()],
-                             s.shape)
         return float(out) if out.ndim == 0 else out
 
     def density_at(self, z):
@@ -97,8 +78,6 @@ class SpectralMeasure:
             return np.ones_like(z)
         if self.kind == "bessel":
             return (1 + z * z) ** (-self.kappa / 2)
-        if self.kind == "density":
-            return self.density(z)
         raise ValueError("atomic measures have no density")
 
 
@@ -179,17 +158,16 @@ class NoiseSpec:
     """Boundary noise: which modes drive the boundary, and how they are truncated.
 
     kind "endpoints": unit atoms at the boundary points of a 1-d domain.
-    kind "finite_series": explicit boundary functions (callables on boundary
-    points) with their sup norms.  kind "circle_white": white noise on S^1,
-    which only the majorant route treats, through its complete Fourier basis.
-    kind "homogeneous": spatially homogeneous process on the flat boundary
-    R^m given by a spectral measure with a frequency truncation (z_max,
-    n_cells).
+    kind "finite_series": a sup-summable series of boundary functions, given
+    by the sup norms of its terms, which is all the majorant route reads.
+    kind "circle_white": white noise on S^1, which only the majorant route
+    treats, through its complete Fourier basis.  kind "homogeneous":
+    spatially homogeneous process on the flat boundary R^m given by a
+    spectral measure with a frequency truncation (z_max, n_cells).
     """
 
     kind: str
     n_atoms: int = 0
-    functions: tuple = None
     sup_norms: tuple = None
     measure: SpectralMeasure = None
     z_max: float = 0.0
@@ -207,16 +185,16 @@ def circle_white_noise():
     return NoiseSpec("circle_white")
 
 
-def rotational_noise(amplitudes, wave_vectors):
-    """Sup-summable rotation-invariant field on a sphere: a_k (cos<y,b_k>, sin<y,b_k>)."""
-    amps = np.asarray(amplitudes, float)
-    vecs = np.atleast_2d(np.asarray(wave_vectors, float))
-    funcs, sups = [], []
-    for a, b in zip(amps, vecs):
-        funcs.append(lambda y, a=a, b=b: a * np.cos(np.atleast_2d(y) @ b))
-        funcs.append(lambda y, a=a, b=b: a * np.sin(np.atleast_2d(y) @ b))
+def rotational_noise(amplitudes):
+    """Sup-summable field on a sphere with terms a_k cos<y,b_k> and a_k sin<y,b_k>.
+
+    The majorant reads only the sup norms |a_k| of the terms, so the wave
+    vectors b_k are not part of the spec.
+    """
+    sups = []
+    for a in np.asarray(amplitudes, float):
         sups.extend([abs(a), abs(a)])
-    return NoiseSpec("finite_series", functions=tuple(funcs), sup_norms=tuple(sups))
+    return NoiseSpec("finite_series", sup_norms=tuple(sups))
 
 
 def homogeneous_noise(measure, z_max=12.0, n_cells=24):

@@ -89,8 +89,7 @@ REGISTRY = {s.sid: s for s in (
     Scenario("p72", "half line, endpoint noise", "theta in {low}, delta > 1/2",
              lambda o: _endpoints(half_line()), delta=1.0, delta_min=lambda mu: 0.5),
     Scenario("p74", "unit ball (d>=2), sup-summable boundary series", "theta in {low}",
-             lambda o: (unit_ball(2), rotational_noise(
-                 [1.0, 0.5, 0.25], [[1.0, 0.0], [0.0, 2.0], [3.0, 1.0]]))),
+             lambda o: (unit_ball(2), rotational_noise([1.0, 0.5, 0.25]))),
     Scenario("p78", "white noise on the circle (ball d=2)", "theta in {mid}",
              lambda o: (unit_ball(2), circle_white_noise()), theta_lo=_mid),
     Scenario("p711i", "bounded C^{1,a} region, sup-summable series (majorant route)",

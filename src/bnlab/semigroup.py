@@ -23,7 +23,6 @@ class Field:
     domain: object
     grid: QuadratureGrid
     values: np.ndarray
-    time_tag: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -32,16 +31,9 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
-    def to_text(self):
-        lines = [f"# field: n={self.grid.n} time={self.time_tag:.17g}"]
-        for row, v in zip(self.grid.nodes, self.values):
-            lines.append(" ".join(f"{c:.17g}" for c in row) + f" {v:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def field_from_function(domain, grid, fn):
-    x = grid.x if grid.nodes.shape[1] == 1 else grid.nodes
-    return Field(domain, grid, np.asarray(fn(x), dtype=float))
+    return Field(domain, grid, np.asarray(fn(grid.x), dtype=float))
 
 
 def semigroup_matrix(kernel, t, in_grid, out_grid=None):
@@ -58,7 +50,7 @@ def apply_semigroup(kernel, t, psi, out_grid=None):
         raise ValueError("t must be positive")
     out_grid = out_grid or psi.grid
     M = semigroup_matrix(kernel, t, psi.grid, out_grid)
-    return Field(psi.domain, out_grid, M @ psi.values, psi.time_tag + t)
+    return Field(psi.domain, out_grid, M @ psi.values)
 
 
 def _gradient_matrix(kernel, t, grid, order=1):
@@ -134,7 +126,7 @@ def extension_bound(kernel, params, t_grid=None, levels=3):
             for vals, n0 in zip(fams, norms):
                 if n0 == 0:
                     continue
-                sup = max(sup, weighted_norm(Field(dom, grid, M @ vals, t), params) / n0)
+                sup = max(sup, weighted_norm(Field(dom, grid, M @ vals), params) / n0)
         sups.append(sup)
     return EstimateReport.from_trace(
         "extension_bound", f"{dom.kind} p={params.p} theta={params.theta}", sups,
@@ -188,7 +180,7 @@ def gradient_smoothing_ratio(kernel, params, t_grid=None, order=1, level=14):
             n0 = weighted_norm(Field(dom, grid, vals), params)
             if n0 == 0:
                 continue
-            sup = max(sup, weighted_norm(Field(dom, grid, D @ vals, t), params) / n0)
+            sup = max(sup, weighted_norm(Field(dom, grid, D @ vals), params) / n0)
         family_sups.append(sup)
         if use_svd:
             B = scale[:, None] * D / scale[None, :]

@@ -438,6 +438,20 @@ def test_invariant_diagnostics_refuses_half_space_before_grid():
         cv.invariant_diagnostics(setup)
 
 
+def test_mild_trajectories_refuse_the_half_plane():
+    setup, _ = sc.build_setup("p717", p=2.0, theta=2.0, horizon=0.2)
+    with pytest.raises(geo.UnsupportedDomainError,
+                       match="mild trajectories on interval or half line"):
+        cv.simulate_mild(setup, None, np.linspace(0, 0.1, 11), n_paths=2)
+
+
+def test_flow_check_refuses_the_half_plane():
+    setup, _ = sc.build_setup("p717", p=2.0, theta=2.0, horizon=0.3)
+    with pytest.raises(geo.UnsupportedDomainError,
+                       match="flow consistency check on interval or half line"):
+        cv.flow_consistency_check(setup, 0.1, 0.2, n_paths=100)
+
+
 def test_simulate_convolution_replay():
     setup, _ = sc.build_setup("p72", p=2.0, theta=2.0, horizon=0.2)
     probes = [(0.2, 0.5)]

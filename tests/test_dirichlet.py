@@ -171,7 +171,7 @@ def test_majorant_constant_datum_reduces_to_boundary_mass():
     maj = dm.propagator_majorant(B2, t, e, inner, c=c, big_c=1.0)
     from bnlab.kernels import gaussian_boundary_mass
     for i, x in enumerate(inner.nodes):
-        mass = gaussian_boundary_mass(B2, 2 * c * t, x, c=1.0)
+        mass = gaussian_boundary_mass(B2, 2 * c * t, x)
         expect = mass * (2 * np.pi * c * t) ** -1.0 / np.sqrt(t)
         assert maj.values[i] == pytest.approx(expect, rel=1e-6)
 

@@ -5,35 +5,36 @@ A name counts as read when it is named outside its own definition in the
 package itself, in perfbench/ or in tests/test_acceptance.py: a name that only
 unit tests read is code that no pipeline, benchmark or acceptance line uses.
 Click commands count as read through their decorator.  Names are taken from
-the syntax tree: names, attributes, imports, and strings that are a dotted name,
-as perfbench's span keys are ("kernels.HeatKernel.value" names all three parts).
-Prose, such as a docstring that mentions a name, does not count.
+the syntax tree: names, attributes and imports, the reads that run code.  No
+string counts, neither prose such as a docstring that mentions a name nor a
+dotted key such as perfbench's span names ("kernels.HeatKernel.value").
 
 A parameter with a default that no call sets is a setting with one value: it
 belongs in the body as a constant.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bnlab"
 
-# kept because a test certifies the paper identity that their docstring states
+# kept because a test certifies a paper identity or claim that their docstring states
 IDENTITIES = {
     "spectral_correlation": "the Bessel correlation exponent kappa - m, which separates p718i "
                             "from p718ii (test_spectral_correlation_small_scale_exponent)",
     "time_decay_integral": "the half-space flux time integral int_0^inf s^(-2-alpha) "
                            "e^(-1/s - r^2 s) ds (test_time_decay_integral_values)",
+    "gaussian_boundary_mass": "the quadrature reference for the closed form "
+                              "ball_boundary_mass_exact behind J on p74 and p78 "
+                              "(test_boundary_mass_quadrature_vs_exact_radial)",
+    "extension_bound": "the C0 semigroup on the weighted space for theta < 2p - 1, the "
+                       "abstract's first claim (test_extension_bound_subcritical)",
 }
 
 
-DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
-
-
 def _named(node):
-    """Every name, attribute, imported name and dotted-name string under node."""
+    """Every name, attribute and imported name under node."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -42,9 +43,6 @@ def _named(node):
             out.add(sub.attr)
         elif isinstance(sub, ast.alias):
             out.update(sub.name.split("."), [sub.asname])
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
-                and DOTTED.fullmatch(sub.value):
-            out.update(sub.value.split("."))
     return out
 
 

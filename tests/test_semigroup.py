@@ -248,15 +248,6 @@ def test_stability_rate():
     assert outg["rate"] >= np.pi ** 2 - 0.1
 
 
-def test_field_serialization():
-    I = geo.interval01()
-    grid = geo.interval_grid(n=8)
-    f = sg.Field(I, grid, np.arange(8.0), time_tag=0.25)
-    txt = f.to_text()
-    assert "time=0.25" in txt
-    assert len(txt.strip().splitlines()) == 9
-
-
 def _count_calls(monkeypatch, ker, name):
     calls = []
     method = getattr(ker, name)
