@@ -345,11 +345,43 @@ def _quadrature_variance(flux, t_hi, x, alpha=0.0, pts_per_octave=8):
     rho^2/(2 t_hi) <= 8, and loses accuracy beyond, where the panels
     under-resolve the cutoff.
     """
-    rho_min = max(float(np.min(flux.rho(x))), 1e-30)
-    s_floor = min(rho_min ** 2 / _FLOOR_SCALE, t_hi / 4.0)
-    s, w = log_time_panels(s_floor, t_hi, pts_per_octave)
+    s, w = _time_panels(flux, t_hi, x, pts_per_octave)
     integ = flux.sum_sq(s, x) * (s ** (-alpha) * w)[None, :]
     return integ.sum(axis=1)
+
+
+def _time_panels(flux, t_hi, x, pts_per_octave):
+    # the time nodes and weights of a call on the nodes x: the floor comes from
+    # their smallest boundary distance, so each node set has its own
+    rho_min = max(float(np.min(flux.rho(x))), 1e-30)
+    s_floor = min(rho_min ** 2 / _FLOOR_SCALE, t_hi / 4.0)
+    return log_time_panels(s_floor, t_hi, pts_per_octave)
+
+
+def _level_profiles(flux, t_hi, xs, alpha, pts_per_octave):
+    """variance_profile on each 1-d node set of xs, from one evaluation on their union.
+
+    Each set gets the values of its own variance_profile call, bit for bit.
+    The closed form of an endpoint flux is entrywise in the nodes, so it is
+    evaluated once on the union of the nodes.  The time quadrature is not:
+    its floor comes from a set's smallest node, so each set keeps its own
+    time nodes.  The squared flux, entrywise in node and time, is evaluated
+    once on the union of the nodes and the union of the time nodes, and
+    each set sums its own rows and columns in its own order.
+    """
+    nodes, inverse = np.unique(np.concatenate(xs), return_inverse=True)
+    rows = np.split(inverse, np.cumsum([x.size for x in xs])[:-1])
+    if flux.exact_in_time:
+        prof = variance_profile(flux, t_hi, nodes, alpha=alpha)
+        return [prof[r] for r in rows]
+    panels = [_time_panels(flux, t_hi, x, pts_per_octave) for x in xs]
+    times, inverse = np.unique(np.concatenate([s for s, _ in panels]), return_inverse=True)
+    cols = np.split(inverse, np.cumsum([s.size for s, _ in panels])[:-1])
+    sq = flux.sum_sq(times, nodes)
+    # take keeps each block C-ordered, as a fresh sum_sq result is, so the row
+    # sums run in the same order (a[r][:, c] is F-ordered and sums otherwise)
+    return [(sq[r].take(c, axis=1) * (s ** (-alpha) * w)[None, :]).sum(axis=1)
+            for r, c, (s, w) in zip(rows, cols, panels)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,21 +423,6 @@ def _j_verdict(js):
     return "inconclusive"
 
 
-def _j_radial_ball(setup, flux, level, pts_per_octave):
-    # rotation invariance: J = |S^{d-1}| int_0^1 F(1-r)^{p/2-like} ... r^{d-1} dr
-    d = setup.domain.dim
-    p = setup.params.p
-    redges = 1.0 - _graded_edges_01(level, 6)[::-1]
-    rc = 0.5 * (redges[:-1] + redges[1:])
-    wr = np.diff(redges)
-    rho = 1.0 - rc
-    prof = variance_profile(flux, setup.horizon, rho, alpha=setup.alpha,
-                            pts_per_octave=pts_per_octave)
-    area = 2 * np.pi if d == 2 else 4 * np.pi
-    wgt = rho ** setup.params.theta          # delta plays no role on the unit ball
-    return float(area * np.sum(prof ** (p / 2.0) * wgt * rc ** (d - 1) * wr))
-
-
 def _tangential_weight(theta, delta, x0):
     """Tangential integral of the half-space weight in the product reduction.
 
@@ -431,28 +448,29 @@ _J_PTS_PER_OCTAVE = 8
 def j_integral(setup, levels=(10, 14, 18, 22, 26), prediction=None):
     """The weighted space-time integral of the squared flux sum, with verdict.
 
-    Refinement runs over boundary-grading levels of the outer space grid; the
+    Refinement runs over boundary-grading levels of the outer space grid,
+    whose nested grids share one profile evaluation (`_j_levels`).  The
     report also records stability under time-quadrature doubling (`exact` for
-    endpoint fluxes, whose time integral is closed form) and under
-    mode-truncation doubling.  A finite integral only certifies well-posedness
-    when the state space itself is admissible (theta < 2p-1), so inadmissible
-    theta reports the divergent verdict with the reason attached.  The
-    prediction reads both theta and delta.
+    endpoint fluxes, whose time integral is closed form), a separate call at
+    the finest level, and under mode-truncation doubling.  A finite integral
+    only certifies well-posedness when the state space itself is admissible
+    (theta < 2p-1), so inadmissible theta reports the divergent verdict with
+    the reason attached.  The prediction reads both theta and delta.
     """
     if len(levels) < 2:
         raise ValueError("the J verdict compares the last two levels; give at least 2")
     flux = flux_for(setup)
     p, theta, delta = setup.params.p, setup.params.theta, setup.params.delta
-    js = []
-    for lev in levels:
-        js.append(_j_level(setup, flux, lev, _J_PTS_PER_OCTAVE))
+    js = _j_levels(setup, flux, levels)
     checks = {}
     if flux.exact_in_time:
         checks["time_refinement_rel_change"] = "exact"
     else:
-        checks["time_refinement_rel_change"] = abs(
-            _j_level(setup, flux, levels[-1], 2 * _J_PTS_PER_OCTAVE) - js[-1]) / abs(js[-1]) \
-            if js[-1] > 0 else 0.0
+        fine = _j_grid(setup, levels[-1])
+        prof = variance_profile(flux, setup.horizon, fine[0], alpha=setup.alpha,
+                                pts_per_octave=2 * _J_PTS_PER_OCTAVE)
+        checks["time_refinement_rel_change"] = abs(_j_sum(setup, fine, prof) - js[-1]) \
+            / abs(js[-1]) if js[-1] > 0 else 0.0
     if setup.noise.kind == "homogeneous" and setup.noise.measure.kind != "atoms":
         # the J verdict uses the complete-basis sum; the declared truncation is
         # what simulations consume, so certify its K-stability at simulation
@@ -485,24 +503,51 @@ def j_integral(setup, levels=(10, 14, 18, 22, 26), prediction=None):
     return rep
 
 
-def _j_level(setup, flux, level, pts_per_octave):
-    dom = setup.domain
-    p, theta, delta = setup.params.p, setup.params.theta, setup.params.delta
+def _j_levels(setup, flux, levels):
+    """J at each grading level, bit for bit as one profile call per level.
+
+    The graded grids of the levels are nested apart from their innermost
+    panel, so the profile is evaluated once for all of them
+    (`_level_profiles`); each level keeps its own product order.
+    """
+    grids = [_j_grid(setup, lev) for lev in levels]
+    profs = _level_profiles(flux, setup.horizon, [x for x, _, _ in grids], setup.alpha,
+                            _J_PTS_PER_OCTAVE)
+    return [_j_sum(setup, grid, prof) for grid, prof in zip(grids, profs)]
+
+
+def _j_sum(setup, grid, prof):
+    # scale * sum(prof^(p/2) * factor_1 * factor_2 ...), the factors in their order
+    _, factors, scale = grid
+    v = prof ** (setup.params.p / 2.0)
+    for f in factors:
+        v = v * f
+    return float(scale * np.sum(v))
+
+
+def _j_grid(setup, level):
+    """(nodes, weight factors, scale) of the level-th J grid.
+
+    J = scale * sum(profile(nodes)^(p/2) * factor_1 * factor_2 ...), the
+    factors multiplied in the order given.
+    """
+    dom, params = setup.domain, setup.params
     if dom.kind == "unitball":
-        return _j_radial_ball(setup, flux, level, pts_per_octave)
+        # rotation invariance: J = |S^{d-1}| int_0^1 prof(1 - r)^(p/2) (1 - r)^theta
+        # r^(d-1) dr on a radial grid graded toward r = 1; delta plays no role
+        d = dom.dim
+        redges = 1.0 - _graded_edges_01(level, 6)[::-1]
+        rc = 0.5 * (redges[:-1] + redges[1:])
+        rho = 1.0 - rc
+        area = 2 * np.pi if d == 2 else 4 * np.pi
+        return rho, (rho ** params.theta, rc ** (d - 1), np.diff(redges)), area
     cutoff = max(4.0, np.sqrt(2 * 2 * setup.horizon * np.log(1e16)))
     if dom.kind in ("interval01", "halfline"):      # the interval grid ignores the cutoff
         grid = interior_grid(dom, graded=True, level=level, per_panel=6, cutoff=cutoff)
-        prof = variance_profile(flux, setup.horizon, grid.x, alpha=setup.alpha,
-                                pts_per_octave=pts_per_octave)
-        w = weight(dom, grid.nodes, setup.params)
-        return float(np.sum(prof ** (p / 2.0) * w * grid.weights))
+        return grid.x, (weight(dom, grid.nodes, params), grid.weights), 1.0
     if dom.kind == "halfspace":
         g1 = halfline_grid(level=level, per_panel=6, cutoff=cutoff)
-        prof = variance_profile(flux, setup.horizon, g1.x, alpha=setup.alpha,
-                                pts_per_octave=pts_per_octave)
-        wt = _tangential_weight(theta, delta, g1.x)
-        return float(np.sum(prof ** (p / 2.0) * wt * g1.weights))
+        return g1.x, (_tangential_weight(params.theta, params.delta, g1.x), g1.weights), 1.0
     raise UnsupportedDomainError(dom.kind)
 
 

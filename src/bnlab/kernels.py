@@ -26,6 +26,13 @@ _LAPLACE_LIMIT = 300    # subintervals per half of the split resolvent quadratur
 # smaller scales gets a geometric ladder of breakpoints up to _HEAD_PANEL
 _HEAD_PANEL = 1e-2
 _LADDER = 8.0
+# image-series calls run their terms over row blocks of at most this many
+# entries (~128 KB a float array), so the ~10 passes of a term stay in cache
+_BLOCK = 1 << 14
+# exp(e) rounds to 0.0 for e < -1075 ln 2 = -745.13; arrays of at least
+# _EXP_MASKED_FROM entries skip the exponents at or below the floor (_g1_floored)
+_EXP_FLOOR = -745.2
+_EXP_MASKED_FROM = _BLOCK // 4
 
 
 class NumericalRefusal(RuntimeError):
@@ -68,14 +75,10 @@ def _tail_reach(order):
 _TAIL_REACH = tuple(_tail_reach(order) for order in range(3))
 
 
-def _gap(lo, hi, c):
-    # smallest |u - c| over u in [lo, hi]
-    return max(lo - c, c - hi, 0.0)
-
-
 def _range(a):
-    # (min, max) of a numpy scalar or array; a scalar skips the reductions
-    return (a, a) if a.ndim == 0 else (a.min(), a.max())
+    # (min, max) of a numpy scalar or array as Python floats, whose gap tests
+    # cost a fraction of numpy scalar ones; a scalar skips the reductions
+    return (float(a),) * 2 if a.ndim == 0 else (float(a.min()), float(a.max()))
 
 
 def _g1(z, s):
@@ -84,9 +87,32 @@ def _g1(z, s):
     return np.exp(z * z / (-2 * s)) / np.sqrt(2 * np.pi * s)
 
 
+def _g1_floored(z, s):
+    """_g1 of a numpy scalar or array z, bit for bit, without np.exp's underflow path.
+
+    An exponent at or below _EXP_FLOOR rounds to exactly 0.0, but np.exp
+    takes a slow underflow path there (~14x the cost of a normal entry).  So
+    an array of at least _EXP_MASKED_FROM entries that has such exponents
+    skips them and writes the 0.0 itself, in place; the mask is
+    ~(e <= floor), so a NaN still reaches np.exp.  Smaller inputs, and arrays
+    without such exponents, take np.exp as it is.  The kernel series and the
+    half-line flux call this; the scalar quadrature integrands call _g1,
+    which has no size test to pay on every call.
+    """
+    e = z * z / (-2 * s)
+    if e.size >= _EXP_MASKED_FROM:
+        under = e <= _EXP_FLOOR
+        if under.any():
+            np.exp(e, out=e, where=~under)
+            np.copyto(e, 0.0, where=under)
+            e /= np.sqrt(2 * np.pi * s)
+            return e
+    return np.exp(e) / np.sqrt(2 * np.pi * s)
+
+
 def _dg1(order, u, t):
     # order-th u-derivative of the free kernel g_{2t}(u), as a polynomial factor times it
-    g = _g1(u, 2 * t)
+    g = _g1_floored(u, 2 * t)
     if order == 0:
         return g
     if order == 1:
@@ -97,7 +123,12 @@ def _dg1(order, u, t):
 def _interval_series(order, image, n_terms, t, x, y):
     """Image shifts -n_terms..n_terms or sine modes 1..n_terms, at every time of t.
 
-    x and y end in one length-one axis per axis of t.
+    x and y end in one length-one axis per axis of t.  The image sum fixes its
+    terms once from the ranges of the whole call (`_image_plan`), then adds
+    them over row blocks of at most _BLOCK entries along the first output
+    axis (`_add_images`): every entry gets the same terms in the same order,
+    so the blocks give the one-block values bit for bit.  A call that fits in
+    one block adds them once, without slicing.
     """
     if not image:
         # d^order/dx^order sin(k pi x) is (k pi)^order times sin, cos, -sin; one
@@ -109,37 +140,68 @@ def _interval_series(order, image, n_terms, t, x, y):
     out = np.zeros(np.broadcast(x, y, t).shape)
     if out.size == 0:
         return out
-    # a term whose shift stays beyond the tail reach at every point is below
-    # SERIES_TAIL of the order's peak; the ranges of x - y and x + y bound the
-    # shifts without forming them.  The five terms next to the domain always
-    # stay: dropping direct n = +-1 leaves G < 0 at far corners.  A term kept
-    # for the group's longest time but beyond the reach of a shorter one adds
-    # an exact 0.0 there, so every time sums the terms of its scalar call
     reach = _TAIL_REACH[order] * np.sqrt(t)
-    low, high = _range(reach)
+    plan, low = _image_plan(n_terms, reach, x, y)
+    n_rows = out.shape[0] if out.ndim else 1
+    step = max(1, _BLOCK * n_rows // out.size)
+    if step >= n_rows:      # one block: scalar calls skip the slicing
+        _add_images(out, plan, order, t, x, y, reach, low)
+        return out
+    for r in range(0, n_rows, step):
+        rows = slice(r, r + step)
+        # an operand that spans the first output axis is cut to the block
+        t_b, reach_b, x_b, y_b = [a[rows] if a.ndim == out.ndim and a.shape[0] > 1 else a
+                                  for a in (t, reach, x, y)]
+        _add_images(out[rows], plan, order, t_b, x_b, y_b, reach_b, low)
+    return out
 
+
+def _image_plan(n_terms, reach, x, y):
+    """The image terms a call keeps, [(n, direct gap, reflected gap)], and the
+    shortest tail reach of its times.
+
+    A term whose shift stays beyond the tail reach at every point is below
+    SERIES_TAIL of the order's peak; the ranges of x - y and x + y bound the
+    shifts without forming them.  The five terms next to the domain always
+    stay: dropping direct n = +-1 leaves G < 0 at far corners.  A gap is None
+    where that part of the term is dropped.
+    """
+    low, high = _range(reach)
+    (xlo, xhi), (ylo, yhi) = _range(x), _range(y)
+    dlo, dhi, slo, shi = xlo - yhi, xhi - ylo, xlo + ylo, xhi + yhi
+    plan = []
+    for n in range(-n_terms, n_terms + 1):
+        # a gap is the smallest |u - 2n| over u in the range of x - y or x + y
+        gd = 0.0 if -1 <= n <= 1 else max(dlo - 2 * n, 2 * n - dhi, 0.0)
+        gr = 0.0 if 0 <= n <= 1 else max(slo - 2 * n, 2 * n - shi, 0.0)
+        if gd <= high or gr <= high:
+            plan.append((n, gd if gd <= high else None, gr if gr <= high else None))
+    return plan, low
+
+
+def _add_images(out, plan, order, t, x, y, reach, low):
+    """Add the planned image terms into out, in the order of n.
+
+    A term kept for the group's longest time but beyond the reach of a
+    shorter one adds an exact 0.0 there, so every time sums the terms of its
+    scalar call.  The reflected shift x + y - 2n is formed from the end it
+    mirrors: (x - 1) + (y - 1) - 2(n - 1) for n >= 1 rounds like the direct
+    x - y, so at x = 1 the pairs cancel as they do at x = 0.
+    """
     def term(u, gap):
         v = _dg1(order, u, t)
         return v if gap <= low else np.where(gap <= reach, v, 0.0)
 
-    (xlo, xhi), (ylo, yhi) = _range(x), _range(y)
-    # the reflected shift x + y - 2n is formed from the end it mirrors:
-    # (x - 1) + (y - 1) - 2(n - 1) for n >= 1 rounds like the direct x - y,
-    # so at x = 1 the pairs cancel as they do at x = 0
     diff, near, far = x - y, x + y, (x - 1.0) + (y - 1.0)
-    for n in range(-n_terms, n_terms + 1):
-        gd = 0.0 if abs(n) <= 1 else _gap(xlo - yhi, xhi - ylo, 2 * n)
-        gr = 0.0 if n in (0, 1) else _gap(xlo + ylo, xhi + yhi, 2 * n)
-        direct, reflected = gd <= high, gr <= high
-        if reflected:
+    for n, gd, gr in plan:
+        if gr is not None:
             shift = near - 2 * n if n <= 0 else far - 2 * (n - 1)
-        if direct and reflected:
+        if gd is not None and gr is not None:
             out += term(diff - 2 * n, gd) - term(shift, gr)
-        elif direct:
+        elif gd is not None:
             out += term(diff - 2 * n, gd)
-        elif reflected:
+        else:
             out -= term(shift, gr)
-    return out
 
 
 class HeatKernel:
@@ -242,7 +304,7 @@ class HeatKernel:
         if float(np.max(np.abs(np.asarray(b, float)))) > 1e-14:
             raise ValueError("the half line boundary is the origin")
         xe = x.reshape(x.shape + (1,) * t.ndim)
-        return -(xe / t) * _g1(xe, 2 * t)
+        return -(xe / t) * _g1_floored(xe, 2 * t)
 
     # -- resolvent ----------------------------------------------------------
 

@@ -37,11 +37,16 @@ def field_from_function(domain, grid, fn):
 
 
 def semigroup_matrix(kernel, t, in_grid, out_grid=None):
-    """Quadrature matrix of S(t): (S psi)(x_i) = sum_j M[i,j] psi(y_j)."""
+    """Quadrature matrix of S(t): (S psi)(x_i) = sum_j M[i,j] psi(y_j).
+
+    The weights are applied in place, so one matrix is held, not two.
+    """
     out_grid = out_grid or in_grid
     X = out_grid.x[:, None]
     Y = in_grid.x[None, :]
-    return kernel.value(t, X, Y) * in_grid.weights[None, :]
+    M = kernel.value(t, X, Y)
+    M *= in_grid.weights[None, :]
+    return M
 
 
 def apply_semigroup(kernel, t, psi, out_grid=None):
@@ -58,7 +63,8 @@ def _gradient_matrix(kernel, t, grid, order=1):
     X = grid.x[:, None]
     Y = grid.x[None, :]
     dk = kernel.grad_x(t, X, Y) if order == 1 else kernel.dxx(t, X, Y)
-    return dk * grid.weights[None, :]
+    dk *= grid.weights[None, :]     # in place: one matrix held, not two
+    return dk
 
 
 def weighted_norm(field, params):

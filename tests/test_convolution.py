@@ -767,3 +767,53 @@ def test_j_endpoint_time_refinement_is_exact():
     rep = cv.j_integral(setup, levels=(10, 14), prediction=pred)
     assert rep.checks["time_refinement_rel_change"] == "exact"
     assert "check time_refinement_rel_change: exact" in rep.to_text()
+
+
+J_SETUPS = [("p71", 1.25, {}), ("p78", 2.25, {}), ("p717", 2.25, {}),
+            ("p718", 1.75, {"kappa": 0.5})]
+
+
+@pytest.mark.parametrize("sid, theta, kw", J_SETUPS, ids=[s[0] for s in J_SETUPS])
+def test_j_levels_equal_one_level_at_a_time_bit_for_bit(sid, theta, kw):
+    # the union evaluation gives each level the profile of its own call: the
+    # quadrature fluxes (ball, half plane) keep each level's own time floor
+    setup, pred = sc.build_setup(sid, p=2.0, theta=theta, horizon=0.5, **kw)
+    flux = cv.flux_for(setup)
+    levels = (10, 14, 18, 22, 26)
+    xs = [cv._j_grid(setup, lev)[0] for lev in levels]
+    for pts in (8, 16):
+        shared = cv._level_profiles(flux, setup.horizon, xs, setup.alpha, pts)
+        for x, prof in zip(xs, shared):
+            np.testing.assert_array_equal(
+                prof, cv.variance_profile(flux, setup.horizon, x, alpha=setup.alpha,
+                                          pts_per_octave=pts))
+    rep = cv.j_integral(setup, levels=levels, prediction=pred)
+    assert rep.j_values == [cv._j_levels(setup, flux, (lev,))[0] for lev in levels]
+
+
+@pytest.mark.parametrize("sid, theta, kw, calls", [
+    ("p71", 1.25, {}, [372]), ("p72", 1.25, {}, [216]),
+    ("p78", 2.25, {}, [186, 162]), ("p717", 2.25, {}, [216, 192])],
+    ids=["p71", "p72", "p78", "p717"])
+def test_j_integral_evaluates_one_profile_for_all_levels(sid, theta, kw, calls, monkeypatch):
+    # endpoint fluxes: one closed-form call on the union of the level nodes
+    # (1,140 -> 372 on the interval, 720 -> 216 on the half line); quadrature
+    # fluxes: one squared-flux call on the union (570 -> 186 on the ball
+    # radius, 720 -> 216 on the half plane) and the time-refinement call at the
+    # finest level.  The half plane's mode-doubling check (truncated fluxes)
+    # is not counted
+    setup, pred = sc.build_setup(sid, p=2.0, theta=theta, horizon=0.5, **kw)
+    flux = cv.flux_for(setup)
+    seen = []
+    method = "variance" if flux.exact_in_time else "sum_sq"
+    original = getattr(type(flux), method)
+
+    def counted(self, *args):
+        if not getattr(self, "truncated", False):
+            seen.append(np.size(args[1]))      # the nodes of variance(t_hi, x) and sum_sq(u, x)
+        return original(self, *args)
+
+    monkeypatch.setattr(type(flux), method, counted)
+    rep = cv.j_integral(setup, prediction=pred)
+    assert seen == calls
+    assert rep.agreement

@@ -310,3 +310,71 @@ def test_sine_contraction_matches_the_mode_loop(order, name, t, x, y, shape):
     # another summation order over n_modes terms, each rounded in a few steps
     tol = (K._n_modes(t) + 16) * np.finfo(float).eps * size
     assert np.all(np.abs(getattr(INTERVAL[2], name)(t, X, Y) - ref) <= tol)
+
+
+# -- row blocks of the image series and the exp floor ------------------------
+
+BLOCK_SHAPES = {"outer": lambda x, y: (x[:, None], y[None, :]), "vector": lambda x, y: (x, y[0]),
+                "scalar": lambda x, y: (x[0], y[0]), "flux": lambda x, y: (1.0, y)}
+
+
+def _graded(n, lo, hi):
+    # n points from lo to hi, clustered toward lo like the graded grids
+    return lo + (hi - lo) * np.linspace(0.0, 1.0, n) ** 2
+
+
+@pytest.mark.parametrize("order", range(3))
+@given(t=st.floats(np.log(1e-4), np.log(0.05), exclude_max=True).map(np.exp),
+       n_times=st.sampled_from([0, 1, 3]), rows=st.integers(1, 300), cols=st.integers(1, 80),
+       lo=st.floats(1e-6, 0.5), hi=st.floats(0.5, 1.0 - 1e-6),
+       shape=st.sampled_from(sorted(BLOCK_SHAPES)),
+       block=st.sampled_from([1, 7, 64, 1000, K._BLOCK]))
+def test_row_blocks_equal_one_block_bit_for_bit(order, t, n_times, rows, cols, lo, hi, shape,
+                                                block):
+    # the block size only cuts the rows that the call's one plan runs over; a
+    # huge block is the one-block reference.  n_times = 0 is a scalar time,
+    # else times spread over a factor 1.5 (one image group)
+    ts = t if n_times == 0 else t * np.linspace(1.0, 1.5, n_times) ** 2
+    X, Y = BLOCK_SHAPES[shape](_graded(rows, lo, hi), _graded(cols, 1.0 - hi, 1.0 - lo))
+    ker = INTERVAL[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(K, "_BLOCK", 1 << 62)
+        whole = ker._series(order, ts, X, Y)
+        mp.setattr(K, "_BLOCK", block)
+        blocked = ker._series(order, ts, X, Y)
+    assert blocked.shape == whole.shape
+    np.testing.assert_array_equal(blocked, whole)
+
+
+def test_a_480_node_matrix_spans_many_blocks_and_equals_one_block(monkeypatch):
+    # the operator suite's grid: 480^2 entries are 15 blocks of 34 rows
+    grid = geo.interior_grid(geo.interval01(), graded=True, level=14, per_panel=16)
+    X, Y = grid.x[:, None], grid.x[None, :]
+    ker = INTERVAL[1]
+    assert X.size * Y.size > 10 * K._BLOCK
+    blocked = [ker._series(order, t, X, Y) for order in range(3) for t in (1e-3, 1e-2)]
+    monkeypatch.setattr(K, "_BLOCK", 1 << 62)
+    for got, (order, t) in zip(blocked, [(o, t) for o in range(3) for t in (1e-3, 1e-2)]):
+        np.testing.assert_array_equal(got, ker._series(order, t, X, Y))
+
+
+def test_exp_floor_skips_only_exact_zeros(monkeypatch):
+    # e = z^2 / (-2 s) with s = 1/2 is -z^2: exponents across the last subnormal
+    # (exp(-745.13) rounds to 5e-324), far below it, at 0, above it, and NaN
+    e = np.concatenate([np.linspace(-746.0, -744.0, K._EXP_MASKED_FROM), [-1e300, -np.inf, -0.0]])
+    z = np.sqrt(-e)
+    z = np.concatenate([z, [np.nan, np.inf, -3.0, 2.5]])
+    got = K._g1_floored(z, 0.5)
+    np.testing.assert_array_equal(got, K._g1(z, 0.5))
+    assert np.isnan(got[-4]) and got[-3] == 0.0
+    assert np.exp(K._EXP_FLOOR) == 0.0 and np.any((got > 0) & (got < 1e-320))
+    # times broadcast against the points, and a large array without underflow
+    s = np.array([0.5, 0.25, 2.0])
+    np.testing.assert_array_equal(K._g1_floored(z[:, None], s), K._g1(z[:, None], s))
+    near = np.linspace(0.0, 5.0, K._EXP_MASKED_FROM)
+    np.testing.assert_array_equal(K._g1_floored(near, 0.5), K._g1(near, 0.5))
+    # scalars and arrays below _EXP_MASKED_FROM entries take np.exp as it is
+    monkeypatch.setattr(np, "copyto", None)
+    for n in (1, K._EXP_MASKED_FROM - 1):
+        np.testing.assert_array_equal(K._g1_floored(z[:n], 0.5), K._g1(z[:n], 0.5))
+    assert K._g1_floored(np.float64(38.6), 0.5) == K._g1(38.6, 0.5)

@@ -281,19 +281,28 @@ def test_extension_bound_builds_one_matrix_per_level_and_time(monkeypatch):
 
 def test_gradient_matrix_evaluates_only_the_terms_next_to_the_domain(monkeypatch):
     # on (0, 1)^2 at t = 1e-3 only direct n in {-1, 0, 1} and reflected n in
-    # {0, 1} stay; the full image range n in [-3, 3] would cost 14 Gaussians
+    # {0, 1} stay; the full image range n in [-3, 3] would cost 14 Gaussians.
+    # The matrix is built in row blocks, and every block adds the same 5 terms
     from bnlab import kernels as K
-    calls = []
-    g1 = K._g1
+    entries, plans = [], []
+    dg1, add = K._dg1, K._add_images
 
-    def counted(z, s):
-        calls.append(np.shape(z))
-        return g1(z, s)
+    def counted(order, u, t):
+        entries.append(np.size(u))
+        return dg1(order, u, t)
 
-    monkeypatch.setattr(K, "_g1", counted)
+    def recorded(out, plan, *args):
+        plans.append([(n, gd is not None, gr is not None) for n, gd, gr in plan])
+        return add(out, plan, *args)
+
+    monkeypatch.setattr(K, "_dg1", counted)
+    monkeypatch.setattr(K, "_add_images", recorded)
     sg.gradient_smoothing_ratio(HeatKernel(geo.interval01()), geo.WeightedSpaceParams(2, 1.5, 0),
                                 t_grid=[1e-3])
-    assert calls == [(480, 480)] * 5
+    assert len(plans) > 1
+    assert all(p == [(-1, True, False), (0, True, True), (1, True, True)] for p in plans)
+    assert len(entries) == 5 * len(plans)
+    assert sum(entries) == 5 * 480 * 480
 
 
 def test_top_singular_value_matches_the_full_svd_and_repeats():
