@@ -153,7 +153,7 @@ def run_scenario(cfg):
                                   n_cells=cfg["mode_count"])
         resolved["mode"] = setup.mode
         if setup.mode == "exact":       # a majorant setup draws no modes
-            resolved["n_modes"] = flux_for(setup, truncated=True).n_modes
+            resolved["n_modes"] = flux_for(setup).n_modes
     if pipe == "j-diagnose":
         levels = tuple(range(10, cfg["grid_level"] + 1, 4))
         rep = j_integral(setup, levels=levels, prediction=pred)

@@ -209,9 +209,9 @@ class HeatKernel:
 
     representation: "image" | "sine" | "auto" on the interval (the two series
     agree to 1e-10 for t >= 1e-3 and cross-check each other); the half line
-    uses the reflection closed form.  Other domains have no kernel here: the
-    half plane's flux is built from the half-line kernel, and the ball is
-    handled through majorants only.  Times broadcast against the points: a
+    takes only "auto", its reflection closed form.  Other domains have no
+    kernel here: the half plane's flux is built from the half-line kernel,
+    and the ball is handled through majorants only.  Times broadcast against the points: a
     scalar t keeps the point shape, an array of times appends its axes after
     the point axes.
     """
@@ -220,14 +220,12 @@ class HeatKernel:
         if domain.kind not in ("interval01", "halfline"):
             raise UnsupportedDomainError(
                 f"heat kernels are one-dimensional (interval or half line), not {domain.kind}")
-        if domain.kind != "interval01" and representation not in ("auto", "closed"):
+        if domain.kind != "interval01" and representation != "auto":
             raise ValueError("series representations exist only on the interval")
         self.domain = domain
         self.representation = representation
 
     def _rep(self, t):
-        if self.domain.kind != "interval01":
-            return "closed"
         if self.representation != "auto":
             return self.representation
         return "image" if t < IMAGE_SINE_SWITCH else "sine"

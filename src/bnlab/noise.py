@@ -31,20 +31,19 @@ def substream(root_seed, *indices):
 
 
 # ---------------------------------------------------------------------------
-# spectral measures on R^m
+# spectral measures on the boundary line (m = 1)
 
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Symmetric spectral measure: atoms, Lebesgue or the Bessel family.
+    """Symmetric spectral measure on the line: atoms, Lebesgue or the Bessel family.
 
-    kind "atoms": points (k, m) with masses, symmetrized under z -> -z.
-    kind "bessel": density (1+|z|^2)^(-kappa/2).  kind "lebesgue": the flat
+    kind "atoms": frequencies z_k with masses, symmetrized under z -> -z.
+    kind "bessel": density (1+z^2)^(-kappa/2).  kind "lebesgue": the flat
     measure.
     """
 
     kind: str
-    m: int = 1
     kappa: float = None
     points: tuple = None
     masses: tuple = None
@@ -58,14 +57,11 @@ class SpectralMeasure:
         if np.any(s <= 0):
             raise ValueError("s must be positive")
         if self.kind == "atoms":
-            pts = np.asarray(self.points, float).reshape(len(self.masses), -1)
-            out = 2.0 * np.sum(np.asarray(self.masses)
-                               * np.exp(-s[..., None] * (pts ** 2).sum(axis=1)), axis=-1)
+            z = np.asarray(self.points)
+            out = 2.0 * np.sum(np.asarray(self.masses) * np.exp(-s[..., None] * z ** 2), axis=-1)
         elif self.kind == "lebesgue":
-            out = (np.pi / s) ** (self.m / 2.0)
+            out = (np.pi / s) ** 0.5
         else:
-            if self.m != 1:
-                raise UnsupportedDomainError("bessel transform computed for m = 1")
             # int (1+z^2)^(-k/2) e^(-s z^2) dz = sqrt(pi) U(1/2, (3-k)/2, s), uniformly
             # accurate down to s -> 0 (direct quadrature loses the spike there)
             from scipy.special import hyperu
@@ -81,37 +77,36 @@ class SpectralMeasure:
         raise ValueError("atomic measures have no density")
 
 
-def bessel_measure(kappa, m=1):
-    return SpectralMeasure("bessel", m=m, kappa=float(kappa))
+def bessel_measure(kappa):
+    return SpectralMeasure("bessel", kappa=float(kappa))
 
 
-def lebesgue_measure(m=1):
-    return SpectralMeasure("lebesgue", m=m)
+def lebesgue_measure():
+    return SpectralMeasure("lebesgue")
 
 
 def atomic_measure(points, masses):
-    pts = np.atleast_2d(np.asarray(points, float))
-    return SpectralMeasure("atoms", m=pts.shape[1],
-                           points=tuple(map(tuple, pts)), masses=tuple(np.asarray(masses, float)))
+    """Atoms of the given masses at the frequencies `points` on the boundary line."""
+    pts = np.asarray(points, float)
+    if pts.shape != (len(masses),):
+        raise ValueError(f"{len(masses)} atoms need {len(masses)} frequencies on the line, "
+                         f"not an array of shape {pts.shape}")
+    return SpectralMeasure("atoms", points=tuple(pts), masses=tuple(np.asarray(masses, float)))
 
 
 def spectral_correlation(measure, y):
-    """Space correlation: the Fourier transform of the spectral measure at lag y.
+    """Space correlation: the Fourier transform of the spectral measure at the lag y, a number.
 
-    Atomic measures give the exact cosine sum in any dimension; continuous
-    densities are transformed by oscillatory-weight quadrature (m = 1).
+    Atomic measures give the exact cosine sum; continuous densities are
+    transformed by oscillatory-weight quadrature.
     """
-    if measure.kind == "atoms":
-        pts = np.asarray(measure.points, float).reshape(len(measure.masses), -1)
-        yv = np.atleast_1d(np.asarray(y, float))
-        phase = pts @ yv if pts.shape[1] == yv.shape[0] else pts[:, 0] * yv
-        return 2.0 * float(np.sum(np.asarray(measure.masses) * np.cos(phase)))
     if measure.kind == "lebesgue":
         raise UnsupportedDomainError("the flat measure has no pointwise correlation")
-    if measure.m != 1:
-        raise UnsupportedDomainError("continuous correlations computed for m = 1")
+    yy = abs(float(y))
+    if measure.kind == "atoms":
+        phase = np.asarray(measure.points) * yy
+        return 2.0 * float(np.sum(np.asarray(measure.masses) * np.cos(phase)))
     from scipy import integrate
-    yy = abs(float(np.asarray(y).reshape(-1)[0])) if np.ndim(y) else abs(float(y))
     dens = measure.density_at
     integrable = not (measure.kind == "bessel" and measure.kappa <= 1)
     if yy == 0.0 or (yy < 1e-4 and integrable):
@@ -131,22 +126,24 @@ def spectral_correlation(measure, y):
 def time_decay_integral(r, alpha=0.0):
     """The half-space flux time integral int_0^inf s^(-2-alpha) e^(-1/s - r^2 s) ds.
 
-    Computed after the substitution u = 1/s as int u^alpha e^(-u - r^2/u) du
-    (adaptive quadrature); equals Gamma(alpha+1) at r = 0 and decays like
-    e^(-2r) for large r.  Monotone decreasing in r.
+    After the substitution u = 1/s it is int u^alpha e^(-u - r^2/u) du, which
+    is 2 r^(alpha+1) K_(alpha+1)(2r) (DLMF 10.32.10); it equals Gamma(alpha+1)
+    at r = 0 and decays like e^(-2r) for large r.  Monotone decreasing in r.
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    rs = np.atleast_1d(np.asarray(r, float))
+    rs = np.asarray(r, float)
     if np.any(rs < 0):
         raise ValueError("r must be nonnegative")
-    from scipy import integrate
-    out = np.empty(rs.shape)
-    for i, rv in enumerate(rs.reshape(-1)):
-        out.reshape(-1)[i] = integrate.quad(
-            lambda u: u ** alpha * np.exp(-u - (rv * rv) / u if u > 0 else -np.inf),
-            0, np.inf, limit=300, epsabs=1e-13)[0]
-    return out if np.ndim(r) else float(out[0])
+    from scipy.special import gamma, kv
+    nu = alpha + 1
+    # below r = 1e-20 the integral is Gamma(nu) to double precision (the gap is
+    # O(r^2 log(1/r))), and from r = 1e3 on it is 0 (e^(-2r) underflows); out
+    # there r^nu and K_nu(2r) would meet as 0 * inf
+    tiny = rs < 1e-20
+    pos = np.where(tiny, 1.0, np.minimum(rs, 1e3))
+    out = np.where(tiny, gamma(nu), 2.0 * pos ** nu * kv(nu, 2.0 * pos))
+    return out if np.ndim(r) else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +159,7 @@ class NoiseSpec:
     by the sup norms of its terms, which is all the majorant route reads.
     kind "circle_white": white noise on S^1, which only the majorant route
     treats, through its complete Fourier basis.  kind "homogeneous":
-    spatially homogeneous process on the flat boundary R^m given by a
+    spatially homogeneous process on the boundary line given by a
     spectral measure with a frequency truncation (z_max, n_cells).
     """
 
@@ -197,7 +194,7 @@ def rotational_noise(amplitudes):
     return NoiseSpec("finite_series", sup_norms=tuple(sups))
 
 
-def homogeneous_noise(measure, z_max=12.0, n_cells=24):
+def homogeneous_noise(measure, z_max, n_cells):
     return NoiseSpec("homogeneous", measure=measure, z_max=float(z_max), n_cells=int(n_cells))
 
 
@@ -229,7 +226,7 @@ def frequency_cells(measure, z_max, n_cells):
     """Cells of [0, z_max] for a continuous measure, one cell per atom of an atomic one."""
     if measure.kind == "atoms":
         masses = np.asarray(measure.masses, float)
-        nodes = np.asarray(measure.points, float).reshape(len(masses), 1)
+        nodes = np.asarray(measure.points)[:, None]
         return FrequencyCells(masses, nodes, masses[:, None])
     edges = np.linspace(0.0, z_max, n_cells + 1)
     a, b = edges[:-1, None], edges[1:, None]

@@ -32,33 +32,28 @@ class Prediction:
 
 
 class NoPrediction(Exception):
-    """The setup does not match any catalogued scenario."""
+    """No catalogued prediction: an id without a builder, or a case the catalog cannot treat."""
 
 
-def _low(p, mu):
+def _low(p, kappa):
     return p - 1
 
 
-def _mid(p, mu):
+def _mid(p, kappa):
     return 1.5 * p - 1
 
 
-def _bessel_low(p, mu):
-    return p + 0.5 * p * (mu.m - mu.kappa) - 1
-
-
-def _half_space_delta(mu):
-    return (mu.m + 1) / 2.0
+def _bessel_low(p, kappa):
+    return p + 0.5 * p * (1 - kappa) - 1
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One catalogued scenario.  The window text takes {low} = (p-1, 2p-1) and
     {mid} = (3p/2-1, 2p-1); the prediction reads the same window as the lower
-    end theta_lo(p, mu) < theta < 2p-1 and delta > delta_min(mu), mu the
-    spectral measure of a half-space noise (None elsewhere).  The builder maps
-    the setup options to (domain, noise), and a scenario without one says why
-    in `unbuilt`."""
+    end theta_lo(p, kappa) < theta < 2p-1 and delta > delta_min, kappa the
+    Bessel exponent of the setup options.  The builder maps the setup options
+    to (domain, noise), and a scenario without one says why in `unbuilt`."""
 
     sid: str
     description: str
@@ -67,7 +62,7 @@ class Scenario:
     delta: float = 0.0          # default delta of the weighted space
     unbuilt: str = ""
     theta_lo: object = _low
-    delta_min: object = lambda mu: 0.0
+    delta_min: float = 0.0
 
 
 def _endpoints(dom):
@@ -79,7 +74,7 @@ def _half_plane(measure, opts):
 
 
 def _bessel(opts):
-    return _half_plane(bessel_measure(opts.kappa, 1), opts)
+    return _half_plane(bessel_measure(opts.kappa), opts)
 
 
 _MAJORANT_BALL_ONLY = "the majorant flux covers only the unit ball"
@@ -87,7 +82,7 @@ REGISTRY = {s.sid: s for s in (
     Scenario("p71", "interval (0,1), independent endpoint noises", "theta in {low}",
              lambda o: _endpoints(interval01())),
     Scenario("p72", "half line, endpoint noise", "theta in {low}, delta > 1/2",
-             lambda o: _endpoints(half_line()), delta=1.0, delta_min=lambda mu: 0.5),
+             lambda o: _endpoints(half_line()), delta=1.0, delta_min=0.5),
     Scenario("p74", "unit ball (d>=2), sup-summable boundary series", "theta in {low}",
              lambda o: (unit_ball(2), rotational_noise([1.0, 0.5, 0.25]))),
     Scenario("p78", "white noise on the circle (ball d=2)", "theta in {mid}",
@@ -97,18 +92,16 @@ REGISTRY = {s.sid: s for s in (
     Scenario("p711ii", "bounded C^{1,a} region in the plane, boundary white noise",
              "theta in {mid}", unbuilt=_MAJORANT_BALL_ONLY, theta_lo=_mid),
     Scenario("p713", "half space, finite spectral measure", "theta in {low}, delta > (m+1)/2",
-             lambda o: _half_plane(atomic_measure([[0.7], [1.9]], [0.6, 0.4]), o), delta=1.5,
-             delta_min=_half_space_delta),
-    # m = 1 only, where (m+1)/2 = 1
+             lambda o: _half_plane(atomic_measure([0.7, 1.9], [0.6, 0.4]), o), delta=1.5,
+             delta_min=1.0),
     Scenario("p717", "half plane, space-time white noise on the boundary line (m=1)",
-             "theta in {mid}, delta > 1", lambda o: _half_plane(lebesgue_measure(1), o),
-             delta=1.5, theta_lo=_mid, delta_min=_half_space_delta),
+             "theta in {mid}, delta > 1", lambda o: _half_plane(lebesgue_measure(), o),
+             delta=1.5, theta_lo=_mid, delta_min=1.0),
     Scenario("p718i", "half plane, Bessel spectral density, kappa >= m",
-             "theta in {low}, delta > (m+1)/2", _bessel, delta=1.5,
-             delta_min=_half_space_delta),
+             "theta in {low}, delta > (m+1)/2", _bessel, delta=1.5, delta_min=1.0),
     Scenario("p718ii", "half plane, Bessel spectral density, m-2 < kappa < m",
              "theta in (p + p(m-kappa)/2 - 1, 2p-1), delta > (m+1)/2", _bessel, delta=1.5,
-             theta_lo=_bessel_low, delta_min=_half_space_delta),
+             theta_lo=_bessel_low, delta_min=1.0),
     Scenario("r88", "Dirac atom boundary noise on the circle",
              "rejected - Dirac boundary noise not treatable",
              unbuilt="the catalog rejects Dirac boundary noise as not treatable"),
@@ -133,47 +126,22 @@ def unbuildable(sid):
     return f"scenario must be one of {RUNNABLE}"
 
 
-def _scenario_id(setup):
-    """The catalogued scenario of the setup's (domain, noise), or NoPrediction."""
-    dom, nz = setup.domain.kind, setup.noise.kind
-    sid = {("interval01", "endpoints"): "p71", ("halfline", "endpoints"): "p72",
-           ("unitball", "finite_series"): "p74",
-           ("unitball", "circle_white"): "p78"}.get((dom, nz))
-    if sid:
-        return sid
-    if dom == "halfspace" and nz == "homogeneous":
-        mu = setup.noise.measure
-        if mu.kind == "atoms":
-            return "p713"
-        if mu.kind == "lebesgue":
-            if mu.m != 1:
-                raise NoPrediction("space-time white boundary noise is catalogued for m = 1 only")
-            return "p717"
-        if mu.kind == "bessel":
-            if mu.kappa >= mu.m:
-                return "p718i"
-            if mu.m - 2 < mu.kappa:
-                return "p718ii"
-            raise NoPrediction("kappa <= m-2 is not treatable")
-    raise NoPrediction(f"no catalogued scenario for {dom} + {nz}")
-
-
-def predict_wellposedness(setup):
-    """Admissible (theta, delta) window of the setup's scenario, read from its record.
-
-    Raises NoPrediction for uncatalogued combinations.
-    """
-    sid = _scenario_id(setup)
-    rec, p = REGISTRY[sid], setup.params.p
-    mu = setup.noise.measure if setup.noise.kind == "homogeneous" else None
-    return Prediction(sid, rec.theta_lo(p, mu), 2 * p - 1, delta_min=rec.delta_min(mu))
+def _p718_case(kappa):
+    """The p718 case of the Bessel exponent on the boundary line, m = 1: kappa >= m
+    is p718i, m-2 < kappa < m is p718ii, and kappa <= m-2 has no prediction."""
+    if kappa >= 1:
+        return "p718i"
+    if kappa > -1:
+        return "p718ii"
+    raise NoPrediction("kappa <= m-2 is not treatable")
 
 
 def build_setup(scenario, p=2.0, theta=None, delta=None, horizon=0.5, alpha=0.0,
                 kappa=0.5, z_max=24.0, n_cells=64):
     """Instantiate the (domain, noise, params) tuple of a catalogued scenario.
 
-    The case ids p718i and p718ii refuse a kappa of the other case.
+    Returns the setup and the Prediction of its record.  The id p718 lets kappa
+    pick the case; the case ids p718i and p718ii refuse a kappa of the other case.
     """
     sid = scenario.lower()
     why = unbuildable(sid)
@@ -187,7 +155,9 @@ def build_setup(scenario, p=2.0, theta=None, delta=None, horizon=0.5, alpha=0.0,
     delta = rec.delta if delta is None else delta
     setup = ConvolutionSetup(dom, nz, WeightedSpaceParams(p, theta, delta),
                              horizon=horizon, alpha=alpha)
-    pred = predict_wellposedness(setup)
-    if sid != "p718" and pred.scenario != sid:
-        raise ConfigurationError(f"kappa = {kappa:g} is the {pred.scenario} case, not {sid}")
-    return setup, pred
+    if sid.startswith("p718"):
+        case = _p718_case(kappa)
+        if sid != "p718" and case != sid:
+            raise ConfigurationError(f"kappa = {kappa:g} is the {case} case, not {sid}")
+        rec = REGISTRY[case]
+    return setup, Prediction(rec.sid, rec.theta_lo(p, kappa), 2 * p - 1, rec.delta_min)

@@ -249,6 +249,16 @@ def test_cli_bad_config_value_is_one_validation_line(tmp_path, monkeypatch, pipe
     assert message in res.output
 
 
+def test_cli_p718_refuses_an_untreatable_kappa(tmp_path, monkeypatch):
+    # kappa <= m-2 = -1 is neither p718 case: the setup builds, then the catalog refuses it
+    monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("pipeline = j-diagnose\nscenario = p718\nkappa = -2\n")
+    res = CliRunner().invoke(cli.main, ["run", str(cfg)])
+    _assert_clean_exit(res, 1)
+    assert res.output == "validation: kappa <= m-2 is not treatable\n"
+
+
 @pytest.mark.parametrize("pipe", ["j-diagnose", "simulate", "invariant"])
 def test_every_scenario_id_exits_cleanly(tmp_path, monkeypatch, pipe):
     monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))

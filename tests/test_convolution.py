@@ -31,26 +31,23 @@ def test_j_integral_needs_two_levels():
 
 def test_predictions_catalogued():
     setup, pred = sc.build_setup("p71", p=2.0, theta=2.0)
-    assert (pred.theta_lo, pred.theta_hi) == (1.0, 3.0)
+    assert (pred.theta_lo, pred.theta_hi, pred.delta_min) == (1.0, 3.0, 0.0)
+    setup, pred = sc.build_setup("p72", p=2.0, theta=2.0)
+    assert (pred.theta_lo, pred.theta_hi, pred.delta_min) == (1.0, 3.0, 0.5)
+    setup, pred = sc.build_setup("p74", p=2.0, theta=2.0)
+    assert (pred.theta_lo, pred.theta_hi, pred.delta_min) == (1.0, 3.0, 0.0)
     setup, pred = sc.build_setup("p78", p=2.0, theta=2.5)
-    assert (pred.theta_lo, pred.theta_hi) == (2.0, 3.0)
+    assert (pred.theta_lo, pred.theta_hi, pred.delta_min) == (2.0, 3.0, 0.0)
+    setup, pred = sc.build_setup("p713", p=2.0, theta=2.0)
+    assert (pred.theta_lo, pred.theta_hi, pred.delta_min) == (1.0, 3.0, 1.0)
     setup, pred = sc.build_setup("p717", p=2.0, theta=2.5)
-    assert (pred.theta_lo, pred.theta_hi) == (2.0, 3.0)
+    assert (pred.theta_lo, pred.theta_hi, pred.delta_min) == (2.0, 3.0, 1.0)
     setup, pred = sc.build_setup("p718", p=2.0, theta=2.0, kappa=0.5)
-    assert (pred.theta_lo, pred.theta_hi) == (1.5, 3.0)
+    assert (pred.theta_lo, pred.theta_hi, pred.delta_min) == (1.5, 3.0, 1.0)
     assert pred.scenario == "p718ii"
     setup, pred = sc.build_setup("p718", p=2.0, theta=2.0, kappa=2.0)
     assert pred.scenario == "p718i"
-    assert (pred.theta_lo, pred.theta_hi) == (1.0, 3.0)
-
-
-def test_no_prediction_for_uncatalogued():
-    bad = cv.ConvolutionSetup(geo.half_line(),
-                              NoiseSpec("homogeneous", measure=lebesgue_measure(),
-                                        z_max=4, n_cells=4),
-                              geo.WeightedSpaceParams(2, 2, 1.5))
-    with pytest.raises(sc.NoPrediction):
-        sc.predict_wellposedness(bad)
+    assert (pred.theta_lo, pred.theta_hi, pred.delta_min) == (1.0, 3.0, 1.0)
 
 
 def test_zero_noise_j_zero():
@@ -102,7 +99,8 @@ def test_truncated_homogeneous_variance_rises_to_the_parseval_sum(x0, x1, t, mea
     # squared-flux sum stays below the complete (Parseval) sum at every time
     # node, and widening the band (z_max, n_cells) only adds to it
     half_plane, pts = geo.half_space(2), np.array([[x0, x1]])
-    full = cv.variance_profile(cv.HomogeneousFlux(half_plane, homogeneous_noise(measure)), t, pts)
+    full = cv.variance_profile(
+        cv.HomogeneousFlux(half_plane, homogeneous_noise(measure, 12.0, 24)), t, pts)
     gaps = []
     for z_max, n_cells in ((6, 12), (12, 24), (24, 48), (48, 96)):
         flux = cv.HomogeneousFlux(half_plane, homogeneous_noise(measure, z_max, n_cells),

@@ -122,6 +122,12 @@ def test_unsupported_kernel_domains():
         K.HeatKernel(geo.unit_ball(2))
 
 
+@pytest.mark.parametrize("rep", ["closed", "image", "sine"])
+def test_half_line_takes_only_the_auto_representation(rep):
+    with pytest.raises(ValueError, match="series representations exist only on the interval"):
+        K.HeatKernel(geo.half_line(), rep)
+
+
 def test_half_plane_has_no_heat_kernel():
     # the half plane's flux is the half-line influx times frequency-cell modes,
     # so the refusal names the 1-d kernels, not the ball's majorant route

@@ -23,8 +23,9 @@ PACKAGE = ROOT / "src" / "bnlab"
 IDENTITIES = {
     "spectral_correlation": "the Bessel correlation exponent kappa - m, which separates p718i "
                             "from p718ii (test_spectral_correlation_small_scale_exponent)",
-    "time_decay_integral": "the half-space flux time integral int_0^inf s^(-2-alpha) "
-                           "e^(-1/s - r^2 s) ds (test_time_decay_integral_values)",
+    "time_decay_integral": "the closed form 2 r^(alpha+1) K_(alpha+1)(2r) of the half-space "
+                           "flux time integral int_0^inf s^(-2-alpha) e^(-1/s - r^2 s) ds, "
+                           "against quadrature (test_time_decay_integral_values)",
     "gaussian_boundary_mass": "the quadrature reference for the closed form "
                               "ball_boundary_mass_exact behind J on p74 and p78 "
                               "(test_boundary_mass_quadrature_vs_exact_radial)",
