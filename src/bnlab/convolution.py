@@ -273,9 +273,6 @@ class MajorantFlux(_TimeQuadrature):
         else:
             raise ConfigurationError("majorant flux needs circle white noise or a finite series")
 
-    def psi(self, u, x):
-        raise ConfigurationError("majorant mode has no per-mode flux; simulation unavailable")
-
     def sum_sq(self, u, x):
         """Profile in the boundary distance rho (rotation invariance of the bound)."""
         u = np.atleast_1d(np.asarray(u, float))
@@ -576,16 +573,13 @@ def _step_schedule(t_max, probe_times, base_steps, rho_min):
     """
     edges = set(np.linspace(0.0, t_max, base_steps + 1).tolist())
     d0 = t_max / base_steps
-    u_min = min(rho_min ** 2 / _FLOOR_SCALE, d0 / 4.0)
-    s = u_min
-    while s < 2 * d0:
-        edges.add(s)
-        s *= 2.0 ** (1.0 / 10)
+    ladder, u = [], min(rho_min ** 2 / _FLOOR_SCALE, d0 / 4.0)
+    while u < 2 * d0:           # one ladder of steps u serves s = u and s = t_i - u
+        ladder.append(u)
+        u *= 2.0 ** (1.0 / 10)
+    edges.update(ladder)
     for ti in probe_times:
-        u = u_min
-        while u < min(2 * d0, ti):
-            edges.add(ti - u)
-            u *= 2.0 ** (1.0 / 10)
+        edges.update(ti - u for u in ladder if u < ti)
         edges.add(float(ti))
     edges = np.array(sorted(e for e in edges if 0.0 <= e <= t_max))
     keep = np.concatenate([[True], np.diff(edges) > 1e-15])
@@ -663,6 +657,9 @@ def _draw_plan(setup, probes, base_steps):
     xs = np.array([float(p) for p in pts]) if dom1d else np.atleast_2d(np.asarray(pts, float))
     rho = distance_to_boundary(setup.domain, xs.reshape(-1, 1) if dom1d else xs)
     rho_min = float(np.min(rho))
+    if not rho_min ** 2 / _FLOOR_SCALE > 0:     # the step ladder would start at u = 0
+        raise NumericalRefusal(f"probe at boundary distance {rho_min:.3g}: no step schedule "
+                               "resolves a probe on the boundary")
     t_max = max(times)
     if base_steps < 64 or t_max / base_steps > min(times) / 4.0:
         raise NumericalRefusal(
@@ -674,8 +671,12 @@ def _draw_plan(setup, probes, base_steps):
     return flux, xs, probe_t, edges, factor
 
 
-def _draws(factor, n_paths, root_seed, law="gaussian", df=5.0):
-    """The one draw loop: path-major blocks of xi from the substream (root_seed, 0)."""
+def _draws(factor, n_paths, root_seed, law="gaussian"):
+    """The one draw loop: path-major blocks of xi from the substream (root_seed, 0).
+
+    Student-t entries have df = 5, scaled to unit variance.
+    """
+    df = 5.0
     width = factor.shape[0]
     gen = substream(root_seed, 0)
     for start in range(0, n_paths, _BLOCK_PATHS):
@@ -750,7 +751,7 @@ def _convolution_paths(setup, probes, n_paths, base_steps=512, root_seed=2024):
 
 
 def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed=2024,
-                         return_paths=False, law="gaussian", df=5.0):
+                         return_paths=False, law="gaussian"):
     """One-shot ensemble of M(t, x) at (t, x) probe pairs.
 
     Gaussian by default; the Ito sums use the global step schedule with
@@ -761,7 +762,7 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     Both laws draw one variate per probe, whatever the mode count: a path is
     xi @ F, xi from the one substream (root_seed, 0) and F the scaled square
     root of the Ito sums' probe covariance (see `_gaussian_factor`).  xi is
-    N(0, I), or has i.i.d. variance-matched standard_t(df) entries: the same
+    N(0, I), or has i.i.d. variance-matched standard_t(5) entries: the same
     covariance, with innovations in the probe basis rather than per step and
     mode.  The substream advances path by path, so the values do not depend
     on the draw block size.
@@ -774,8 +775,6 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     """
     if law not in ("gaussian", "student_t"):
         raise ValueError(f"unknown law {law!r}; expected 'gaussian' or 'student_t'")
-    if law == "student_t" and not df > 2:
-        raise ValueError(f"student_t needs df > 2 for variance matching, got df={df}")
     if n_paths < 2:
         raise ValueError(f"n_paths must be at least 2 for sample variances, got {n_paths}")
     flux, xs, probe_t, edges, factor = _draw_plan(setup, probes, base_steps)
@@ -783,7 +782,7 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     # with paths kept, each block is a view of M; without, M is one block reused
     M = np.empty((n_paths if return_paths else min(n_paths, _BLOCK_PATHS), n_probes))
     moments, start = None, 0
-    for xi in _draws(factor, n_paths, root_seed, law, df):
+    for xi in _draws(factor, n_paths, root_seed, law):
         block = M[start:start + len(xi)] if return_paths else M[:len(xi)]
         # row i of xi @ factor is path i's sum; coeff already carries sqrt(ds)
         _paths_into(block, xi, factor)
@@ -805,8 +804,7 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
         "mean_se": np.sqrt(var1) / np.sqrt(n_paths),
     }
     ens = PathEnsemble(M if return_paths else np.empty((0, n_probes)), probes, root_seed,
-                       meta={"n_steps": len(edges) - 1, "schedule_edges": len(edges),
-                             "normals_drawn": width * n_paths,
+                       meta={"n_steps": len(edges) - 1, "normals_drawn": width * n_paths,
                              "stat_block_paths": _BLOCK_PATHS})
     return ens, stats
 
@@ -953,9 +951,8 @@ def invariant_diagnostics(setup):
                          cutoff=None if dom.kind == "interval01" else 30.0)
     x = grid.x
     sigma_inf = variance_profile(flux, np.inf, x)
-    w = weight(dom, grid.nodes, setup.params)
-    p = setup.params.p
-    j_inf = float(np.sum(sigma_inf ** (p / 2.0) * w * grid.weights))
+    j_inf = _j_sum(setup, (x, (weight(dom, grid.nodes, setup.params), grid.weights), 1.0),
+                   sigma_inf)
     t_probe = 5.0 / np.pi ** 2
     sig_t = variance_profile(flux, t_probe, x)
     with np.errstate(invalid="ignore"):

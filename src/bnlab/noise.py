@@ -123,29 +123,6 @@ def spectral_correlation(measure, y):
     return 2.0 * val
 
 
-def time_decay_integral(r, alpha=0.0):
-    """The half-space flux time integral int_0^inf s^(-2-alpha) e^(-1/s - r^2 s) ds.
-
-    After the substitution u = 1/s it is int u^alpha e^(-u - r^2/u) du, which
-    is 2 r^(alpha+1) K_(alpha+1)(2r) (DLMF 10.32.10); it equals Gamma(alpha+1)
-    at r = 0 and decays like e^(-2r) for large r.  Monotone decreasing in r.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    rs = np.asarray(r, float)
-    if np.any(rs < 0):
-        raise ValueError("r must be nonnegative")
-    from scipy.special import gamma, kv
-    nu = alpha + 1
-    # below r = 1e-20 the integral is Gamma(nu) to double precision (the gap is
-    # O(r^2 log(1/r))), and from r = 1e3 on it is 0 (e^(-2r) underflows); out
-    # there r^nu and K_nu(2r) would meet as 0 * inf
-    tiny = rs < 1e-20
-    pos = np.where(tiny, 1.0, np.minimum(rs, 1e3))
-    out = np.where(tiny, gamma(nu), 2.0 * pos ** nu * kv(nu, 2.0 * pos))
-    return out if np.ndim(r) else float(out)
-
-
 # ---------------------------------------------------------------------------
 # boundary noise specifications and frequency cells
 

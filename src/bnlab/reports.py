@@ -9,21 +9,21 @@ DIVERGING = "diverging"
 INCONCLUSIVE = "inconclusive"
 
 
-def verdict_from_trace(sups, growth_factor=2.0):
+def verdict_from_trace(sups):
     """Classify a refinement trace of suprema.
 
     bounded: the sup is non-increasing within 5% across the last two
-    refinement levels.  diverging: growth by more than `growth_factor` across
-    two refinement levels.  Anything else is inconclusive.
+    refinement levels.  diverging: growth by more than a factor 2 across two
+    refinement levels.  Anything else is inconclusive.
     """
     sups = [float(s) for s in sups]
     if len(sups) < 2:
         return INCONCLUSIVE
-    if len(sups) >= 3 and sups[-1] > growth_factor * sups[-3] and sups[-1] > sups[-2] > sups[-3]:
+    if len(sups) >= 3 and sups[-1] > 2.0 * sups[-3] and sups[-1] > sups[-2] > sups[-3]:
         return DIVERGING
     if sups[-1] <= 1.05 * sups[-2]:
         return BOUNDED
-    if sups[-1] > growth_factor * sups[-2]:
+    if sups[-1] > 2.0 * sups[-2]:
         return DIVERGING
     return INCONCLUSIVE
 
@@ -43,10 +43,6 @@ class EstimateReport:
         rep = cls(quantity, grid_spec, [float(s) for s in sups], dict(fitted or {}))
         rep.verdict = verdict_from_trace(rep.sup_per_level)
         return rep
-
-    @property
-    def sup(self):
-        return self.sup_per_level[-1]
 
     def to_text(self):
         lines = [

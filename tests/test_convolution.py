@@ -303,13 +303,11 @@ def test_simulate_does_not_depend_on_thread_count(sid, law, monkeypatch):
         sys.setswitchinterval(switch)
 
 
-@pytest.mark.parametrize("law, df, message", [("normal", 3.0, "unknown law 'normal'"),
-                                               ("student_t", 2.0, r"df > 2")])
-def test_simulate_rejects_unknown_law_and_small_df(law, df, message, monkeypatch):
+def test_simulate_rejects_unknown_law(monkeypatch):
     setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
     monkeypatch.setattr(cv, "flux_for", lambda s: pytest.fail("work began before validation"))
-    with pytest.raises(ValueError, match=message):
-        cv.simulate_convolution(setup, [(0.3, 0.5)], n_paths=10, law=law, df=df)
+    with pytest.raises(ValueError, match="unknown law 'normal'"):
+        cv.simulate_convolution(setup, [(0.3, 0.5)], n_paths=10, law="normal")
 
 
 def test_simulate_rejects_fewer_than_two_paths(monkeypatch):
@@ -414,14 +412,14 @@ def test_draws_do_not_move_with_round_off_in_the_tensor(case):
     ("p713", [(0.3, (0.5, 0.4)), (0.1, (0.2, -0.3)), (0.3, (1.0, 0.4))])], ids=["p71", "p713"])
 def test_student_t_is_variance_matched_t_in_the_reduced_basis(sid, probes):
     # both laws take xi @ F with the joint factor F and xi from substream
-    # (root_seed, 0): normals for the Gaussian law, i.i.d. standard_t(df) entries
+    # (root_seed, 0): normals for the Gaussian law, i.i.d. standard_t(5) entries
     # scaled to unit variance for the Student-t law
     setup, _ = sc.build_setup(sid, p=2.0, theta=2.0, horizon=0.3)
     df, n = 5.0, 300
     F = cv._gaussian_factor(_tensor(setup, probes)[1])
     r = F.shape[0]
     ens = {law: cv.simulate_convolution(setup, probes, n_paths=n, base_steps=128, root_seed=3,
-                                        return_paths=True, law=law, df=df)[0]
+                                        return_paths=True, law=law)[0]
            for law in ("gaussian", "student_t")}
     xi = substream(3, 0).standard_t(df, size=(n, r))
     assert np.array_equal(ens["student_t"].values, (np.sqrt((df - 2.0) / df) * xi) @ F)
@@ -456,6 +454,14 @@ def test_simulate_convolution_replay():
     _, s1 = cv.simulate_convolution(setup, probes, n_paths=500, base_steps=128, root_seed=5)
     _, s2 = cv.simulate_convolution(setup, probes, n_paths=500, base_steps=128, root_seed=5)
     assert s1["var"][0] == s2["var"][0]
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-200, 1.0])
+def test_simulate_refuses_a_probe_on_the_boundary(x):
+    # the ladder of steps toward such a probe would start at u = 0 and never end
+    setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
+    with pytest.raises(cv.NumericalRefusal, match="no step schedule resolves a probe on the"):
+        cv.simulate_convolution(setup, [(0.3, 0.5), (0.3, x)], n_paths=10)
 
 
 def test_simulate_refusal_on_coarse_steps():
@@ -496,9 +502,15 @@ def test_time_quadrature_is_one_array_call_over_its_nodes(monkeypatch):
 
 
 def test_majorant_mode_refuses_simulation():
+    # the ball has no per-mode flux: every Monte Carlo route refuses p78 up front
     setup, _ = sc.build_setup("p78", p=2.0, theta=2.5)
-    with pytest.raises(cv.ConfigurationError):
+    with pytest.raises(cv.ConfigurationError, match="^simulation requires exact mode$"):
         cv.simulate_convolution(setup, [(0.1, np.array([0.3, 0.0]))], n_paths=10)
+    with pytest.raises(cv.ConfigurationError, match="^simulation requires exact mode$"):
+        cv.simulate_mild(setup, None, np.linspace(0, 0.1, 11), n_paths=2)
+    with pytest.raises(geo.UnsupportedDomainError,
+                       match="^flow consistency check on interval or half line$"):
+        cv.flow_consistency_check(setup, 0.1, 0.2, n_paths=100)
 
 
 def test_mild_trajectories_zero_noise_and_eigen_decay():

@@ -205,7 +205,7 @@ def test_singular_moment_exponent_fits():
 
 
 def test_singular_moment_flat_for_small_alpha():
-    rep = K.fit_singular_moment_exponent(geo.half_line(), -0.05, n_t=5)
+    rep = K.fit_singular_moment_exponent(geo.half_line(), -0.05)
     assert abs(rep.fitted["exponent"]) < 0.05
 
 

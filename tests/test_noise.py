@@ -77,31 +77,6 @@ def test_gauss_legendre_rule_is_cached_and_read_only():
         x[0] = 0.0
 
 
-def _decay_quad(r, alpha):
-    """int_0^inf u^alpha e^(-u - r^2/u) du by adaptive quadrature."""
-    return integrate.quad(lambda u: u ** alpha * np.exp(-u - (r * r) / u if u > 0 else -np.inf),
-                          0, np.inf, limit=300, epsabs=1e-13)[0]
-
-
-def test_time_decay_integral_values():
-    # the modified-Bessel closed form against the integral it stands for:
-    # Gamma(alpha+1) at r=0, adaptive quadrature elsewhere
-    assert nz.time_decay_integral(0.0, 0.0) == pytest.approx(_decay_quad(0.0, 0.0), rel=1e-10)
-    assert nz.time_decay_integral(0.0, 1.0) == pytest.approx(_decay_quad(0.0, 1.0), rel=1e-10)
-    for a, r in ((0.5, 1.3), (0.0, 2.0), (1.5, 0.7)):
-        assert nz.time_decay_integral(r, a) == pytest.approx(_decay_quad(r, a), rel=1e-9)
-
-
-def test_time_decay_integral_monotone_and_fast_decay():
-    rs = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
-    vals = nz.time_decay_integral(rs, 0.5)
-    assert np.all(np.diff(vals) < 0)
-    # exponential-type decay: r^2 * (-d log K / dr) grows with r
-    dlog = -np.diff(np.log(vals)) / np.diff(rs)
-    growth = rs[1:] ** 2 * dlog
-    assert np.all(np.diff(growth) > 0)
-
-
 def test_homogeneous_cells_orthonormal():
     mu = nz.bessel_measure(2.0)
     cells = nz.frequency_cells(mu, z_max=8.0, n_cells=16)
