@@ -127,25 +127,30 @@ def _image_pairs(a0, t_hi, order, shells):
 
     Without shells only m = n = 0 (the half line).  Shells max(|m|, |n|) = K
     are added until a whole shell lies below 1e-17 of the m = n = 0 term at
-    every node; pairs run over m <= n, and memory stays that of a0.
+    every node; pairs run over m <= n.  A shell is one (pair, node) array and
+    one gammaincc call; its rows are added to the total one at a time in the
+    pair order (m, K) for m = -K..K, then (-K, n) for n = -K..K-1, each
+    weighted 1 on the diagonal and 2 off it.  That is the per-pair loop's
+    arithmetic bit for bit, and memory is one shell of the nodes.
     """
-    def pair(m, n):
-        am, an = a0 + 2 * m, a0 + 2 * n
+    def pairs(m, n):
+        am, an = a0 + 2 * m[:, None], a0 + 2 * n[:, None]
         c = 0.25 * (am * am + an * an)
         return am * an * c ** -order * gammaincc(order, c / t_hi)
 
-    lead = pair(0, 0)
+    lead = pairs(np.zeros(1, int), np.zeros(1, int))[0]
     total = lead.copy()
     shell, small = 0, not shells
     while not small:
         shell += 1
-        small = True
         # m <= n with max(|m|, |n|) = shell: n = shell, or m = -shell
-        for m, n in [(m, shell) for m in range(-shell, shell + 1)] \
-                + [(-shell, n) for n in range(-shell, shell)]:
-            term = pair(m, n) * (1.0 if m == n else 2.0)
+        ks = np.arange(-shell, shell + 1)
+        m = np.concatenate([ks, np.full(2 * shell, -shell)])
+        n = np.concatenate([np.full(2 * shell + 1, shell), ks[:-1]])
+        terms = pairs(m, n) * np.where(m == n, 1.0, 2.0)[:, None]
+        for term in terms:
             total += term
-            small = small and bool(np.all(np.abs(term) <= 1e-17 * lead))
+        small = bool(np.all(np.abs(terms) <= 1e-17 * lead))
     return total * (gamma(order) / (4.0 * np.pi))
 
 
@@ -218,27 +223,43 @@ class HomogeneousFlux(_TimeQuadrature):
         return 2 * self.cells.n_cells
 
     def psi(self, u, xy):
+        """(n_modes, nx, nu) flux array: the cosine and sine mode of each cell in turn."""
         u = np.atleast_1d(np.asarray(u, float))
+        out = np.empty((self.n_modes, np.atleast_2d(xy).shape[0], u.size))
+        for kc, (cos_mode, sin_mode) in enumerate(self._cell_modes(u, xy)):
+            out[2 * kc], out[2 * kc + 1] = cos_mode, sin_mode
+        return out
+
+    def _cell_modes(self, u, xy):
+        # the (cosine, sine) mode pair of each cell in cell order, (nx, nu) each:
+        # sqrt(2/m_k) * amp * (trig(outer(x1, z_k)) @ damp_k), with the cos and
+        # sin of every cell's phases formed once, rounded as per cell
         pts = np.atleast_2d(np.asarray(xy, float))
         x0, x1 = pts[:, 0], pts[:, 1]
         amp = -self.normal.normal_derivative(u, x0, 0.0)     # (nx, nu)
-        out = np.empty((self.n_modes, pts.shape[0], u.size))
+        phase = x1[None, :, None] * self.cells.nodes[:, None, :]     # (cell, nx, q)
+        cos, sin = np.cos(phase), np.sin(phase)
         for kc in range(self.cells.n_cells):
             z = self.cells.nodes[kc]                        # (q,)
             w = self.cells.weights[kc]
-            mk = self.cells.masses[kc]
             damp = np.exp(-u[None, :] * z[:, None] ** 2) * w[:, None]    # (q, nu)
-            cosb = np.cos(np.outer(x1, z)) @ damp          # (nx, nu)
-            sinb = np.sin(np.outer(x1, z)) @ damp
-            out[2 * kc] = np.sqrt(2.0 / mk) * amp * cosb
-            out[2 * kc + 1] = np.sqrt(2.0 / mk) * amp * sinb
-        return out
+            scaled = np.sqrt(2.0 / self.cells.masses[kc]) * amp
+            yield scaled * (cos[kc] @ damp), scaled * (sin[kc] @ damp)
 
     def sum_sq(self, u, x):
-        if self.truncated:
-            p = self.psi(u, x)
-            return np.sum(p * p, axis=0)
+        """(nx, nu) squared-flux sum: the Parseval profile, or the truncated modes.
+
+        The truncated sum adds the squares in mode order (cosine then sine of
+        each cell), the sequential sum np.sum(psi * psi, axis=0) makes, bit for
+        bit, without forming the (mode, node, time) array.
+        """
         u = np.atleast_1d(np.asarray(u, float))
+        if self.truncated:
+            total = np.zeros((np.atleast_2d(x).shape[0], u.size))
+            for pair in self._cell_modes(u, x):
+                for p in pair:
+                    total += p * p
+            return total
         return self.normal.normal_derivative(u, self.rho(x), 0.0) ** 2 \
             * self.measure.gauss_transform(2 * u)[None, :]
 
@@ -304,19 +325,22 @@ def flux_for(setup, truncated=False):
 
 
 def log_time_panels(s_floor, t_hi, pts_per_octave=8):
-    """Gauss-Legendre nodes/weights for int_{s_floor}^{t_hi} f(s) ds on a log axis."""
+    """Gauss-Legendre nodes/weights for int_{s_floor}^{t_hi} f(s) ds on a log axis.
+
+    One octave per panel, the first cut at s_floor.  The (panel, point) nodes
+    come from one broadcast expression and one exp, and the weights reuse that
+    exp: each entry is rounded as in a loop over the panels, bit for bit.
+    """
     if not 0 < s_floor < t_hi:
         raise ValueError("need 0 < s_floor < t_hi")
     n_oct = int(np.ceil(np.log2(t_hi / s_floor)))
     gx, gw = gauss_legendre(pts_per_octave)
     v_edges = np.log(t_hi) - np.log(2.0) * np.arange(n_oct + 1)[::-1]
     v_edges[0] = np.log(s_floor)
-    nodes, wts = [], []
-    for a, b in zip(v_edges[:-1], v_edges[1:]):
-        v = 0.5 * (b - a) * gx + 0.5 * (a + b)
-        nodes.append(np.exp(v))
-        wts.append(0.5 * (b - a) * gw * np.exp(v))
-    return np.concatenate(nodes), np.concatenate(wts)
+    a, b = v_edges[:-1, None], v_edges[1:, None]
+    half = 0.5 * (b - a)
+    nodes = np.exp(half * gx + 0.5 * (a + b))
+    return nodes.ravel(), (half * gw * nodes).ravel()
 
 
 def variance_profile(flux, t_hi, x, alpha=0.0, pts_per_octave=8):
@@ -356,22 +380,26 @@ def _time_panels(flux, t_hi, x, pts_per_octave):
 
 
 def _level_profiles(flux, t_hi, xs, alpha, pts_per_octave):
-    """variance_profile on each 1-d node set of xs, from one evaluation on their union.
+    """variance_profile on each node set of xs, from one evaluation on their union.
 
-    Each set gets the values of its own variance_profile call, bit for bit.
-    The closed form of an endpoint flux is entrywise in the nodes, so it is
-    evaluated once on the union of the nodes.  The time quadrature is not:
-    its floor comes from a set's smallest node, so each set keeps its own
-    time nodes.  The squared flux, entrywise in node and time, is evaluated
-    once on the union of the nodes and the union of the time nodes, and
-    each set sums its own rows and columns in its own order.
+    t_hi is one horizon for all sets, or one per set.  Each set gets the
+    values of its own variance_profile call, bit for bit.  The closed form of
+    an endpoint flux is entrywise in the nodes, so it is evaluated once per
+    horizon on the union of the nodes.  The time quadrature is not: its floor
+    comes from a set's smallest node and its horizon, so each set keeps its
+    own time nodes.  The squared flux, entrywise in node and time, is
+    evaluated once on the union of the nodes (rows, for 2-d points) and the
+    union of the time nodes, and each set sums its own rows and columns in
+    its own order.
     """
-    nodes, inverse = np.unique(np.concatenate(xs), return_inverse=True)
-    rows = np.split(inverse, np.cumsum([x.size for x in xs])[:-1])
+    horizons = np.broadcast_to(t_hi, len(xs)).tolist()
+    nodes, inverse = np.unique(np.concatenate(xs), return_inverse=True,
+                               axis=0 if xs[0].ndim == 2 else None)
+    rows = np.split(inverse, np.cumsum([len(x) for x in xs])[:-1])
     if flux.exact_in_time:
-        prof = variance_profile(flux, t_hi, nodes, alpha=alpha)
-        return [prof[r] for r in rows]
-    panels = [_time_panels(flux, t_hi, x, pts_per_octave) for x in xs]
+        profs = {t: variance_profile(flux, t, nodes, alpha=alpha) for t in set(horizons)}
+        return [profs[t][r] for t, r in zip(horizons, rows)]
+    panels = [_time_panels(flux, t, x, pts_per_octave) for t, x in zip(horizons, xs)]
     times, inverse = np.unique(np.concatenate([s for s, _ in panels]), return_inverse=True)
     cols = np.split(inverse, np.cumsum([s.size for s, _ in panels])[:-1])
     sq = flux.sum_sq(times, nodes)
@@ -478,9 +506,12 @@ def j_integral(setup, levels=(10, 14, 18, 22, 26), prediction=None):
         fluxes = [HomogeneousFlux(setup.domain, spec, truncated=True)
                   for spec in (setup.noise, wider)]
         probes = np.array([[x0, 0.0] for x0 in (0.2, 0.5, 1.0)])
+        # each flux once, over the union of the time nodes of the three horizons
+        horizons = (setup.horizon / 8, setup.horizon / 2, setup.horizon)
+        profs_k, profs_2k = (_level_profiles(f, horizons, [probes] * 3, setup.alpha,
+                                             _J_PTS_PER_OCTAVE) for f in fluxes)
         rel = 0.0
-        for t in (setup.horizon / 8, setup.horizon / 2, setup.horizon):
-            vk, v2k = (variance_profile(f, t, probes, alpha=setup.alpha) for f in fluxes)
+        for vk, v2k in zip(profs_k, profs_2k):
             rel = max(rel, float(np.max(np.abs(v2k - vk) / v2k)))
         checks["probe_variance_mode_doubling_rel_change"] = rel
     verdict = _j_verdict(js)
@@ -569,19 +600,21 @@ def _step_schedule(t_max, probe_times, base_steps, rho_min):
 
     The squared flux concentrates toward u = t - s -> 0 near the boundary and
     has an exponential layer at s -> 0 when the probe sits far from it; both
-    ends are graded, ten steps per octave.
+    ends are graded, ten steps per octave.  The ladder is one run of repeated
+    multiplication; the backbone, the ladder, its (time, step) shifts t_i - u
+    and the times are merged by np.unique, and gaps up to 1e-15 are dropped.
     """
-    edges = set(np.linspace(0.0, t_max, base_steps + 1).tolist())
     d0 = t_max / base_steps
     ladder, u = [], min(rho_min ** 2 / _FLOOR_SCALE, d0 / 4.0)
     while u < 2 * d0:           # one ladder of steps u serves s = u and s = t_i - u
         ladder.append(u)
         u *= 2.0 ** (1.0 / 10)
-    edges.update(ladder)
-    for ti in probe_times:
-        edges.update(ti - u for u in ladder if u < ti)
-        edges.add(float(ti))
-    edges = np.array(sorted(e for e in edges if 0.0 <= e <= t_max))
+    ladder = np.array(ladder)
+    times = np.asarray(probe_times, float)
+    shifted = times[:, None] - ladder
+    edges = np.concatenate([np.linspace(0.0, t_max, base_steps + 1), ladder,
+                            shifted[ladder < times[:, None]], times])
+    edges = np.unique(edges[(edges >= 0.0) & (edges <= t_max)])
     keep = np.concatenate([[True], np.diff(edges) > 1e-15])
     return edges[keep]
 

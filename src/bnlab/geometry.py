@@ -225,16 +225,14 @@ def boundary_quadrature(domain, level=4):
 
 
 def _graded_edges_01(level, per_panel):
-    """Panel edges on (0, 1/2]: geometric grading with ratio 2 toward 0."""
-    edges = [0.5 * 2.0 ** (-k) for k in range(level + 1)]
-    edges = np.array(edges[::-1])            # ascending, from 2^-(level+1) down to 0.5
-    edges = np.concatenate([[0.0], edges])
-    out = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        sub = np.linspace(a, b, per_panel + 1)
-        out.append(sub[:-1])
-    out = np.concatenate(out + [[0.5]])
-    return out
+    """Panel edges on (0, 1/2]: geometric grading with ratio 2 toward 0.
+
+    The panels (0, 2^-(level+1)], ..., (1/4, 1/2] are cut by one linspace over
+    their edge arrays, which rounds each point as a linspace per panel does.
+    """
+    edges = np.array([0.0] + [0.5 * 2.0 ** (-k) for k in range(level, -1, -1)])
+    panels = np.linspace(edges[:-1], edges[1:], per_panel + 1, axis=1)
+    return np.append(panels[:, :-1].ravel(), 0.5)
 
 
 def _midpoint_cells(edges):

@@ -467,12 +467,21 @@ def ball_boundary_mass_exact(d, t, rho, c=1.0):
 
     d=2: 2 pi i0e(2q/(ct)) e^{-rho^2/(ct)};  d=3: (pi c t / q) e^{-rho^2/(ct)} (1 - e^{-4q/(ct)}),
     with q = 1 - rho the radial position.  Used as the fit backend and as the
-    oracle for the quadrature route.
+    oracle for the quadrature route.  For d = 2, i0e is evaluated only where
+    the exponential is not 0.0 (it underflows at small t) or i0e's own
+    argument is NaN; elsewhere the product is 0.0 anyway.  The product order
+    stays 2 pi i0e exp, so every value is that of the full evaluation, bit
+    for bit.
     """
     q = 1.0 - np.asarray(rho, float)
     a = c * t
     if d == 2:
-        return 2 * np.pi * special.i0e(2 * q / a) * np.exp(-(1 - q) ** 2 / a)
+        arg = np.asarray(2 * q / a)
+        gauss = np.exp(-(1 - q) ** 2 / a)
+        live = ~(gauss == 0.0) | np.isnan(arg)
+        i0 = np.zeros(arg.shape)
+        i0[live] = special.i0e(arg[live])
+        return 2 * np.pi * i0 * gauss
     if d == 3:
         out = np.pi * a / q * np.exp(-(1 - q) ** 2 / a) * (1 - np.exp(-4 * q / a))
         center = 4 * np.pi * np.exp(-1 / a)     # the q -> 0 limit, at the ball's centre

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as stats_mod
+from scipy.special import gamma, gammaincc
 
 from bnlab import convolution as cv
 from bnlab import geometry as geo
@@ -827,3 +828,176 @@ def test_j_integral_evaluates_one_profile_for_all_levels(sid, theta, kw, calls, 
     rep = cv.j_integral(setup, prediction=pred)
     assert seen == calls
     assert rep.agreement
+
+
+# -- array plans of the schedule and the oracle, against their former loops --
+
+
+def _log_panels_loop(s_floor, t_hi, pts_per_octave):
+    n_oct = int(np.ceil(np.log2(t_hi / s_floor)))
+    gx, gw = geo.gauss_legendre(pts_per_octave)
+    v_edges = np.log(t_hi) - np.log(2.0) * np.arange(n_oct + 1)[::-1]
+    v_edges[0] = np.log(s_floor)
+    nodes, wts = [], []
+    for a, b in zip(v_edges[:-1], v_edges[1:]):
+        v = 0.5 * (b - a) * gx + 0.5 * (a + b)
+        nodes.append(np.exp(v))
+        wts.append(0.5 * (b - a) * gw * np.exp(v))
+    return np.concatenate(nodes), np.concatenate(wts)
+
+
+@given(log_t=st.floats(-4.0, 2.0), frac=st.floats(0.0, 1.0), pts=st.integers(3, 16))
+def test_log_time_panels_match_the_panel_loop_bit_for_bit(log_t, frac, pts):
+    # floors from 1e-300 up to t/2
+    t_hi = 10.0 ** log_t
+    s_floor = float(np.exp(np.log(1e-300) + frac * (np.log(t_hi / 2) - np.log(1e-300))))
+    for got, ref in zip(cv.log_time_panels(s_floor, t_hi, pts),
+                        _log_panels_loop(s_floor, t_hi, pts)):
+        np.testing.assert_array_equal(got, ref)
+
+
+def _step_schedule_loop(t_max, probe_times, base_steps, rho_min):
+    edges = set(np.linspace(0.0, t_max, base_steps + 1).tolist())
+    d0 = t_max / base_steps
+    ladder, u = [], min(rho_min ** 2 / cv._FLOOR_SCALE, d0 / 4.0)
+    while u < 2 * d0:
+        ladder.append(u)
+        u *= 2.0 ** (1.0 / 10)
+    edges.update(ladder)
+    for ti in probe_times:
+        edges.update(ti - u for u in ladder if u < ti)
+        edges.add(float(ti))
+    edges = np.array(sorted(e for e in edges if 0.0 <= e <= t_max))
+    keep = np.concatenate([[True], np.diff(edges) > 1e-15])
+    return edges[keep]
+
+
+@given(times=st.lists(st.floats(0.005, 2.0), min_size=1, max_size=6),
+       base_steps=st.integers(64, 2048), log_rho=st.floats(-150.0, 0.5))
+def test_step_schedule_matches_the_set_loop_bit_for_bit(times, base_steps, log_rho):
+    # boundary distances down to 1e-150: the ladder starts near 1e-302
+    times = sorted(set(times))
+    args = (max(times), times, base_steps, 10.0 ** log_rho)
+    np.testing.assert_array_equal(cv._step_schedule(*args), _step_schedule_loop(*args))
+
+
+def _image_pairs_loop(a0, t_hi, order, shells):
+    # one gammaincc call per image pair; returns the sum and the shells added
+    def pair(m, n):
+        am, an = a0 + 2 * m, a0 + 2 * n
+        c = 0.25 * (am * am + an * an)
+        return am * an * c ** -order * gammaincc(order, c / t_hi)
+
+    lead = pair(0, 0)
+    total = lead.copy()
+    shell, small = 0, not shells
+    while not small:
+        shell += 1
+        small = True
+        for m, n in [(m, shell) for m in range(-shell, shell + 1)] \
+                + [(-shell, n) for n in range(-shell, shell)]:
+            term = pair(m, n) * (1.0 if m == n else 2.0)
+            total += term
+            small = small and bool(np.all(np.abs(term) <= 1e-17 * lead))
+    return total * (gamma(order) / (4.0 * np.pi)), shell
+
+
+@given(x=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=30),
+       b=st.sampled_from([0.0, 1.0]), alpha=st.floats(0.0, 0.9), shells=st.booleans(),
+       t_hi=st.floats(-4.0, 3.0).map(lambda e: 10.0 ** e) | st.just(np.inf))
+def test_image_pairs_match_the_pair_loop_bit_for_bit(x, b, alpha, shells, t_hi):
+    # the interval (shells) stops its images at s = _SINE_FROM; the half line
+    # takes any horizon, inf included
+    if shells:
+        t_hi = min(t_hi, cv._SINE_FROM)
+    a0 = np.array(x) - b
+    ref, _ = _image_pairs_loop(a0, t_hi, 2.0 + alpha, shells)
+    np.testing.assert_array_equal(cv._image_pairs(a0, t_hi, 2.0 + alpha, shells), ref)
+
+
+def _cell_psi_loop(flux, u, xy):
+    # the former psi: cos and sin of outer(x1, z) per cell
+    pts = np.atleast_2d(xy)
+    x0, x1 = pts[:, 0], pts[:, 1]
+    amp = -flux.normal.normal_derivative(u, x0, 0.0)
+    out = np.empty((flux.n_modes, pts.shape[0], u.size))
+    for kc in range(flux.cells.n_cells):
+        z, w, mk = flux.cells.nodes[kc], flux.cells.weights[kc], flux.cells.masses[kc]
+        damp = np.exp(-u[None, :] * z[:, None] ** 2) * w[:, None]
+        out[2 * kc] = np.sqrt(2.0 / mk) * amp * (np.cos(np.outer(x1, z)) @ damp)
+        out[2 * kc + 1] = np.sqrt(2.0 / mk) * amp * (np.sin(np.outer(x1, z)) @ damp)
+    return out
+
+
+TRUNCATED = {sid: cv.flux_for(sc.build_setup(sid, p=2.0, theta=2.0, **kw)[0], truncated=True)
+             for sid, kw in (("p717", {}), ("p718", {"kappa": 0.5}))}
+
+
+@pytest.mark.parametrize("sid", sorted(TRUNCATED))
+@given(nx=st.integers(1, 12), nu=st.integers(2, 40), seed=st.integers(0, 2 ** 32 - 1))
+def test_truncated_sum_sq_is_the_mode_sum_bit_for_bit(sid, nx, nu, seed):
+    flux = TRUNCATED[sid]
+    rng = np.random.default_rng(seed)
+    xy = np.column_stack([rng.uniform(0.01, 3.0, nx), rng.uniform(-3.0, 3.0, nx)])
+    u = np.exp(rng.uniform(np.log(1e-6), np.log(2.0), nu))
+    ref = _cell_psi_loop(flux, u, xy)
+    np.testing.assert_array_equal(flux.psi(u, xy), ref)
+    np.testing.assert_array_equal(flux.sum_sq(u, xy), np.sum(ref ** 2, axis=0))
+
+
+def test_plan_and_oracle_helpers_make_one_array_call(monkeypatch):
+    # one gammaincc call per image shell (plus the lead pair), one exp per
+    # log_time_panels, one cos and one sin per psi call whatever the cell count
+    calls = {"gammaincc": 0, "exp": 0, "cos": 0, "sin": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(cv, "gammaincc", counting("gammaincc", gammaincc))
+    a0 = np.linspace(0.01, 0.99, 50) - 1.0
+    _, shells = _image_pairs_loop(a0, 1.0, 2.0, True)
+    cv._image_pairs(a0, 1.0, 2.0, True)
+    assert shells >= 3 and calls["gammaincc"] == 1 + shells
+    for name in ("exp", "cos", "sin"):
+        monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+    cv.log_time_panels(1e-12, 1.0, 8)
+    assert calls["exp"] == 1
+    xy = np.array([[0.2, 0.0], [0.5, 0.3], [1.0, -0.4]])
+    for n_cells in (1, 8, 64):
+        spec = homogeneous_noise(lebesgue_measure(), z_max=8.0, n_cells=n_cells)
+        flux = cv.HomogeneousFlux(geo.half_space(2), spec, truncated=True)
+        calls.update(cos=0, sin=0)
+        flux.psi(np.geomspace(1e-4, 1.0, 20), xy)
+        assert (calls["cos"], calls["sin"]) == (1, 1)
+
+
+@pytest.mark.parametrize("sid, theta, kw", [("p717", 2.25, {}), ("p718", 1.75, {"kappa": 0.5})],
+                         ids=["p717", "p718"])
+def test_mode_doubling_check_is_one_truncated_call_per_flux(sid, theta, kw, monkeypatch):
+    # each truncated flux is evaluated once over the time nodes of the three
+    # horizons, and the check reads as three variance_profile calls per flux
+    setup, pred = sc.build_setup(sid, p=2.0, theta=theta, horizon=0.5, **kw)
+    wider = NoiseSpec("homogeneous", measure=setup.noise.measure,
+                      z_max=2 * setup.noise.z_max, n_cells=2 * setup.noise.n_cells)
+    fluxes = [cv.HomogeneousFlux(setup.domain, spec, truncated=True)
+              for spec in (setup.noise, wider)]
+    probes = np.array([[0.2, 0.0], [0.5, 0.0], [1.0, 0.0]])
+    rel = 0.0
+    for t in (setup.horizon / 8, setup.horizon / 2, setup.horizon):
+        vk, v2k = (cv.variance_profile(f, t, probes, alpha=setup.alpha) for f in fluxes)
+        rel = max(rel, float(np.max(np.abs(v2k - vk) / v2k)))
+    truncated_calls = []
+    sum_sq = cv.HomogeneousFlux.sum_sq
+
+    def counted(self, u, x):
+        if self.truncated:
+            truncated_calls.append(np.size(u))
+        return sum_sq(self, u, x)
+
+    monkeypatch.setattr(cv.HomogeneousFlux, "sum_sq", counted)
+    rep = cv.j_integral(setup, prediction=pred)
+    assert len(truncated_calls) == 2
+    assert rep.checks["probe_variance_mode_doubling_rel_change"] == rel

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bnlab import geometry as geo
 
@@ -127,3 +129,33 @@ def test_grids_immutable():
     g = geo.interval_grid(n=8)
     with pytest.raises(ValueError):
         g.nodes[0, 0] = 5.0
+
+
+def _graded_edges_loop(level, per_panel):
+    # the former per-panel loop, kept as the reference
+    edges = [0.5 * 2.0 ** (-k) for k in range(level + 1)]
+    edges = np.concatenate([[0.0], edges[::-1]])
+    out = [np.linspace(a, b, per_panel + 1)[:-1] for a, b in zip(edges[:-1], edges[1:])]
+    return np.concatenate(out + [[0.5]])
+
+
+# the cutoffs of the package's half-line grids and of the tests; a cutoff
+# within rounding past a doubling edge 2^k/2 gives cells of zero width, which
+# QuadratureGrid refuses, in the outward panels and not in the graded edges
+HALFLINE_CUTOFFS = [3.0, 5.0, 8.0, float(np.sqrt(4 * 0.5 * np.log(1e16))), 12.0, 20.0, 30.0]
+
+
+@given(level=st.integers(0, 30), per_panel=st.integers(1, 32),
+       cutoff=st.sampled_from(HALFLINE_CUTOFFS))
+def test_graded_edges_match_the_panel_loop_bit_for_bit(level, per_panel, cutoff):
+    edges = _graded_edges_loop(level, per_panel)
+    np.testing.assert_array_equal(geo._graded_edges_01(level, per_panel), edges)
+    # the half-line grid on those edges, doubling panels out to the cutoff
+    a = 0.5
+    while a < cutoff:
+        b = min(2 * a, cutoff)
+        edges = np.concatenate([edges, np.linspace(a, b, per_panel + 1)[1:]])
+        a = b
+    grid = geo.halfline_grid(level=level, per_panel=per_panel, cutoff=cutoff)
+    np.testing.assert_array_equal(grid.x, 0.5 * (edges[:-1] + edges[1:]))
+    np.testing.assert_array_equal(grid.weights, np.diff(edges))

@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import special
 
 from bnlab import geometry as geo
 from bnlab import kernels as K
@@ -234,3 +235,31 @@ def test_resolvent_quadrature_refuses_when_not_converged(monkeypatch):
         ker.resolvent_normal(2.0, np.linspace(0.1, 0.9, 5), 1.0)
     with pytest.raises(K.NumericalRefusal, match=r"lambda=0\.5\b"):
         K.HeatKernel(geo.half_line()).resolvent(0.5, 1.0, 2.0)
+
+
+def _ball_mass_2d_everywhere(t, rho, c):
+    # the former d = 2 form, i0e at every entry: the reference
+    q = 1.0 - np.asarray(rho, float)
+    a = c * t
+    return 2 * np.pi * special.i0e(2 * q / a) * np.exp(-(1 - q) ** 2 / a)
+
+
+@pytest.mark.parametrize("t, rho", [
+    (1e-3, 1 - 1e-12), (1e-3, 1.0), (1e-4, 0.999), (1e-4, 0.37), (0.5, 0.2), (1.0, 0.0),
+    (0.0, 1.0), (0.0, 0.5), (np.nan, 0.3), (0.1, np.nan)])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_ball_mass_skips_i0e_only_where_the_product_is_zero(t, rho):
+    # scalar inputs toward rho -> 1, where e^{-rho^2/(ct)} underflows to 0.0;
+    # (1e-4, 0.37) is tiny but positive, t = 0 at the centre makes i0e's
+    # argument 0/0, and NaN inputs stay NaN
+    got, ref = K.ball_boundary_mass_exact(2, t, rho, 2.0), _ball_mass_2d_everywhere(t, rho, 2.0)
+    assert type(got) is type(ref)
+    np.testing.assert_array_equal(got, ref)
+
+
+def test_ball_mass_on_a_grid_equals_i0e_everywhere_bit_for_bit():
+    u = np.geomspace(1e-6, 1.0, 300)
+    rho = np.linspace(0.0, 1.0, 101)[:, None]
+    got = K.ball_boundary_mass_exact(2, u, rho, 2.0)
+    assert np.count_nonzero(got == 0.0) > 0.2 * got.size      # the skipped entries
+    np.testing.assert_array_equal(got, _ball_mass_2d_everywhere(u, rho, 2.0))
