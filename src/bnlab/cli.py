@@ -83,6 +83,8 @@ def parse_config(text):
                 cfg[key] = conv(raw[key])
             except ValueError:
                 errors.append(f"key '{key}': cannot parse '{raw[key]}' as {conv.__name__}")
+            if conv is float and not np.isfinite(cfg.get(key, 0.0)):
+                errors.append(f"key '{key}': {cfg.pop(key)} is not finite")
         elif required:
             errors.append(f"missing required key '{key}'")
         else:
@@ -94,10 +96,13 @@ def parse_config(text):
         errors.append(why)
     if cfg.get("p") is not None and cfg["p"] <= 1:
         errors.append("p must be > 1")
+    for key in ("theta", "delta"):
+        if cfg.get(key) is not None and cfg[key] < 0:
+            errors.append(f"{key} must be >= 0")
     if cfg.get("horizon") is not None and cfg["horizon"] <= 0:
         errors.append("horizon must be positive")
-    if cfg.get("c") is not None and cfg["c"] <= 0:
-        errors.append("c must be positive")
+    if cfg.get("c") is not None and cfg["c"] < np.finfo(float).tiny:
+        errors.append("c must be positive and normal (at least 2.2e-308)")
     if cfg.get("n_paths") is not None and cfg["n_paths"] < 2:
         errors.append("n_paths must be at least 2")
     if cfg.get("grid_level") is not None and cfg["grid_level"] < 14:

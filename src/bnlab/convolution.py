@@ -22,7 +22,7 @@ from .geometry import (UnsupportedDomainError, WeightedSpaceParams, _graded_edge
                        interior_grid, weight)
 from .kernels import HeatKernel, NumericalRefusal, ball_boundary_mass_exact
 from .noise import NoiseSpec, frequency_cells, substream
-from .semigroup import semigroup_matrix
+from .semigroup import _lp, semigroup_matrix
 
 
 class ConfigurationError(ValueError):
@@ -376,6 +376,8 @@ def _time_panels(flux, t_hi, x, pts_per_octave):
     # their smallest boundary distance, so each node set has its own
     rho_min = max(float(np.min(flux.rho(x))), 1e-30)
     s_floor = min(rho_min ** 2 / _FLOOR_SCALE, t_hi / 4.0)
+    if not s_floor > t_hi * 2.0 ** -1000:       # also a floor that underflows to 0
+        raise NumericalRefusal(f"horizon {t_hi:.3g} spans too many octaves for time panels")
     return log_time_panels(s_floor, t_hi, pts_per_octave)
 
 
@@ -588,11 +590,7 @@ class PathEnsemble:
     """Sampled paths: values[path, probe] or values[path, time, node]."""
 
     values: np.ndarray
-    probes: list
-    root_seed: int
-    time_grid: np.ndarray = None
-    nodes: np.ndarray = None
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 def _step_schedule(t_max, probe_times, base_steps, rho_min):
@@ -694,10 +692,13 @@ def _draw_plan(setup, probes, base_steps):
         raise NumericalRefusal(f"probe at boundary distance {rho_min:.3g}: no step schedule "
                                "resolves a probe on the boundary")
     t_max = max(times)
-    if base_steps < 64 or t_max / base_steps > min(times) / 4.0:
+    step = t_max / base_steps if base_steps else np.inf
+    if base_steps < 64 or step > min(times) / 4.0:
         raise NumericalRefusal(
-            f"base step {t_max / base_steps:.3g} too coarse for probe times down to "
+            f"base step {step:.3g} too coarse for probe times down to "
             f"{min(times):.3g}; need base_steps >= 64 and step <= t_min/4")
+    if step <= 1e-13:           # the schedule merges edges 1e-15 apart
+        raise NumericalRefusal(f"base step {step:.3g} below 1e-13")
     edges = _step_schedule(t_max, times, base_steps, rho_min)
     probe_t = np.array([float(t) for t, _ in probes])
     factor = _gaussian_factor(_coefficient_tensor(flux, probe_t, xs, edges))
@@ -821,11 +822,13 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
         _paths_into(block, xi, factor)
         moments = _merge_moments(moments, _block_moments(block))
         start += len(xi)
-    # the isometry oracle: like the tensor, one call per distinct probe time
+    # the isometry oracle: one evaluation over the probe sets of the distinct
+    # times, each set with the values of its own variance_profile call
+    times = np.unique(probe_t)
+    rows = [np.flatnonzero(probe_t == ti) for ti in times]
     var_oracle = np.empty(n_probes)
-    for ti in np.unique(probe_t):
-        rows = np.flatnonzero(probe_t == ti)
-        var_oracle[rows] = variance_profile(flux, ti, xs[rows], pts_per_octave=12)
+    for r, v in zip(rows, _level_profiles(flux, times, [xs[r] for r in rows], 0.0, 12)):
+        var_oracle[r] = v
     _, mean, m2, _, m4 = moments
     var1, var0 = m2 / (n_paths - 1), m2 / n_paths
     stats = {
@@ -836,7 +839,7 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
         "var_se": var1 * np.sqrt(2.0 / (n_paths - 1)),
         "mean_se": np.sqrt(var1) / np.sqrt(n_paths),
     }
-    ens = PathEnsemble(M if return_paths else np.empty((0, n_probes)), probes, root_seed,
+    ens = PathEnsemble(M if return_paths else np.empty((0, n_probes)),
                        meta={"n_steps": len(edges) - 1, "normals_drawn": width * n_paths,
                              "stat_block_paths": _BLOCK_PATHS})
     return ens, stats
@@ -889,7 +892,7 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
     x = grid.x
     noise, draws = _convolution_paths(setup, [(dt, node) for node in x], n_paths * (n_t - 1),
                                       root_seed=root_seed)
-    meta = {"grid": grid, "dt": dt, **draws}
+    meta = draws
     eta = noise.reshape(n_paths, n_t - 1, nx)
     # deterministic part, one-shot per output time (no compounding quadrature error)
     xdet = np.zeros((n_t, nx))
@@ -915,9 +918,8 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
             for i in range(n_t - 1):
                 Z[:, i + 1] = (Z[:, i] + dt * drift(Y[live, i])) @ P.T
             Z += base[live]
-            # per path, the largest weighted L^p norm over time rows; the root is monotone
-            delta = np.max(np.sum(grid.weights * np.abs(Z - Y[live]) ** p * w, axis=2),
-                           axis=1) ** (1.0 / p)
+            # per path, the largest weighted L^p norm over its time rows
+            delta = np.max(_lp(Z - Y[live], grid, w, p), axis=1)
             Y[live] = Z
             iters[live] = it + 1
             live = live[~(delta < _PICARD_TOL)]       # a NaN increment never converges
@@ -926,7 +928,7 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
         else:
             raise NumericalRefusal("picard iteration did not converge")
     meta["picard_iterations"] = iters.tolist()
-    return PathEnsemble(Y, [], root_seed, time_grid=edges, nodes=grid.nodes, meta=meta)
+    return PathEnsemble(Y, meta)
 
 
 def flow_consistency_check(setup, s, t, n_paths=10000, root_seed=13, grid=None):

@@ -54,34 +54,24 @@ def _boundary_sum(gamma, flux, shape):
     return out
 
 
-def dirichlet_map(domain, lam, gamma, out_grid):
-    """Solve the lambda-resolvent problem with boundary trace gamma.
-
-    u(x) = -sum_b w_b gamma(b) * d/dn 𝒢_lam(x, b) (time quadrature of the
-    kernel's boundary flux); lambda = 0 is allowed only on the bounded
-    interval.  On the interval with lambda = 0 this is the linear interpolant
-    of the endpoint values; on the half line it is gamma0 * exp(-sqrt(lam) x).
-    """
+def _map_values(domain, lam, gamma, x):
+    """u(x) = -sum_b w_b gamma(b) * d/dn 𝒢_lam(x, b) at the points x (1-d), by time
+    quadrature of the kernel's boundary flux; lambda = 0 only on the bounded interval."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     if lam == 0 and domain.kind != "interval01":
         raise ValueError("lambda = 0 is not admissible on unbounded domains")
     ker = HeatKernel(domain)
-    x = out_grid.x
-    vals = _boundary_sum(gamma, lambda b: ker.resolvent_normal(lam, x, b), out_grid.n)
-    return Field(domain, out_grid, vals)
+    return _boundary_sum(gamma, lambda b: ker.resolvent_normal(lam, x, b), x.shape)
 
 
-def dirichlet_map_fn(domain, lam, gamma):
-    """Pointwise evaluator of the Dirichlet map (for residual checks)."""
-    ker = HeatKernel(domain)
+def dirichlet_map(domain, lam, gamma, out_grid):
+    """Solve the lambda-resolvent problem with boundary trace gamma on the grid.
 
-    def u(x):
-        xs = np.atleast_1d(np.asarray(x, float))
-        out = _boundary_sum(gamma, lambda b: ker.resolvent_normal(lam, xs, b), xs.shape)
-        return out if np.ndim(x) else float(out[0])
-
-    return u
+    On the interval with lambda = 0 this is the linear interpolant of the
+    endpoint values; on the half line it is gamma0 * exp(-sqrt(lam) x).
+    """
+    return Field(domain, out_grid, _map_values(domain, lam, gamma, out_grid.x))
 
 
 def verify_harmonicity(domain, lam, gamma, h=1e-2):
@@ -89,19 +79,19 @@ def verify_harmonicity(domain, lam, gamma, h=1e-2):
 
     Second-order central differences on a uniform interior sub-grid 0.1 away
     from the boundary; boundary recovery reports |u(near b) - gamma(b)|
-    at the endpoints b of the datum's grid.
+    at the endpoints b of the datum's grid, one map evaluation per point.
     """
-    u = dirichlet_map_fn(domain, lam, gamma)
     margin = 0.1
     hi = 1.0 - margin if domain.kind == "interval01" else 4.0
     xs = np.arange(margin, hi + h / 2, h)
-    uv = u(xs)
+    uv = _map_values(domain, lam, gamma, xs)
     lap = (uv[2:] - 2 * uv[1:-1] + uv[:-2]) / h ** 2
     residual = float(np.max(np.abs(lap - lam * uv[1:-1])))
     recovery = 0.0
     for b, gv in zip(gamma.grid.x, gamma.values):
         xb = float(b) + h if float(b) < 0.5 else float(b) - h
-        recovery = max(recovery, abs(u(xb) - gv))
+        ub = float(_map_values(domain, lam, gamma, np.array([xb]))[0])
+        recovery = max(recovery, abs(ub - gv))
     return {"residual": residual, "boundary_recovery": recovery, "h": h}
 
 

@@ -258,18 +258,20 @@ def interval_grid(n=None, graded=False, level=8, per_panel=8):
 def halfline_grid(level=10, per_panel=8, cutoff=None):
     """Grid on (0, cutoff): geometric panels toward 0, doubling panels outward.
 
-    The default cutoff is the Gaussian truncation radius, at least 4.
+    The default cutoff is the Gaussian truncation radius, at least 4.  A
+    doubling edge within 1e-12 relative below the cutoff moves onto it.
     """
     if cutoff is None:
         cutoff = max(4.0, gaussian_truncation_radius())
-    inner = _graded_edges_01(level, per_panel)          # covers (0, 1/2]
-    edges = [inner]
+    edges = [_graded_edges_01(level, per_panel)]        # covers (0, 1/2]
     a = 0.5
-    while a < cutoff:
+    while cutoff - a > 1e-12 * cutoff:     # a thinner last panel rounds cells to width 0
         b = min(2 * a, cutoff)
         edges.append(np.linspace(a, b, per_panel + 1)[1:])
         a = b
-    edges = np.concatenate([edges[0]] + edges[1:])
+    edges = np.concatenate(edges)
+    if a < cutoff:
+        edges[-1] = cutoff
     mids, wts = _midpoint_cells(edges)
     tol = np.exp(-cutoff ** 2 / 2.0)
     return QuadratureGrid(mids[:, None], wts, level, tol)

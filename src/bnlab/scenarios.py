@@ -70,7 +70,7 @@ def _endpoints(dom):
 
 
 def _half_plane(measure, opts):
-    return half_space(2), homogeneous_noise(measure, z_max=opts.z_max, n_cells=opts.n_cells)
+    return half_space(2), homogeneous_noise(measure, z_max=24.0, n_cells=opts.n_cells)
 
 
 def _bessel(opts):
@@ -137,7 +137,7 @@ def _p718_case(kappa):
 
 
 def build_setup(scenario, p=2.0, theta=None, delta=None, horizon=0.5, alpha=0.0,
-                kappa=0.5, z_max=24.0, n_cells=64):
+                kappa=0.5, n_cells=64):
     """Instantiate the (domain, noise, params) tuple of a catalogued scenario.
 
     Returns the setup and the Prediction of its record.  The id p718 lets kappa
@@ -150,7 +150,7 @@ def build_setup(scenario, p=2.0, theta=None, delta=None, horizon=0.5, alpha=0.0,
     if theta is None:
         raise ConfigurationError("theta is required")
     rec = REGISTRY["p718i" if sid == "p718" else sid]
-    opts = SimpleNamespace(kappa=kappa, z_max=z_max, n_cells=n_cells)
+    opts = SimpleNamespace(kappa=kappa, n_cells=n_cells)
     dom, nz = rec.build(opts)
     delta = rec.delta if delta is None else delta
     setup = ConvolutionSetup(dom, nz, WeightedSpaceParams(p, theta, delta),

@@ -36,12 +36,15 @@ def field_from_function(domain, grid, fn):
     return Field(domain, grid, np.asarray(fn(grid.x), dtype=float))
 
 
-def semigroup_matrix(kernel, t, grid):
-    """Quadrature matrix of S(t) on the grid: (S psi)(x_i) = sum_j M[i,j] psi(x_j).
+def semigroup_matrix(kernel, t, grid, order=0):
+    """Quadrature matrix of d^order/dx^order S(t) on the grid:
+    (d^order S psi)(x_i) = sum_j M[i,j] psi(x_j), from the kernel's value,
+    grad_x or dxx series at order 0, 1 or 2.
 
     The weights are applied in place, so one matrix is held, not two.
     """
-    M = kernel.value(t, grid.x[:, None], grid.x[None, :])
+    series = (kernel.value, kernel.grad_x, kernel.dxx)[order]
+    M = series(t, grid.x[:, None], grid.x[None, :])
     M *= grid.weights[None, :]
     return M
 
@@ -53,20 +56,19 @@ def apply_semigroup(kernel, t, psi):
     return Field(psi.domain, psi.grid, semigroup_matrix(kernel, t, psi.grid) @ psi.values)
 
 
-def _gradient_matrix(kernel, t, grid, order=1):
-    """Quadrature matrix of d^order/dx^order S(t) from the differentiated kernel series."""
-    X = grid.x[:, None]
-    Y = grid.x[None, :]
-    dk = kernel.grad_x(t, X, Y) if order == 1 else kernel.dxx(t, X, Y)
-    dk *= grid.weights[None, :]     # in place: one matrix held, not two
-    return dk
+def _lp(values, grid, w, p):
+    """(sum_x grid weight |f|^p w)^(1/p) over the last axis: the one weighted L^p norm.
+
+    A stack row sums as a 1-d call does, but takes numpy's array pow for the
+    root where a 1-d call takes libm's scalar pow: the two may differ by 1 ulp.
+    """
+    return np.sum(grid.weights * np.abs(values) ** p * w, axis=-1) ** (1.0 / p)
 
 
 def weighted_norm(field, params):
     """(int |f|^p w_{theta,delta})^(1/p) by the field's own quadrature."""
     w = weight(field.domain, field.grid.nodes, params)
-    return float(np.sum(field.grid.weights * np.abs(field.values) ** params.p * w)
-                 ** (1.0 / params.p))
+    return float(_lp(field.values, field.grid, w, params.p))
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +106,16 @@ def boundary_bump(grid, domain, center, width):
 # operator-level certificates
 
 
+def _normed(fields, grid, w, p):
+    """(values, norm) pairs of sampled fields, each norm computed once."""
+    return [(vals, float(_lp(vals, grid, w, p))) for vals in fields]
+
+
+def _sup_ratio(A, fields, grid, w, p):
+    """max(0, ||A f|| / ||f||) over the (values, norm) pairs with a nonzero norm."""
+    return max([0.0] + [float(_lp(A @ vals, grid, w, p)) / n0 for vals, n0 in fields if n0 != 0])
+
+
 def extension_bound(kernel, params):
     """Refinement trace of sup_psi ||S(t)psi|| / ||psi|| over the sampled family.
 
@@ -119,17 +131,12 @@ def extension_bound(kernel, params):
     sups = []
     for lev in range(3):
         grid = interior_grid(dom, graded=True, level=10 + 3 * lev, per_panel=8)
-        fams = smooth_fields(dom, grid)
-        fams.append(boundary_witness(dom, grid, s_wit))
-        norms = [weighted_norm(Field(dom, grid, vals), params) for vals in fams]
-        sup = 0.0
-        for t in ts:
-            M = semigroup_matrix(kernel, t, grid)     # one matrix per node serves every field
-            for vals, n0 in zip(fams, norms):
-                if n0 == 0:
-                    continue
-                sup = max(sup, weighted_norm(Field(dom, grid, M @ vals), params) / n0)
-        sups.append(sup)
+        w = weight(dom, grid.nodes, params)
+        fields = _normed(smooth_fields(dom, grid) + [boundary_witness(dom, grid, s_wit)],
+                         grid, w, params.p)
+        # one matrix per time node serves every field
+        sups.append(max(_sup_ratio(semigroup_matrix(kernel, t, grid), fields, grid, w, params.p)
+                        for t in ts))
     return EstimateReport.from_trace(
         "extension_bound", f"{dom.kind} p={params.p} theta={params.theta}", sups,
         fitted={"sup_ratio": sups[-1]})
@@ -162,8 +169,9 @@ def gradient_smoothing_ratio(kernel, params, order=1):
     ts = np.geomspace(1e-3, 2e-2, 7)
     grid = interior_grid(dom, graded=True, level=14, per_panel=16)
     s_wit = (params.theta + 1.0) / params.p * 0.95
-    static = smooth_fields(dom, grid, n=2)
-    static.append(boundary_witness(dom, grid, s_wit))
+    w = weight(dom, grid.nodes, params)
+    static = _normed(smooth_fields(dom, grid, n=2) + [boundary_witness(dom, grid, s_wit)],
+                     grid, w, params.p)
     # the discrete-norm member needs the grid to resolve the kernel everywhere,
     # which holds on the interval; on unbounded domains the sampled family is
     # already exact by scale invariance
@@ -173,17 +181,11 @@ def gradient_smoothing_ratio(kernel, params, order=1):
         scale = np.sqrt(grid.weights * rho ** params.theta)
     sups = []
     for t in ts:
-        fams = list(static)
-        for a, b in ((0.5, 0.25), (1.0, 0.5), (2.0, 1.0)):
-            fams.append(boundary_bump(grid, dom, a * np.sqrt(t), b * np.sqrt(t)))
+        bumps = [boundary_bump(grid, dom, a * np.sqrt(t), b * np.sqrt(t))
+                 for a, b in ((0.5, 0.25), (1.0, 0.5), (2.0, 1.0))]
         # one kernel matrix per time node serves every field and the SVD member
-        D = _gradient_matrix(kernel, t, grid, order=order)
-        sup = 0.0
-        for vals in fams:
-            n0 = weighted_norm(Field(dom, grid, vals), params)
-            if n0 == 0:
-                continue
-            sup = max(sup, weighted_norm(Field(dom, grid, D @ vals), params) / n0)
+        D = semigroup_matrix(kernel, t, grid, order=order)
+        sup = _sup_ratio(D, static + _normed(bumps, grid, w, params.p), grid, w, params.p)
         if use_svd:
             B = scale[:, None] * D / scale[None, :]
             sup = max(sup, _top_singular_value(B))
@@ -268,22 +270,18 @@ def min_weight_splice_check(kernel, t, params, n_fields=100):
     rng = np.random.default_rng(0)
     factor = 2.0 ** ((p - 1.0) / p)
     M = semigroup_matrix(kernel, t, grid)
-
-    def pnorm(vals, w):
-        return float(np.sum(grid.weights * np.abs(vals) ** p * w) ** (1.0 / p))
-
     worst = 0.0
     failures = 0
     for _ in range(n_fields):
         vals = rng.normal(size=grid.n) * (1 + rho ** (-min(params.theta, 1.0) / p * 0.5))
-        lhs = pnorm(M @ vals, wmin)
+        lhs = float(_lp(M @ vals, grid, wmin, p))
         ratios = []
         for mask, w in ((D, w1), (~D, w2)):
             part = np.where(mask, vals, 0.0)
-            nn = pnorm(part, w)
+            nn = float(_lp(part, grid, w, p))
             if nn > 0:
-                ratios.append(pnorm(M @ part, w) / nn)
-        bound = factor * max(ratios) * pnorm(vals, wmin)
+                ratios.append(float(_lp(M @ part, grid, w, p)) / nn)
+        bound = factor * max(ratios) * float(_lp(vals, grid, wmin, p))
         worst = max(worst, lhs / bound)
         failures += lhs > bound * (1 + 1e-12)
     return {"worst_ratio": worst, "failures": failures, "factor": factor, "n_fields": n_fields}

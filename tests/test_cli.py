@@ -1,8 +1,11 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bnlab import cli
 from bnlab import scenarios as sc
@@ -298,3 +301,70 @@ def test_every_config_key_is_read_by_some_pipeline(tmp_path, monkeypatch):
         cli.run_scenario(cfg)
         cli.out_root(cfg)
     assert read == set(cli.SCHEMA)
+
+
+# the values of a valid config at small sizes (n_paths <= 50, grid_level 14,
+# mode_count <= 8); an example may replace one key's value by any of its type
+VALID = {
+    "pipeline": st.sampled_from(cli.PIPELINES),
+    "scenario": st.sampled_from(sorted(sc.REGISTRY) + ["p718"]),
+    "p": st.floats(1.01, 8.0),
+    "theta": st.floats(0.0, 15.0),
+    "delta": st.none() | st.floats(0.0, 4.0),
+    "horizon": st.floats(1e-3, 10.0),
+    "alpha": st.floats(0.0, 3.0),
+    "kappa": st.floats(-3.0, 4.0),
+    "n_paths": st.integers(2, 50),
+    "base_steps": st.integers(64, 512),
+    "grid_level": st.just(14),
+    "mode_count": st.integers(1, 8),
+    "seed": st.integers(0, 2 ** 32 - 1),
+    "c": st.floats(0.05, 10.0),
+}
+# any value of a type, within the sizes above: floats stop at |1e3| (a Bessel
+# exponent of 1e5 alone runs J for ~5 s) but take the non-finite and the
+# subnormal, and integers fall below every key's minimum
+ANY = {
+    str: st.from_regex(r"[a-z0-9-]{0,8}", fullmatch=True),
+    float: st.floats(-1e3, 1e3) | st.sampled_from([math.nan, math.inf, -math.inf, 5e-324]),
+    int: st.integers(-2, 13),
+}
+
+
+@st.composite
+def configs(draw):
+    cfg = {key: draw(values) for key, values in VALID.items()}
+    key = draw(st.sampled_from([None] + sorted(VALID)))
+    if key:
+        cfg[key] = draw(ANY[cli.SCHEMA[key][0]])
+    return cfg
+
+
+J_P71 = {"pipeline": "j-diagnose", "scenario": "p71", "grid_level": 14}
+
+
+@given(cfg=configs())
+@example(cfg={**J_P71, "theta": -1.0})
+@example(cfg={**J_P71, "scenario": "p72", "delta": -0.5})
+# J's half-line cutoff lands one ulp past the doubling edge 8
+@example(cfg={**J_P71, "scenario": "p72", "horizon": 0.434294481903252})
+@example(cfg={**J_P71, "pipeline": "simulate", "base_steps": 0})
+def test_every_run_exits_0_1_or_2_with_one_line_per_problem(cfg, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    text = "".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
+                   for k, v in cfg.items() if v is not None) + f"out_dir = {out}\n"
+    (out / "cfg.txt").write_text(text)
+    res = CliRunner().invoke(cli.main, ["run", str(out / "cfg.txt")])
+    assert res.exit_code in (0, 1, 2), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.output
+    assert "Traceback" not in res.output
+    if res.exit_code:
+        # the config reports every problem at once, one line each; a run fails on one
+        try:
+            cli.parse_config(text)
+            problems = 1
+        except cli.ConfigError as err:
+            problems = len(err.errors)
+        kind = "validation: " if res.exit_code == 1 else "numerical refusal: "
+        lines = res.stderr.splitlines()
+        assert len(lines) == problems and all(ln.startswith(kind) for ln in lines), res.stderr

@@ -86,7 +86,10 @@ def test_alpha_continuity_mid_interval():
 
 
 def test_variance_profile_truncated_vs_full_converges():
-    setup, _ = sc.build_setup("p717", p=2.0, theta=2.5, n_cells=48, z_max=16.0)
+    # p717's half plane on a narrower frequency band, 48 cells of (0, 16)
+    noise = homogeneous_noise(lebesgue_measure(), 16.0, 48)
+    setup = cv.ConvolutionSetup(geo.half_space(2), noise, geo.WeightedSpaceParams(2.0, 2.5, 1.5),
+                                horizon=0.5)
     pts = np.array([[0.4, 0.3], [0.8, -0.5]])
     full = cv.variance_profile(cv.flux_for(setup), 0.3, pts)
     trunc = cv.variance_profile(cv.flux_for(setup, truncated=True), 0.3, pts)
@@ -741,27 +744,47 @@ def test_bdg_moment_identity():
         assert abs(lhs - rhs) < 4 * se
 
 
-@pytest.mark.parametrize("sid", ["p71", "p713"])
-def test_isometry_oracle_calls_once_per_probe_time(sid, monkeypatch):
-    setup, _ = sc.build_setup(sid, p=2.0, theta=2.0, horizon=0.3)
-    if setup.domain.dim == 1:
-        probes = [(t, x) for t in (0.1, 0.2, 0.3) for x in (0.25, 0.5, 0.8)]
-    else:
-        probes = [(t, (x0, 0.4)) for t in (0.1, 0.3) for x0 in (0.2, 0.5, 1.0)]
-    calls = []
-    profile = cv.variance_profile
+# per scenario: the acceptance-1 set (the CLI default probes for p713, which
+# has none), and a ragged set whose points differ from time to time
+ORACLE_SETS = {
+    "p71": ([(t, x) for t in (0.05, 0.1, 0.2, 0.35, 0.5) for x in (0.12, 0.3, 0.5, 0.7, 0.88)],
+            [(0.1, 0.25), (0.3, 0.05), (0.2, 0.5), (0.3, 0.8), (0.1, 0.9), (0.2, 0.97)]),
+    "p713": ([(t, (x0, x1)) for t in (0.125, 0.25, 0.375, 0.5) for x0 in (0.2, 0.5, 1.0)
+              for x1 in (-0.7, 0.4)],
+             [(0.1, (0.2, 0.4)), (0.3, (0.5, -0.7)), (0.3, (1.0, 0.4)), (0.2, (0.05, 0.0))]),
+    "p717": (HALF_PLANE_PROBES,
+             [(0.08, (0.2, -0.7)), (0.35, (0.45, 0.4)), (0.2, (1.0, 0.4)), (0.35, (0.7, 0.0)),
+              (0.08, (0.05, 1.3))]),
+}
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return profile(*args, **kwargs)
 
-    monkeypatch.setattr(cv, "variance_profile", counted)
-    _, stats = cv.simulate_convolution(setup, probes, n_paths=16, base_steps=128, root_seed=3)
-    assert sorted(calls) == sorted({t for t, _ in probes})
+@pytest.mark.parametrize("sid, which", [(sid, which) for sid in ORACLE_SETS for which in (0, 1)],
+                         ids=[f"{sid}-{name}" for sid in ORACLE_SETS
+                              for name in ("acceptance", "ragged")])
+def test_isometry_oracle_is_one_evaluation_equal_to_per_time_calls(sid, which, monkeypatch):
+    # the oracle evaluates the probe sets of all distinct times together: one
+    # squared-flux call for a quadrature flux, and each time's values equal to
+    # its own variance_profile call bit for bit
+    setup, _ = sc.build_setup(sid, p=2.0, theta=2.0)
+    probes = ORACLE_SETS[sid][which]
     flux = cv.flux_for(setup, truncated=True)
-    per_probe = [profile(flux, t, np.atleast_1d(x) if setup.domain.dim == 1 else np.atleast_2d(x),
-                         pts_per_octave=12)[0] for t, x in probes]
-    np.testing.assert_allclose(stats["var_oracle"], per_probe, rtol=1e-12)
+    probe_t = np.array([t for t, _ in probes])
+    xs = np.array([x for _, x in probes], float)
+    per_time = np.empty(len(probes))
+    for t in np.unique(probe_t):
+        per_time[probe_t == t] = cv.variance_profile(flux, t, xs[probe_t == t],
+                                                     pts_per_octave=12)
+    calls = []
+    sum_sq = type(flux).sum_sq
+
+    def counted(self, u, x):
+        calls.append(np.size(u))
+        return sum_sq(self, u, x)
+
+    monkeypatch.setattr(type(flux), "sum_sq", counted)
+    _, stats = cv.simulate_convolution(setup, probes, n_paths=16, base_steps=128, root_seed=3)
+    assert len(calls) == (0 if flux.exact_in_time else 1)
+    assert np.array_equal(stats["var_oracle"], per_time)
 
 
 def test_j_prediction_reads_delta():

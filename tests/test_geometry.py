@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bnlab import geometry as geo
@@ -139,23 +139,49 @@ def _graded_edges_loop(level, per_panel):
     return np.concatenate(out + [[0.5]])
 
 
-# the cutoffs of the package's half-line grids and of the tests; a cutoff
-# within rounding past a doubling edge 2^k/2 gives cells of zero width, which
-# QuadratureGrid refuses, in the outward panels and not in the graded edges
+# the cutoffs of the package's half-line grids and of the tests, none within
+# rounding past a doubling edge (see the sliver test below)
 HALFLINE_CUTOFFS = [3.0, 5.0, 8.0, float(np.sqrt(4 * 0.5 * np.log(1e16))), 12.0, 20.0, 30.0]
 
 
 @given(level=st.integers(0, 30), per_panel=st.integers(1, 32),
        cutoff=st.sampled_from(HALFLINE_CUTOFFS))
 def test_graded_edges_match_the_panel_loop_bit_for_bit(level, per_panel, cutoff):
+    np.testing.assert_array_equal(geo._graded_edges_01(level, per_panel),
+                                  _graded_edges_loop(level, per_panel))
+    _assert_cells(geo.halfline_grid(level=level, per_panel=per_panel, cutoff=cutoff),
+                  _halfline_edges_loop(level, per_panel, cutoff))
+
+
+def _halfline_edges_loop(level, per_panel, cutoff):
+    # the graded edges, then doubling panels out to the cutoff
     edges = _graded_edges_loop(level, per_panel)
-    np.testing.assert_array_equal(geo._graded_edges_01(level, per_panel), edges)
-    # the half-line grid on those edges, doubling panels out to the cutoff
     a = 0.5
     while a < cutoff:
         b = min(2 * a, cutoff)
         edges = np.concatenate([edges, np.linspace(a, b, per_panel + 1)[1:]])
         a = b
-    grid = geo.halfline_grid(level=level, per_panel=per_panel, cutoff=cutoff)
+    return edges
+
+
+def _assert_cells(grid, edges):
     np.testing.assert_array_equal(grid.x, 0.5 * (edges[:-1] + edges[1:]))
     np.testing.assert_array_equal(grid.weights, np.diff(edges))
+
+
+@given(k=st.integers(-1, 6), ulps=st.integers(1, 64), level=st.integers(0, 12),
+       per_panel=st.integers(1, 32))
+@example(k=-1, ulps=1, level=10, per_panel=8)     # cutoff 0.5000000000000001
+@example(k=2, ulps=1, level=10, per_panel=6)      # 4.000000000000001
+@example(k=3, ulps=1, level=10, per_panel=6)      # 8.000000000000002, J at T = 0.434294481903252
+def test_a_cutoff_within_rounding_past_a_doubling_edge_moves_that_edge(k, ulps, level, per_panel):
+    # a last panel a few ulps wide would have cells of zero width, which
+    # QuadratureGrid refuses; the grid is that of the doubling edge instead,
+    # with its last edge on the cutoff
+    edge = 2.0 ** k
+    cutoff = edge
+    for _ in range(ulps):
+        cutoff = np.nextafter(cutoff, np.inf)
+    edges = _halfline_edges_loop(level, per_panel, edge)
+    edges[-1] = cutoff
+    _assert_cells(geo.halfline_grid(level=level, per_panel=per_panel, cutoff=cutoff), edges)

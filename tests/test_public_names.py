@@ -136,9 +136,19 @@ def _calls(path):
                 yield node.func.attr, node
 
 
-def _sets(call, param, position):
-    """Whether the call passes the parameter: by keyword, by position, or by unpacking."""
-    if any(k.arg in (param, None) for k in call.keywords):
+def _dict_keys(path):
+    """The string keys of the dict literals in the file: all that a **name there can pass."""
+    return {k.value for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Dict)
+            for k in node.keys if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+
+
+def _sets(call, param, position, keys):
+    """Whether the call passes the parameter: by keyword, by position, or by unpacking.
+
+    A **name passes the parameter only if keys, the string keys of the dict
+    literals in the call's file, hold its name; a *name passes every position.
+    """
+    if any(k.arg == param or (k.arg is None and param in keys) for k in call.keywords):
         return True
     return position is not None and (len(call.args) > position
                                      or any(isinstance(a, ast.Starred) for a in call.args))
@@ -147,9 +157,11 @@ def _sets(call, param, position):
 def test_every_defaulted_parameter_is_set_by_some_call():
     calls = {}
     for path in READERS:
+        keys = _dict_keys(path)
         for name, call in _calls(path):
-            calls.setdefault(name, []).append(call)
+            calls.setdefault(name, []).append((call, keys))
     unset = sorted(f"{path.stem}.{callee}({param})" for path in sorted(PACKAGE.glob("*.py"))
                    for callee, param, position in _defaulted_parameters(path)
-                   if not any(_sets(c, param, position) for c in calls.get(callee, [])))
+                   if not any(_sets(c, param, position, keys)
+                              for c, keys in calls.get(callee, [])))
     assert unset == sorted(KEPT), "unset: " + ", ".join(unset)

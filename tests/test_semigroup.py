@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
@@ -67,6 +69,30 @@ def test_weighted_norm_examples():
     rho = geo.distance_to_boundary(I, gg.nodes)
     f = sg.Field(I, gg, rho ** -0.5)
     assert sg.weighted_norm(f, geo.WeightedSpaceParams(2, 2, 0)) == pytest.approx(0.5, rel=1e-6)
+
+
+@given(paths=st.integers(1, 3), times=st.integers(1, 4), level=st.integers(0, 14),
+       per_panel=st.integers(1, 16), p=st.sampled_from([2.0, 1.5, 3.0]) | st.floats(1.01, 8.0),
+       theta=st.floats(0.0, 5.0), delta=st.floats(0.0, 3.0), halfline=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lp_on_a_stack_sums_each_row_as_its_own_call(paths, times, level, per_panel, p, theta,
+                                                     delta, halfline, seed):
+    # the Picard rule of simulate_mild takes the norm of a (path, time, node)
+    # stack in one call. Each row's sum is that of its own call bit for bit.
+    # The root is not: numpy raises an array by its SIMD pow and a scalar
+    # (a 1-d call's sum) by libm's, which differ by 1 ulp on some inputs, so
+    # a stack row may sit 1 ulp from the row's weighted_norm
+    dom = geo.half_line() if halfline else geo.interval01()
+    grid = geo.interior_grid(dom, graded=True, level=level, per_panel=per_panel)
+    prm = geo.WeightedSpaceParams(p, theta, delta)
+    w = geo.weight(dom, grid.nodes, prm)
+    stack = np.random.default_rng(seed).standard_normal((paths, times, grid.n))
+    got = sg._lp(stack, grid, w, p)
+    one_row = [[sg._lp(row[None], grid, w, p)[0] for row in rows] for rows in stack]
+    assert np.array_equal(got, one_row)
+    norms = np.array([[sg.weighted_norm(sg.Field(dom, grid, row), prm) for row in rows]
+                      for rows in stack])
+    assert np.all(np.abs(got - norms) <= np.spacing(norms))
 
 
 def test_weighted_norm_divergent_under_grading():
@@ -153,8 +179,8 @@ def test_gradient_smoothing_smooth_data_saturate():
     prm = geo.WeightedSpaceParams(2, 1.5, 0)
     psi = sg.field_from_function(I, grid, lambda x: np.sin(np.pi * x))
     n0 = sg.weighted_norm(psi, prm)
-    ratios = [sg.weighted_norm(sg.Field(I, grid, sg._gradient_matrix(ker, t, grid) @ psi.values),
-                               prm) / n0 for t in (1e-3, 1e-4, 1e-5)]
+    ratios = [sg.weighted_norm(sg.Field(I, grid, sg.semigroup_matrix(ker, t, grid, order=1)
+                                        @ psi.values), prm) / n0 for t in (1e-3, 1e-4, 1e-5)]
     # no blow-up for smooth data as t -> 0: stays near pi * ||cos||/||sin||
     assert max(ratios) / min(ratios) < 1.01
     assert ratios[-1] < 2 * np.pi
@@ -293,8 +319,8 @@ def test_gradient_matrix_evaluates_only_the_terms_next_to_the_domain(monkeypatch
     monkeypatch.setattr(K, "_dg1", counted)
     monkeypatch.setattr(K, "_add_images", recorded)
     I = geo.interval01()
-    sg._gradient_matrix(HeatKernel(I), 1e-3, geo.interior_grid(I, graded=True, level=14,
-                                                               per_panel=16))
+    sg.semigroup_matrix(HeatKernel(I), 1e-3,
+                        geo.interior_grid(I, graded=True, level=14, per_panel=16), order=1)
     assert len(plans) > 1
     assert all(p == [(-1, True, False), (0, True, True), (1, True, True)] for p in plans)
     assert len(entries) == 5 * len(plans)
@@ -306,7 +332,7 @@ def test_top_singular_value_matches_the_full_svd_and_repeats():
     grid = geo.interior_grid(I, graded=True, level=10, per_panel=16)
     scale = np.sqrt(grid.weights * geo.distance_to_boundary(I, grid.nodes) ** 1.5)
     for t in (1e-3, 2e-2):
-        D = sg._gradient_matrix(HeatKernel(I), t, grid)
+        D = sg.semigroup_matrix(HeatKernel(I), t, grid, order=1)
         B = scale[:, None] * D / scale[None, :]
         top = sg._top_singular_value(B)
         assert top == pytest.approx(np.linalg.svd(B, compute_uv=False)[0], rel=1e-13, abs=0)
