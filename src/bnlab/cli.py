@@ -144,6 +144,17 @@ def _default_probes(setup):
     raise ConfigurationError("no default probes for this domain")
 
 
+def _variance_z(stats):
+    """(var - var_oracle) / var_se per probe.
+
+    var_se is 0 only where every path is 0: z is 0 there if the oracle is 0
+    as well, and +-inf if it is not.
+    """
+    gap = stats["var"] - stats["var_oracle"]
+    with np.errstate(divide="ignore"):
+        return np.divide(gap, stats["var_se"], out=np.zeros_like(gap), where=gap != 0)
+
+
 def run_scenario(cfg):
     """Execute the configured pipeline; returns (manifest text, {filename: text})."""
     t_start = time.time()
@@ -168,7 +179,7 @@ def run_scenario(cfg):
         probes = _default_probes(setup)
         ens, stats = simulate_convolution(setup, probes, n_paths=cfg["n_paths"],
                                           base_steps=cfg["base_steps"], root_seed=cfg["seed"])
-        z = (stats["var"] - stats["var_oracle"]) / stats["var_se"]
+        z = _variance_z(stats)
         lines = ["# t x... mean var var_oracle var_z fourth_moment_ratio"]
         for (t, x), m, v, vo, zz, f4 in zip(probes, stats["mean"], stats["var"],
                                             stats["var_oracle"], z,

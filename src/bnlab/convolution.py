@@ -230,34 +230,38 @@ class HomogeneousFlux(_TimeQuadrature):
             out[2 * kc], out[2 * kc + 1] = cos_mode, sin_mode
         return out
 
-    def _cell_modes(self, u, xy):
+    def _cell_modes(self, u, xy, sines=True):
         # the (cosine, sine) mode pair of each cell in cell order, (nx, nu) each:
         # sqrt(2/m_k) * amp * (trig(outer(x1, z_k)) @ damp_k), with the cos and
-        # sin of every cell's phases formed once, rounded as per cell
+        # sin of every cell's phases formed once, rounded as per cell; with
+        # sines=False, the cosine mode alone
         pts = np.atleast_2d(np.asarray(xy, float))
         x0, x1 = pts[:, 0], pts[:, 1]
         amp = -self.normal.normal_derivative(u, x0, 0.0)     # (nx, nu)
         phase = x1[None, :, None] * self.cells.nodes[:, None, :]     # (cell, nx, q)
-        cos, sin = np.cos(phase), np.sin(phase)
+        trig = (np.cos(phase), np.sin(phase)) if sines else (np.cos(phase),)
         for kc in range(self.cells.n_cells):
             z = self.cells.nodes[kc]                        # (q,)
             w = self.cells.weights[kc]
             damp = np.exp(-u[None, :] * z[:, None] ** 2) * w[:, None]    # (q, nu)
             scaled = np.sqrt(2.0 / self.cells.masses[kc]) * amp
-            yield scaled * (cos[kc] @ damp), scaled * (sin[kc] @ damp)
+            yield tuple(scaled * (f[kc] @ damp) for f in trig)
 
     def sum_sq(self, u, x):
         """(nx, nu) squared-flux sum: the Parseval profile, or the truncated modes.
 
         The truncated sum adds the squares in mode order (cosine then sine of
         each cell), the sequential sum np.sum(psi * psi, axis=0) makes, bit for
-        bit, without forming the (mode, node, time) array.
+        bit, without forming the (mode, node, time) array.  Where every point
+        has x1 = 0, each sine mode is sin(0) = 0 times its amplitude, whose
+        square adds an exact zero, so only the cosines are formed.
         """
         u = np.atleast_1d(np.asarray(u, float))
         if self.truncated:
-            total = np.zeros((np.atleast_2d(x).shape[0], u.size))
-            for pair in self._cell_modes(u, x):
-                for p in pair:
+            pts = np.atleast_2d(np.asarray(x, float))
+            total = np.zeros((pts.shape[0], u.size))
+            for modes in self._cell_modes(u, pts, sines=bool(np.any(pts[:, 1]))):
+                for p in modes:
                     total += p * p
             return total
         return self.normal.normal_derivative(u, self.rho(x), 0.0) ** 2 \

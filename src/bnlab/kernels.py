@@ -33,6 +33,53 @@ _BLOCK = 1 << 14
 # _EXP_MASKED_FROM entries skip the exponents at or below the floor (_g1_floored)
 _EXP_FLOOR = -745.2
 _EXP_MASKED_FROM = _BLOCK // 4
+_MOMENT_LIMIT = 300     # subintervals of the singular-moment quadrature
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _gk_rule(x, kronrod, gauss):
+    """(nodes, Kronrod weights, Kronrod minus Gauss weights) on [-1, 1].
+
+    The tables list the nonnegative half, 0 last; the embedded Gauss rule
+    uses every other node from the second on, which the mirror keeps.
+    """
+    def mirror(a, sign=1.0):
+        a = np.array(a, float)
+        return np.concatenate([a, sign * a[-2::-1]])
+
+    g = np.zeros(len(x))
+    g[1::2] = gauss
+    return mirror(x, -1.0), mirror(kronrod), mirror(kronrod) - mirror(g)
+
+
+# QUADPACK's qk21 and qk15 (Piessens et al., 1983)
+_GK21 = _gk_rule(
+    (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+     0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+     0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0),
+    (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+     0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+     0.149445554002916905664936468389821),
+    (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+     0.295524224714752870173892994651338))
+_GK15 = _gk_rule(
+    (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+     0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+     0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+     0.207784955007898467600689403773245, 0.0),
+    (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+     0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+     0.204432940075298892414161999234649, 0.209482141084727828012999174891714),
+    (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+     0.381830050505118944950369775488975, 0.417959183673469387755102040816327))
 
 
 class NumericalRefusal(RuntimeError):
@@ -81,23 +128,18 @@ def _range(a):
     return (float(a),) * 2 if a.ndim == 0 else (float(a.min()), float(a.max()))
 
 
-def _g1(z, s):
-    # dividing by sqrt rounds alike for numpy scalars and arrays, ** -0.5 does
-    # not, and the image sums cancel, so scalar and time-array calls would differ
-    return np.exp(z * z / (-2 * s)) / np.sqrt(2 * np.pi * s)
-
-
 def _g1_floored(z, s):
-    """_g1 of a numpy scalar or array z, bit for bit, without np.exp's underflow path.
+    """g_s(z) = exp(-z^2/(2s)) / sqrt(2 pi s) of a numpy scalar or array z,
+    without np.exp's underflow path.
 
     An exponent at or below _EXP_FLOOR rounds to exactly 0.0, but np.exp
     takes a slow underflow path there (~14x the cost of a normal entry).  So
     an array of at least _EXP_MASKED_FROM entries that has such exponents
     skips them and writes the 0.0 itself, in place; the mask is
     ~(e <= floor), so a NaN still reaches np.exp.  Smaller inputs, and arrays
-    without such exponents, take np.exp as it is.  The kernel series and the
-    half-line flux call this; the scalar quadrature integrands call _g1,
-    which has no size test to pay on every call.
+    without such exponents, take np.exp as it is.  Dividing by the sqrt
+    rounds alike for numpy scalars and arrays (** -0.5 does not), so scalar
+    and time-array calls of the kernel series agree.
     """
     e = z * z / (-2 * s)
     if e.size >= _EXP_MASKED_FROM:
@@ -339,29 +381,102 @@ class HeatKernel:
         return out if out.size > 1 else float(out.reshape(-1)[0])
 
 
+def _gk_panels(f, a, b, rule):
+    """Integrals, error estimates and round-off floors of f on the panels [a, b].
+
+    f is called once on every node of every panel and returns the point
+    values with the node axis last; the integrals keep the point axes with a
+    panel axis last.  Each panel's error is QUADPACK's estimate, taken in the
+    max norm over the points: dabs min(1, (200 err / dabs)^1.5), with err the
+    Kronrod-Gauss difference and dabs the integral of |f - mean|, but never
+    below the round-off floor 50 eps h int |f|.
+    """
+    x, v, dv = rule
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    vals = f((c[:, None] + h[:, None] * x).ravel())
+    vals = vals.reshape(vals.shape[:-1] + (len(a), len(x)))
+    s_k = vals @ v
+
+    def sup(y):     # max over the points, per panel, times the half-width
+        return np.abs(y).reshape(-1, len(a)).max(axis=0) * h
+
+    err = sup(vals @ dv)
+    dabs = sup(np.abs(vals - 0.5 * s_k[..., None]) @ v)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scaled = dabs * np.minimum(1.0, (200 * err / dabs) ** 1.5)
+    err = np.where((dabs != 0) & (err != 0), scaled, err)
+    rnd = 50 * _EPS * sup(np.abs(vals) @ v)
+    err = np.where(rnd > _TINY, np.maximum(err, rnd), err)
+    return s_k * h, err, rnd
+
+
+def _gauss_kronrod(f, breaks, epsabs, epsrel, limit, rule=_GK21):
+    """Adaptive Gauss-Kronrod quadrature of a vector-valued f over [breaks[0], breaks[-1]].
+
+    Returns (integral, converged).  This is quad_vec's algorithm in the max
+    norm, without its cap of 128 bisections a round, run a round at a time
+    with one call of f per round (`_gk_panels`).
+    A round bisects the panels of largest error (ties to the left) until
+    their summed error exceeds the total less tol/8, where tol = max(epsabs,
+    epsrel max|I|).  The quadrature converges once the total error is below
+    tol/8, after at least one round; it fails when it reaches `limit` panels
+    short of that, when the total error drops below the round-off that every
+    panel so far has accumulated, or when an error is not finite.
+    """
+    breaks = np.asarray(breaks, float)
+    lo, hi = breaks[:-1], breaks[1:]
+    ints, errs, rnd = _gk_panels(f, lo, hi, rule)
+    rounding, refined = rnd.sum(), False
+    while True:
+        total, total_err = ints.sum(axis=-1), errs.sum()
+        tol = max(epsabs, epsrel * np.max(np.abs(total)))
+        if refined and total_err < tol / 8:
+            return total, True
+        if (refined and total_err < rounding) or len(errs) >= limit \
+                or not np.isfinite(total_err + rounding):
+            return total, False
+        order = np.lexsort((lo, -errs))
+        k = 1 + np.searchsorted(np.cumsum(errs[order]), total_err - tol / 8, side="right")
+        split, keep = order[:k], order[k:]
+        a, b = lo[split], hi[split]
+        mid = 0.5 * (a + b)
+        new_ints, new_errs, rnd = _gk_panels(f, np.concatenate([a, mid]),
+                                             np.concatenate([mid, b]), rule)
+        lo, hi = np.concatenate([lo[keep], a, mid]), np.concatenate([hi[keep], mid, b])
+        ints = np.concatenate([ints[..., keep], new_ints], axis=-1)
+        errs = np.concatenate([errs[keep], new_errs])
+        rounding, refined = rounding + rnd.sum(), True
+
+
 def _laplace(fn, lam, where, scales=()):
     """int_0^inf e^{-lam t} fn(t) dt for an array-valued fn, all entries on one mesh.
 
-    The split at t = 1 and the t = u^2 substitution on the head (which removes
-    the t^(-1/2) spike near t = 0) are shared by every entry; the adaptive mesh
+    fn takes an array of times (the kernels' time-array convention).  The
+    split at t = 1 and the t = u^2 substitution on the head (which removes the
+    t^(-1/2) spike near t = 0) are shared by every entry; the adaptive mesh
     refines until the largest entry error meets the tolerance.  An entry whose
     mass sits at u ~ scale below _HEAD_PANEL looks like zero to the head's first
     panel, which never refines toward it, so the head gets breakpoints from the
-    smallest such scale up by factors of _LADDER.  quad_vec does not warn when
-    it stops short, so its status is checked here.
+    smallest such scale up by factors of _LADDER.  The tail maps [1, inf) onto
+    (0, 1] by t = 1 + (1 - s)/s and takes GK15 there; nodes s below
+    tiny^(1/2), where 1/s^2 would overflow, count as 0.
     """
-    from scipy import integrate
     scales = np.asarray(scales, float)
     scales = scales[scales > 0]
     low = float(scales.min()) if scales.size else _HEAD_PANEL
     points = low * _LADDER ** np.arange(np.ceil(np.log(_HEAD_PANEL / low) / np.log(_LADDER)))
-    opts = dict(epsrel=1e-12, norm="max", limit=_LAPLACE_LIMIT, full_output=True)
-    head, _, h_info = integrate.quad_vec(
-        lambda u: 2 * u * np.exp(-lam * u * u) * fn(u * u), 0.0, 1.0, epsabs=1e-12,
-        points=points, **opts)
-    tail, _, t_info = integrate.quad_vec(
-        lambda t: np.exp(-lam * t) * fn(t), 1.0, np.inf, epsabs=1e-13, **opts)
-    if h_info.status or t_info.status:
+
+    def mapped(s):
+        live = s >= _TINY ** 0.5
+        s = np.where(live, s, 1.0)
+        t = 1.0 + (1.0 - s) / s
+        return np.where(live, np.exp(-lam * t) * fn(t) / s / s, 0.0)
+
+    head, h_ok = _gauss_kronrod(lambda u: 2 * u * np.exp(-lam * u * u) * fn(u * u),
+                                np.concatenate([[0.0], points, [1.0]]), 1e-12, 1e-12,
+                                _LAPLACE_LIMIT)
+    tail, t_ok = _gauss_kronrod(mapped, [0.0, 1.0], 1e-13, 1e-12, _LAPLACE_LIMIT, _GK15)
+    if not (h_ok and t_ok):
         raise NumericalRefusal(
             f"Laplace quadrature at lambda={lam:g}, {where} did not reach its tolerance "
             f"within {_LAPLACE_LIMIT} subintervals")
@@ -541,32 +656,39 @@ def singular_moment(domain, alpha, c, t):
 
     The endpoint singularity is removed by the substitution y = v^{1/(1+alpha)}.
     The sup runs over x = 0 and x = (1/4 ... 3) sqrt(ct), plus x = 1/2 on the
-    interval, where the points beyond 1/2 are clipped to it.
+    interval, where the points beyond 1/2 are clipped to it.  Every x, and on
+    the interval each end's half, is one entry of a single vector-valued
+    quadrature, its range of v mapped onto [0, 1] by v = upper w.  The max-norm
+    tolerance is relative to the largest entry, which is the sup.
     """
     if not -1.0 < alpha < 0.0:
         raise ValueError("alpha must lie in (-1, 0)")
     if domain.kind not in ("halfline", "interval01"):
         raise UnsupportedDomainError("distance-power moments implemented on 1-d domains")
-    from scipy import integrate
     s = c * t
     q = 1.0 / (1.0 + alpha)
-
-    def from_end(d, upper):
-        # the part of the moment measured from a boundary end at distance d from x
-        return integrate.quad(lambda v: _g1(d - v ** q, s) / (1.0 + alpha), 0.0, upper,
-                              epsabs=1e-12, epsrel=1e-10, limit=300)[0]
-
+    base = np.sqrt(s) * np.array([0.25, 0.5, 1, 1.5, 2, 3])
     if domain.kind == "halfline":
-        def integral(x):
-            return from_end(x, (x + 10 * np.sqrt(s) + 1.0) ** (1.0 / q))
-        x_values = np.concatenate([[0.0], np.sqrt(s) * np.array([0.25, 0.5, 1, 1.5, 2, 3])])
+        d = np.concatenate([[0.0], base])
+        upper = (d + 10 * np.sqrt(s) + 1.0) ** (1.0 / q)
     else:
-        def integral(x):
-            # split at 1/2: each half is measured from its own end
-            return from_end(x, 0.5 ** (1.0 / q)) + from_end(1.0 - x, 0.5 ** (1.0 / q))
-        base = np.sqrt(s) * np.array([0.25, 0.5, 1, 1.5, 2, 3])
-        x_values = np.clip(np.concatenate([[0.0], base, [0.5]]), 0.0, 0.5)
-    return max(integral(float(xx)) for xx in x_values)
+        # split at 1/2: each half is measured from its own end, at distance d from x
+        x = np.clip(np.concatenate([[0.0], base, [0.5]]), 0.0, 0.5)
+        d = np.concatenate([x, 1.0 - x])
+        upper = np.full(d.shape, 0.5 ** (1.0 / q))
+    d, upper = d[:, None], upper[:, None]
+
+    def integrand(w):
+        return upper * _g1_floored(d - (upper * w) ** q, s) / (1.0 + alpha)
+
+    moments, ok = _gauss_kronrod(integrand, [0.0, 1.0], 1e-12, 1e-10, _MOMENT_LIMIT)
+    if not ok:
+        raise NumericalRefusal(
+            f"singular moment quadrature at alpha={alpha:g}, t={t:g} did not reach its "
+            f"tolerance within {_MOMENT_LIMIT} subintervals")
+    if domain.kind == "interval01":
+        moments = moments[:len(x)] + moments[len(x):]
+    return float(moments.max())
 
 
 def fit_singular_moment_exponent(domain, alpha):

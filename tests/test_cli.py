@@ -1,5 +1,5 @@
 import math
-from types import SimpleNamespace
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +129,32 @@ def test_cli_simulate_pipeline(tmp_path, monkeypatch):
     assert "replay ok: 1 data file(s) byte-identical" in res2.output
 
 
+def test_cli_simulate_zero_variance_probes_agree_with_a_zero_oracle(tmp_path, monkeypatch):
+    # at a horizon of 1e-8 no heat reaches a probe: every path, the sample
+    # variance and the oracle are exactly 0, so z is 0, not 0/0
+    monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("pipeline = simulate\nscenario = p71\nhorizon = 1e-8\nn_paths = 20\n"
+                   "base_steps = 64\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = CliRunner().invoke(cli.main, ["run", str(cfg)])
+    assert res.exit_code == 0, res.output
+    assert "isometry_within_3se=True" in res.output
+    rows = next((tmp_path / "out").glob("*/probe_stats.txt")).read_text().splitlines()[1:]
+    assert len(rows) == 25
+    assert all(row.split()[3:6] == ["0", "0", "0"] for row in rows)
+
+
+def test_variance_z_is_infinite_where_only_the_sample_spread_is_zero():
+    stats = {"var": np.array([0.0, 0.0, 2.0, 1.0]), "var_oracle": np.array([0.0, 0.5, 1.0, 1.0]),
+             "var_se": np.array([0.0, 0.0, 0.5, 0.25])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        z = cli._variance_z(stats)
+    np.testing.assert_array_equal(z, [0.0, -np.inf, 2.0, 0.0])
+
+
 def test_cli_manifest_mode_count_is_the_flux_mode_count(tmp_path):
     runner = CliRunner()
     # p713's two symmetric atoms draw a cosine and a sine mode each, whatever
@@ -217,8 +243,8 @@ def test_cli_internal_error_is_one_line(tmp_path, monkeypatch):
 
 
 def test_cli_unconverged_resolvent_quadrature_is_a_refusal(tmp_path, monkeypatch):
-    monkeypatch.setattr("scipy.integrate.quad_vec",
-                        lambda *args, **kwargs: (0.0, 0.0, SimpleNamespace(status=1)))
+    # four panels cannot meet the 1e-12 tolerance: the quadrature runs out of them
+    monkeypatch.setattr("bnlab.kernels._LAPLACE_LIMIT", 4)
     monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
     res = CliRunner().invoke(cli.main, ["verify", "kernels"])
     assert res.exit_code == 2

@@ -131,6 +131,18 @@ def test_atoms_are_exact_one_node_modes():
     np.testing.assert_allclose(modes, full, rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("sid, kw", [("p713", {}), ("p717", {}), ("p718", {"kappa": 0.5})])
+def test_truncated_sum_sq_is_the_sequential_mode_sum_bit_for_bit(sid, kw):
+    # on the line x1 = 0 the sine modes are exact zeros and sum_sq skips them
+    setup, _ = sc.build_setup(sid, p=2.0, theta=2.25, **kw)
+    flux = cv.HomogeneousFlux(setup.domain, setup.noise, truncated=True)
+    u = np.geomspace(1e-5, 0.5, 40)
+    for pts in (np.array([[x0, 0.0] for x0 in (0.2, 0.5, 1.0)]),
+                np.array([[0.2, 0.4], [0.5, 0.0], [1.0, -0.7]])):
+        psi = flux.psi(u, pts)
+        assert np.array_equal(flux.sum_sq(u, pts), np.sum(psi * psi, axis=0))
+
+
 def test_simulate_convolution_isometry_small():
     setup, _ = sc.build_setup("p71", p=2.0, theta=2.0, horizon=0.3)
     probes = [(t, x) for t in (0.1, 0.3) for x in (0.25, 0.5, 0.8)]

@@ -91,20 +91,17 @@ def test_halfline_resolvent_influx_is_the_decaying_exponential(lam, x):
        interval=st.booleans())
 @example(lam=14.0625, x=np.array([0.5, 0.5226453]), b=0.0, interval=False)
 def test_resolvent_normal_array_matches_single_points(lam, x, b, interval):
-    # one shared adaptive mesh for all points agrees with a mesh per point.  On
-    # the half line each route meets the closed form at the quadrature's own
-    # 1e-12; the two routes are not compared with each other, as each is
-    # certified only to 1e-12 (the example: 2.8e-17 and 4.3e-13 from it)
+    # one shared adaptive mesh for all points and a mesh per point each meet the
+    # closed form at the quadrature's own 1e-12.  The two routes are not
+    # compared with each other: their meshes may differ, and each is certified
+    # only to 1e-12 (the example: 2.8e-17 and 4.3e-13 from it)
     ker = K.HeatKernel(geo.interval01() if interval else geo.half_line())
     b = b if interval else 0.0
+    exact = -(_interval_harmonic(lam, x, b) if interval else np.exp(-np.sqrt(lam) * x))
     single = np.array([ker.resolvent_normal(lam, float(xi), b) for xi in x])
     array = ker.resolvent_normal(lam, x, b)
-    if interval:
-        np.testing.assert_allclose(array, single if x.size > 1 else single[0], rtol=0, atol=1e-14)
-    else:
-        exact = -np.exp(-np.sqrt(lam) * x)
-        np.testing.assert_allclose(array, exact if x.size > 1 else exact[0], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(single, exact, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(array, exact if x.size > 1 else exact[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(single, exact, rtol=0, atol=1e-12)
 
 
 # the boundary itself, or at least 1e-3 from it (the boundary layer has its own
@@ -367,6 +364,11 @@ def test_a_480_node_matrix_spans_many_blocks_and_equals_one_block(monkeypatch):
         np.testing.assert_array_equal(got, ker._series(order, t, X, Y))
 
 
+def _g1(z, s):
+    # the Gaussian as np.exp computes it everywhere, the reference for _g1_floored
+    return np.exp(z * z / (-2 * s)) / np.sqrt(2 * np.pi * s)
+
+
 def test_exp_floor_skips_only_exact_zeros(monkeypatch):
     # e = z^2 / (-2 s) with s = 1/2 is -z^2: exponents across the last subnormal
     # (exp(-745.13) rounds to 5e-324), far below it, at 0, above it, and NaN
@@ -374,16 +376,16 @@ def test_exp_floor_skips_only_exact_zeros(monkeypatch):
     z = np.sqrt(-e)
     z = np.concatenate([z, [np.nan, np.inf, -3.0, 2.5]])
     got = K._g1_floored(z, 0.5)
-    np.testing.assert_array_equal(got, K._g1(z, 0.5))
+    np.testing.assert_array_equal(got, _g1(z, 0.5))
     assert np.isnan(got[-4]) and got[-3] == 0.0
     assert np.exp(K._EXP_FLOOR) == 0.0 and np.any((got > 0) & (got < 1e-320))
     # times broadcast against the points, and a large array without underflow
     s = np.array([0.5, 0.25, 2.0])
-    np.testing.assert_array_equal(K._g1_floored(z[:, None], s), K._g1(z[:, None], s))
+    np.testing.assert_array_equal(K._g1_floored(z[:, None], s), _g1(z[:, None], s))
     near = np.linspace(0.0, 5.0, K._EXP_MASKED_FROM)
-    np.testing.assert_array_equal(K._g1_floored(near, 0.5), K._g1(near, 0.5))
+    np.testing.assert_array_equal(K._g1_floored(near, 0.5), _g1(near, 0.5))
     # scalars and arrays below _EXP_MASKED_FROM entries take np.exp as it is
     monkeypatch.setattr(np, "copyto", None)
     for n in (1, K._EXP_MASKED_FROM - 1):
-        np.testing.assert_array_equal(K._g1_floored(z[:n], 0.5), K._g1(z[:n], 0.5))
-    assert K._g1_floored(np.float64(38.6), 0.5) == K._g1(38.6, 0.5)
+        np.testing.assert_array_equal(K._g1_floored(z[:n], 0.5), _g1(z[:n], 0.5))
+    assert K._g1_floored(np.float64(38.6), 0.5) == _g1(38.6, 0.5)

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from scipy import special
@@ -227,14 +225,34 @@ def test_far_weight_constants():
 
 
 def test_resolvent_quadrature_refuses_when_not_converged(monkeypatch):
-    # quad_vec reports an unconverged mesh only through full_output's status
-    monkeypatch.setattr("scipy.integrate.quad_vec",
-                        lambda *args, **kwargs: (0.0, 0.0, SimpleNamespace(status=1)))
+    # four panels cannot meet the 1e-12 tolerance: the quadrature runs out of them
+    monkeypatch.setattr(K, "_LAPLACE_LIMIT", 4)
     ker = K.HeatKernel(geo.interval01())
     with pytest.raises(K.NumericalRefusal, match=r"lambda=2\b.*boundary point 1\.0"):
         ker.resolvent_normal(2.0, np.linspace(0.1, 0.9, 5), 1.0)
     with pytest.raises(K.NumericalRefusal, match=r"lambda=0\.5\b"):
         K.HeatKernel(geo.half_line()).resolvent(0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("rule, kronrod_degree, gauss_degree",
+                         [(K._GK21, 31, 19), (K._GK15, 22, 13)])
+def test_gauss_kronrod_tables_integrate_their_polynomial_degrees_exactly(rule, kronrod_degree,
+                                                                        gauss_degree):
+    # the Kronrod rule on 2n + 1 nodes is exact to degree 3n + 1, its embedded
+    # n-point Gauss rule (weights v - dv) to 2n - 1
+    x, v, dv = rule
+    for k in range(kronrod_degree + 1):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert v @ x ** k == pytest.approx(exact, abs=1e-15)
+        if k <= gauss_degree:
+            assert (v - dv) @ x ** k == pytest.approx(exact, abs=1e-15)
+
+
+def test_singular_moment_quadrature_refuses_when_not_converged(monkeypatch):
+    monkeypatch.setattr(K, "_MOMENT_LIMIT", 2)
+    for dom in (geo.half_line(), geo.interval01()):
+        with pytest.raises(K.NumericalRefusal, match=r"alpha=-0\.5\b.*t=0\.001\b"):
+            K.singular_moment(dom, -0.5, 1.0, 1e-3)
 
 
 def _ball_mass_2d_everywhere(t, rho, c):
