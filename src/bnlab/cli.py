@@ -189,9 +189,8 @@ def run_scenario(cfg):
         files["probe_stats.txt"] = "\n".join(lines) + "\n"
         ok = bool(np.all(np.abs(z) <= 3.0))
         verdicts.append(f"isometry_within_3se={ok}")
-        resolved["n_steps"] = ens.meta["n_steps"]
-        resolved["normals_drawn"] = ens.meta["normals_drawn"]
-        resolved["stat_block_paths"] = ens.meta["stat_block_paths"]
+        for key in ("n_steps", "flux_time_nodes", "normals_drawn", "stat_block_paths"):
+            resolved[key] = ens.meta[key]
     elif pipe == "invariant":
         inv = invariant_diagnostics(setup)
         files["invariant_report.txt"] = (
@@ -338,15 +337,19 @@ def verify_cmd(suite, scenario, theta, seed):
 @_exit_codes
 def replay_cmd(manifest_path):
     """Re-run a manifest's embedded config and compare data file hashes."""
-    text = Path(manifest_path).read_text()
+    try:
+        text = Path(manifest_path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"manifest is not text: {exc.reason} at byte {exc.start}"]) from None
     if "-- config --" not in text:
-        click.echo("validation: not a bnlab manifest", err=True)
-        sys.exit(1)
+        raise ConfigError(["not a bnlab manifest"])
     head, ctext = text.split("-- config --", 1)
     recorded = {}
-    for line in head.splitlines():
+    for ln, line in enumerate(head.splitlines(), 1):
         if line.startswith("file: "):
-            name, sha = line[6:].split(" sha256=")
+            name, sep, sha = line[6:].partition(" sha256=")
+            if not (sep and name.strip()):
+                raise ConfigError([f"manifest line {ln}: expected 'file: <name> sha256=<hash>'"])
             recorded[name.strip()] = sha.strip()
     _, files = run_scenario(parse_config(ctext))
     mismatches = [name for name, sha in recorded.items()

@@ -20,7 +20,7 @@ from scipy.special import exp1, gamma, gammaincc
 from .geometry import (UnsupportedDomainError, WeightedSpaceParams, _graded_edges_01,
                        distance_to_boundary, gauss_legendre, half_line, halfline_grid,
                        interior_grid, weight)
-from .kernels import HeatKernel, NumericalRefusal, ball_boundary_mass_exact
+from .kernels import _EXP_FLOOR, HeatKernel, NumericalRefusal, ball_boundary_mass_exact
 from .noise import NoiseSpec, frequency_cells, substream
 from .semigroup import _lp, semigroup_matrix
 
@@ -621,30 +621,50 @@ def _step_schedule(t_max, probe_times, base_steps, rho_min):
     return edges[keep]
 
 
+def _flux_zero_below(rho):
+    """The time u below which every flux mode at boundary distance >= rho is exactly 0.0.
+
+    Each mode carries the Gaussian factor e^{-a^2/(4u)} of a boundary distance
+    a >= rho, and np.exp rounds an exponent below _EXP_FLOOR to 0.0.
+    """
+    return rho ** 2 / (-4.0 * _EXP_FLOOR)
+
+
 def _coefficient_tensor(flux, probe_t, xs, edges):
     """Ito coefficients (mode, probe, step): psi_k(t_i - s_mid, x_i) sqrt(ds) for s < t_i.
 
     Probes sharing a time share u = t - s, so one flux call covers them all; the
-    cell adjacent to a probe time carries its exact local variance.
+    cell adjacent to a probe time carries its exact local variance, a 16-point
+    log-panel quadrature in u.  Its panels start at u0/2 (not below 2e-18), u0
+    the time below which the flux at that time's probes is exactly 0.0
+    (`_flux_zero_below` of their smallest boundary distance), and a cell below
+    u0 gets none.  The panel edges above u0 are octaves down from the cell's
+    top, so the nonzero terms are those of panels started at any lower floor,
+    in the same order; the partial first panel lies in [u0/2, u0] and adds
+    zeros only.  numpy's pairwise sum may still group the terms otherwise.
+
+    Returns the tensor and the number of time nodes the flux calls took.
     """
     smid = 0.5 * (edges[:-1] + edges[1:])
     ds = np.diff(edges)
     coeff = np.zeros((flux.n_modes, len(probe_t), len(smid)))
+    n_nodes = 0
     for ti in np.unique(probe_t):
         rows = np.flatnonzero(probe_t == ti)
         n_live = int(np.count_nonzero(smid < ti))       # a prefix: smid increases
         u = ti - smid[:n_live]
         # final cell adjacent to the probe time: exact local variance
         jlast = np.searchsorted(edges, ti) - 1
-        u_lo = max(ti - edges[jlast + 1], 0.0)
         u_hi = ti - edges[jlast]
-        if u_hi > 1e-15 and u_hi > u_lo:
-            s_nodes, s_w = log_time_panels(max(u_lo, 1e-18) + 1e-18, u_hi, 16)
+        u_zero = _flux_zero_below(float(np.min(flux.rho(xs[rows]))))
+        if u_hi > max(1e-15, u_zero):
+            s_nodes, s_w = log_time_panels(max(2e-18, 0.5 * u_zero), u_hi, 16)
         else:
             s_nodes = s_w = np.empty(0)
         # with many modes pv is the largest transient here: work in place and
         # free it before the next call, so peak memory stays that of the draws
         pv = flux.psi(np.concatenate([u, s_nodes]), xs[rows])
+        n_nodes += pv.shape[2]
         live, last = pv[:, :, :n_live], pv[:, :, n_live:]
         live *= np.sqrt(ds[:n_live])
         coeff[:, rows, :n_live] = live
@@ -653,7 +673,7 @@ def _coefficient_tensor(flux, probe_t, xs, edges):
             last *= s_w
             coeff[:, rows, jlast] = np.sqrt(np.maximum(last.sum(axis=2), 0.0))
         del pv, live, last
-    return coeff
+    return coeff, n_nodes
 
 
 def _gaussian_factor(coeff):
@@ -682,7 +702,7 @@ _BLOCK_PATHS = 4096
 
 
 def _draw_plan(setup, probes, base_steps):
-    """Flux, probe points and times, step edges and the factor F of a probe set."""
+    """Flux, probe points and times, the factor F of a probe set and the plan's counts."""
     if setup.mode != "exact":
         raise ConfigurationError("simulation requires exact mode")
     flux = flux_for(setup, truncated=True)
@@ -705,8 +725,9 @@ def _draw_plan(setup, probes, base_steps):
         raise NumericalRefusal(f"base step {step:.3g} below 1e-13")
     edges = _step_schedule(t_max, times, base_steps, rho_min)
     probe_t = np.array([float(t) for t, _ in probes])
-    factor = _gaussian_factor(_coefficient_tensor(flux, probe_t, xs, edges))
-    return flux, xs, probe_t, edges, factor
+    coeff, n_nodes = _coefficient_tensor(flux, probe_t, xs, edges)
+    counts = {"n_steps": len(edges) - 1, "flux_time_nodes": n_nodes}
+    return flux, xs, probe_t, _gaussian_factor(coeff), counts
 
 
 def _draws(factor, n_paths, root_seed, law="gaussian"):
@@ -779,13 +800,13 @@ def _merge_moments(a, b):
 def _convolution_paths(setup, probes, n_paths, base_steps=512, root_seed=2024):
     """The Gaussian paths of `simulate_convolution` (paths x probes) and its draw
     counts, without probe statistics or the isometry oracle."""
-    _, _, _, edges, factor = _draw_plan(setup, probes, base_steps)
+    _, _, _, factor, counts = _draw_plan(setup, probes, base_steps)
     M = np.empty((n_paths, len(probes)))
     start = 0
     for xi in _draws(factor, n_paths, root_seed):
         _paths_into(M[start:start + len(xi)], xi, factor)
         start += len(xi)
-    return M, {"n_steps": len(edges) - 1, "normals_drawn": factor.shape[0] * n_paths}
+    return M, {**counts, "normals_drawn": factor.shape[0] * n_paths}
 
 
 def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed=2024,
@@ -815,7 +836,7 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
         raise ValueError(f"unknown law {law!r}; expected 'gaussian' or 'student_t'")
     if n_paths < 2:
         raise ValueError(f"n_paths must be at least 2 for sample variances, got {n_paths}")
-    flux, xs, probe_t, edges, factor = _draw_plan(setup, probes, base_steps)
+    flux, xs, probe_t, factor, counts = _draw_plan(setup, probes, base_steps)
     width, n_probes = factor.shape[0], len(probes)
     # with paths kept, each block is a view of M; without, M is one block reused
     M = np.empty((n_paths if return_paths else min(n_paths, _BLOCK_PATHS), n_probes))
@@ -844,7 +865,7 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
         "mean_se": np.sqrt(var1) / np.sqrt(n_paths),
     }
     ens = PathEnsemble(M if return_paths else np.empty((0, n_probes)),
-                       meta={"n_steps": len(edges) - 1, "normals_drawn": width * n_paths,
+                       meta={**counts, "normals_drawn": width * n_paths,
                              "stat_block_paths": _BLOCK_PATHS})
     return ens, stats
 

@@ -14,11 +14,14 @@ def verdict_from_trace(sups):
 
     bounded: the sup is non-increasing within 5% across the last two
     refinement levels.  diverging: growth by more than a factor 2 across two
-    refinement levels.  Anything else is inconclusive.
+    refinement levels, or an infinite last sup.  Anything else is
+    inconclusive, and so is any other trace with a non-finite sup.
     """
     sups = [float(s) for s in sups]
     if len(sups) < 2:
         return INCONCLUSIVE
+    if not np.all(np.isfinite(sups)):
+        return DIVERGING if sups[-1] == np.inf else INCONCLUSIVE
     if len(sups) >= 3 and sups[-1] > 2.0 * sups[-3] and sups[-1] > sups[-2] > sups[-3]:
         return DIVERGING
     if sups[-1] <= 1.05 * sups[-2]:

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -99,6 +100,21 @@ def test_cli_refusal_exit_code(tmp_path, monkeypatch):
     assert "refusal" in res.output
 
 
+def test_cli_verify_kernels_at_an_overflowing_scale_is_diverging_without_warnings(tmp_path):
+    # at c = 0.01 the ratio G / (m g_ct) overflows at every level: an infinite
+    # sup bounds nothing
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"pipeline = verify-kernels\nc = 0.01\nout_dir = {tmp_path / 'out'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = CliRunner().invoke(cli.main, ["run", str(cfg)])
+    assert res.exit_code == 0, res.output
+    assert res.stderr == ""
+    assert "upper_bounds=diverging/diverging" in res.output
+    rep = next((tmp_path / "out").glob("*/kernels_report.txt")).read_text()
+    assert rep.count("sup_per_level: inf inf inf\n") == 2
+
+
 def test_cli_list_catalog():
     runner = CliRunner()
     res = runner.invoke(cli.main, ["list"])
@@ -127,6 +143,13 @@ def test_cli_simulate_pipeline(tmp_path, monkeypatch):
     res2 = runner.invoke(cli.main, ["replay", str(manifest)])
     assert res2.exit_code == 0, res2.output
     assert "replay ok: 1 data file(s) byte-identical" in res2.output
+    # the time nodes of the plan's flux calls, p717 at the default horizon and base_steps
+    cfg.write_text(f"pipeline = simulate\nscenario = p717\nn_paths = 20\n"
+                   f"out_dir = {tmp_path / 'p717'}\n")
+    res3 = runner.invoke(cli.main, ["run", str(cfg)])
+    assert res3.exit_code == 0, res3.output
+    manifest = next((tmp_path / "p717").glob("*/manifest.txt")).read_text()
+    assert "resolved flux_time_nodes: 2070\n" in manifest
 
 
 def test_cli_simulate_zero_variance_probes_agree_with_a_zero_oracle(tmp_path, monkeypatch):
@@ -381,11 +404,16 @@ def test_every_run_exits_0_1_or_2_with_one_line_per_problem(cfg, tmp_path_factor
                    for k, v in cfg.items() if v is not None) + f"out_dir = {out}\n"
     (out / "cfg.txt").write_text(text)
     res = CliRunner().invoke(cli.main, ["run", str(out / "cfg.txt")])
+    _assert_one_line_per_problem(res, text)
+
+
+def _assert_one_line_per_problem(res, text):
+    # exit 0, 1 or 2 for the run of a config text; the config reports every
+    # problem at once, one line each, and a run fails on one
     assert res.exit_code in (0, 1, 2), res.output
     assert res.exception is None or isinstance(res.exception, SystemExit), res.output
     assert "Traceback" not in res.output
     if res.exit_code:
-        # the config reports every problem at once, one line each; a run fails on one
         try:
             cli.parse_config(text)
             problems = 1
@@ -394,3 +422,74 @@ def test_every_run_exits_0_1_or_2_with_one_line_per_problem(cfg, tmp_path_factor
         kind = "validation: " if res.exit_code == 1 else "numerical refusal: "
         lines = res.stderr.splitlines()
         assert len(lines) == problems and all(ln.startswith(kind) for ln in lines), res.stderr
+
+
+@given(suite=st.sampled_from(["kernels", "schur", "appendix", "j", "simulate", "invariant"]),
+       scenario=VALID["scenario"] | ANY[str], theta=VALID["theta"] | ANY[float],
+       seed=VALID["seed"] | ANY[int])
+@example(suite="j", scenario="p71", theta=-1.0, seed=2024)
+@example(suite="simulate", scenario="p74", theta=2.0, seed=2024)
+def test_every_verify_exits_0_1_or_2_with_one_line_per_problem(suite, scenario, theta, seed,
+                                                               tmp_path_factory):
+    out = tmp_path_factory.mktemp("verify")
+    res = CliRunner(env={"BNLAB_OUT": str(out)}).invoke(
+        cli.main, ["verify", suite, "--scenario", scenario, "--theta", repr(theta),
+                   "--seed", str(seed)])
+    # the config text verify runs, as `run` would read it
+    pipe = {"kernels": "verify-kernels", "schur": "schur", "appendix": "appendix-checks",
+            "j": "j-diagnose"}.get(suite, suite)
+    _assert_one_line_per_problem(res, f"pipeline = {pipe}\nscenario = {scenario}\n"
+                                      f"theta = {theta!r}\nseed = {seed}\n")
+
+
+@functools.cache
+def _tiny_manifest():
+    return cli.run_scenario(cli.parse_config(TINY_CFG.format("simulate")))[0]
+
+
+def _damaged(manifest, kind, cut, junk):
+    """The bytes of a manifest damaged one way; cut in [0, 1] picks the place."""
+    lines = manifest.splitlines(keepends=True)
+    if kind == "truncated":
+        return manifest[:int(cut * len(manifest))].encode()
+    if kind == "missing hash":
+        return "".join(ln.split(" sha256=")[0] + "\n" if ln.startswith("file: ") else ln
+                       for ln in lines).encode()
+    if kind == "missing config":
+        return (manifest.split("-- config --")[0] + "-- config --\n").encode()
+    if kind == "garbled line":
+        lines[min(int(cut * len(lines)), len(lines) - 1)] = junk + "\n"
+        return "".join(lines).encode()
+    k = int(cut * len(manifest))            # "not text": a byte no text decoding reads
+    return manifest[:k].encode() + b"\xff" + manifest[k:].encode()
+
+
+@given(kind=st.sampled_from(["truncated", "missing hash", "missing config", "garbled line",
+                             "not text"]),
+       cut=st.floats(0.0, 1.0), junk=st.text(alphabet="abcfilnp:-= #", max_size=16))
+@example(kind="missing hash", cut=0.0, junk="")
+@example(kind="missing config", cut=0.0, junk="")
+@example(kind="truncated", cut=0.5, junk="")
+@example(kind="not text", cut=0.5, junk="")
+def test_replay_of_a_damaged_manifest_is_validation_or_a_mismatch(kind, cut, junk,
+                                                                  tmp_path_factory):
+    out = tmp_path_factory.mktemp("replay")
+    (out / "manifest.txt").write_bytes(_damaged(_tiny_manifest(), kind, cut, junk))
+    res = CliRunner(env={"BNLAB_OUT": str(out)}).invoke(
+        cli.main, ["replay", str(out / "manifest.txt")])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.output
+    assert "Traceback" not in res.output
+    lines = res.stderr.splitlines()
+    if res.exit_code == 0:
+        assert res.stdout.startswith("replay ok: ")
+    elif res.exit_code == 1:
+        assert lines and all(ln.startswith("validation: ") for ln in lines), res.stderr
+    else:
+        # a damaged but valid config reruns, and its data files differ
+        kinds = {2: "numerical refusal: ", 3: "replay mismatch in: "}
+        assert len(lines) == 1 and lines[0].startswith(kinds[res.exit_code]), res.stderr
+    if kind == "missing hash":
+        ln = next(i for i, line in enumerate(_tiny_manifest().splitlines(), 1)
+                  if line.startswith("file: "))
+        assert res.stderr == (f"validation: manifest line {ln}: "
+                              "expected 'file: <name> sha256=<hash>'\n")

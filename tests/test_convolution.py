@@ -1,3 +1,4 @@
+import functools
 import os
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats as stats_mod
 from scipy.special import gamma, gammaincc
 
+from bnlab import cli
 from bnlab import convolution as cv
 from bnlab import geometry as geo
 from bnlab import scenarios as sc
@@ -199,10 +201,10 @@ def test_simulate_probes_sharing_a_time_match_a_subset_run():
     large = [(0.1, 0.6), (0.3, 0.5), (0.3, 0.7), (0.1, 0.35), (0.3, 0.4)]
     edges = cv._step_schedule(0.3, [0.1, 0.3], 128, rho_min=0.3)
     flux = cv.flux_for(setup)
-    coeff_s = cv._coefficient_tensor(flux, np.array([t for t, _ in small]),
-                                     np.array([x for _, x in small]), edges)
-    coeff_l = cv._coefficient_tensor(flux, np.array([t for t, _ in large]),
-                                     np.array([x for _, x in large]), edges)
+    coeff_s, _ = cv._coefficient_tensor(flux, np.array([t for t, _ in small]),
+                                        np.array([x for _, x in small]), edges)
+    coeff_l, _ = cv._coefficient_tensor(flux, np.array([t for t, _ in large]),
+                                        np.array([x for _, x in large]), edges)
     assert np.array_equal(coeff_l[:, [1, 3]], coeff_s)
     ens_s, st_s = cv.simulate_convolution(setup, small, n_paths=300, base_steps=128,
                                           root_seed=3)
@@ -366,7 +368,35 @@ def _tensor(setup, probes, base_steps=128):
     xs = np.array([x for _, x in probes], float)
     rho = geo.distance_to_boundary(setup.domain, xs.reshape(len(probes), -1))
     edges = cv._step_schedule(max(probe_t), sorted(set(probe_t)), base_steps, float(np.min(rho)))
-    return edges, cv._coefficient_tensor(flux, probe_t, xs, edges)
+    return edges, cv._coefficient_tensor(flux, probe_t, xs, edges)[0]
+
+
+def _tensor_from_the_old_floor(flux, probe_t, xs, edges):
+    """The Ito tensor as it was built with each final cell's panels started at
+    u = 2e-18, whatever the probes' boundary distances: the reference for the
+    floor at the flux's exact zeros."""
+    smid = 0.5 * (edges[:-1] + edges[1:])
+    ds = np.diff(edges)
+    coeff = np.zeros((flux.n_modes, len(probe_t), len(smid)))
+    for ti in np.unique(probe_t):
+        rows = np.flatnonzero(probe_t == ti)
+        n_live = int(np.count_nonzero(smid < ti))
+        jlast = np.searchsorted(edges, ti) - 1
+        u_lo = max(ti - edges[jlast + 1], 0.0)
+        u_hi = ti - edges[jlast]
+        if u_hi > 1e-15 and u_hi > u_lo:
+            s_nodes, s_w = cv.log_time_panels(max(u_lo, 1e-18) + 1e-18, u_hi, 16)
+        else:
+            s_nodes = s_w = np.empty(0)
+        pv = flux.psi(np.concatenate([ti - smid[:n_live], s_nodes]), xs[rows])
+        live, last = pv[:, :, :n_live], pv[:, :, n_live:]
+        live *= np.sqrt(ds[:n_live])
+        coeff[:, rows, :n_live] = live
+        if s_nodes.size:
+            last **= 2
+            last *= s_w
+            coeff[:, rows, jlast] = np.sqrt(np.maximum(last.sum(axis=2), 0.0))
+    return coeff
 
 
 # p72-style: x up to 2.5 at t = 0.05, so the probe variances span > 20 orders
@@ -374,6 +404,48 @@ WIDE_P72_PROBES = [(t, x) for t in (0.05, 0.15, 0.3) for x in (0.15, 0.4, 0.8, 1
 # the 24 acceptance-1 probes of the half plane (p717's)
 HALF_PLANE_PROBES = [(t, (x0, x1)) for t in (0.08, 0.2, 0.35)
                      for x0 in (0.2, 0.45, 0.7, 1.0) for x1 in (-0.7, 0.4)]
+
+
+ACCEPT1_PROBES = {
+    "p71": [(t, x) for t in (0.05, 0.1, 0.2, 0.35, 0.5) for x in (0.12, 0.3, 0.5, 0.7, 0.88)],
+    "p72": [(t, x) for t in (0.05, 0.15, 0.3, 0.5) for x in (0.15, 0.4, 0.8, 1.5, 2.5)],
+    "p713": HALF_PLANE_PROBES,
+    "p717": HALF_PLANE_PROBES,
+}
+
+
+@pytest.mark.parametrize("probe_set", ["acceptance-1", "cli-default"])
+@pytest.mark.parametrize("sid", ["p71", "p72", "p713", "p717"])
+def test_final_cell_floor_at_the_flux_zeros_keeps_the_tensor_bit_for_bit(sid, probe_set):
+    # dropping the final-cell nodes where the flux is exactly 0.0 leaves the
+    # nonzero terms and their summation order, on the default schedule
+    setup, _ = sc.build_setup(sid, p=2.0, theta=2.0, horizon=0.5)
+    probes = ACCEPT1_PROBES[sid] if probe_set == "acceptance-1" else cli._default_probes(setup)
+    edges, coeff = _tensor(setup, probes, base_steps=512)
+    ref = _tensor_from_the_old_floor(cv.flux_for(setup), np.array([t for t, _ in probes]),
+                                     np.array([x for _, x in probes], float), edges)
+    assert np.array_equal(coeff, ref)
+
+
+@functools.cache
+def _flux_and_points(name):
+    # a flux the plan draws from, and a strategy for its probe points
+    if name in ("interval", "halfline"):
+        dom = geo.interval01() if name == "interval" else geo.half_line()
+        hi = 1.0 - 1e-3 if name == "interval" else 10.0
+        return cv.EndpointFlux(dom), st.floats(1e-3, hi).map(lambda x: np.array([x]))
+    setup, _ = sc.build_setup(name, p=2.0, theta=2.0)
+    return cv.flux_for(setup, truncated=True), st.tuples(
+        st.floats(1e-3, 5.0), st.floats(-3.0, 3.0)).map(lambda p: np.array([p]))
+
+
+@pytest.mark.parametrize("name", ["interval", "halfline", "p713", "p717", "p718"])
+@given(data=st.data(), frac=st.floats(1e-9, 1.0, exclude_max=True))
+def test_every_flux_is_exactly_zero_below_the_final_cell_bound(name, data, frac):
+    flux, points = _flux_and_points(name)
+    x = data.draw(points)
+    u = frac * cv._flux_zero_below(float(flux.rho(x)[0]))
+    assert np.all(flux.psi(u, x) == 0.0)
 
 
 @pytest.mark.parametrize("sid, probes", [

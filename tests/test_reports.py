@@ -1,5 +1,7 @@
 """Properties of the shared refinement-verdict rule."""
 
+import math
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -34,3 +36,17 @@ def test_a_trace_growing_by_more_than_the_factor_each_level_is_diverging(start, 
 @given(trace=st.lists(sups, max_size=1))
 def test_fewer_than_two_levels_are_inconclusive(trace):
     assert verdict_from_trace(trace) == INCONCLUSIVE
+
+
+non_finite = st.sampled_from([math.inf, math.nan])
+
+
+@given(head=st.lists(sups | non_finite, max_size=6), bad=non_finite,
+       tail=st.lists(sups | non_finite, max_size=2))
+def test_a_trace_with_a_non_finite_sup_is_never_bounded(head, bad, tail):
+    # an infinite last sup is unbounded; any other non-finite trace says nothing
+    trace = head + [bad] + tail
+    verdict = verdict_from_trace(trace)
+    assert verdict != BOUNDED
+    if len(trace) >= 2 and trace[-1] == math.inf:
+        assert verdict == DIVERGING
