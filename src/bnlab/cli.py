@@ -19,8 +19,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .convolution import (ConfigurationError, NumericalRefusal, flux_for, invariant_diagnostics,
-                          j_integral, simulate_convolution)
+from .convolution import (ConfigurationError, NumericalRefusal, _gap_ratio, flux_for,
+                          invariant_diagnostics, j_integral, simulate_convolution)
 from .geometry import UnsupportedDomainError, half_line, interval01
 from .kernels import (HeatKernel, difference_bound_report, far_weight_constants,
                       fit_boundary_mass_constant, fit_singular_moment_exponent,
@@ -150,9 +150,7 @@ def _variance_z(stats):
     var_se is 0 only where every path is 0: z is 0 there if the oracle is 0
     as well, and +-inf if it is not.
     """
-    gap = stats["var"] - stats["var_oracle"]
-    with np.errstate(divide="ignore"):
-        return np.divide(gap, stats["var_se"], out=np.zeros_like(gap), where=gap != 0)
+    return _gap_ratio(stats["var"] - stats["var_oracle"], stats["var_se"])
 
 
 def run_scenario(cfg):
@@ -189,7 +187,8 @@ def run_scenario(cfg):
         files["probe_stats.txt"] = "\n".join(lines) + "\n"
         ok = bool(np.all(np.abs(z) <= 3.0))
         verdicts.append(f"isometry_within_3se={ok}")
-        for key in ("n_steps", "flux_time_nodes", "normals_drawn", "stat_block_paths"):
+        for key in ("n_steps", "flux_time_nodes", "normals_drawn", "stat_block_paths",
+                    "max_isometry_bias"):
             resolved[key] = ens.meta[key]
     elif pipe == "invariant":
         inv = invariant_diagnostics(setup)

@@ -8,8 +8,7 @@ the half-line influx times frequency-cell modes); majorant mode, mandatory on
 the ball, replaces the squared-flux sum by the Gaussian surface majorant the
 existence proofs bound it with.  Stochastic sums are Ito: left
 (independent-forward) Wiener increments with no Stratonovich correction; the
-deterministic coefficient is sampled at cell midpoints, and the cell touching
-the singular endpoint carries its exact local variance.
+deterministic coefficient is sampled at cell midpoints.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from scipy.special import exp1, gamma, gammaincc
 from .geometry import (UnsupportedDomainError, WeightedSpaceParams, _graded_edges_01,
                        distance_to_boundary, gauss_legendre, half_line, halfline_grid,
                        interior_grid, weight)
-from .kernels import _EXP_FLOOR, HeatKernel, NumericalRefusal, ball_boundary_mass_exact
+from .kernels import HeatKernel, NumericalRefusal, ball_boundary_mass_exact
 from .noise import NoiseSpec, frequency_cells, substream
 from .semigroup import _lp, semigroup_matrix
 
@@ -471,6 +470,12 @@ def _tangential_weight(theta, delta, x0):
     return np.minimum(x0, 1.0) ** theta * (1.0 + x0 ** 2) ** (0.5 - delta) * const
 
 
+def _gap_ratio(gap, scale):
+    """gap / scale: 0 where the gap is 0 (0/0 included), +-inf where only the scale is."""
+    with np.errstate(divide="ignore"):
+        return np.divide(gap, scale, out=np.zeros_like(gap), where=gap != 0)
+
+
 # Gauss-Legendre points per octave of the J time quadrature; the time-refinement
 # check doubles them
 _J_PTS_PER_OCTAVE = 8
@@ -518,7 +523,7 @@ def j_integral(setup, levels=(10, 14, 18, 22, 26), prediction=None):
                                              _J_PTS_PER_OCTAVE) for f in fluxes)
         rel = 0.0
         for vk, v2k in zip(profs_k, profs_2k):
-            rel = max(rel, float(np.max(np.abs(v2k - vk) / v2k)))
+            rel = max(rel, float(np.max(_gap_ratio(np.abs(v2k - vk), v2k))))
         checks["probe_variance_mode_doubling_rel_change"] = rel
     verdict = _j_verdict(js)
     if verdict == "finite" and any(v > 0.01 for v in checks.values() if not isinstance(v, str)):
@@ -551,12 +556,17 @@ def _j_levels(setup, flux, levels):
 
 
 def _j_sum(setup, grid, prof):
-    # scale * sum(prof^(p/2) * factor_1 * factor_2 ...), the factors in their order
+    # scale * sum(prof^(p/2) * factor_1 * factor_2 ...), the factors in their
+    # order; a sum that is not finite (an overflow at a large p) is refused
     _, factors, scale = grid
-    v = prof ** (setup.params.p / 2.0)
-    for f in factors:
-        v = v * f
-    return float(scale * np.sum(v))
+    with np.errstate(over="ignore"):
+        v = prof ** (setup.params.p / 2.0)
+        for f in factors:
+            v = v * f
+        j = float(scale * np.sum(v))
+    if not np.isfinite(j):
+        raise NumericalRefusal(f"J is not finite at p = {setup.params.p}: {j}")
+    return j
 
 
 def _j_grid(setup, level):
@@ -621,27 +631,13 @@ def _step_schedule(t_max, probe_times, base_steps, rho_min):
     return edges[keep]
 
 
-def _flux_zero_below(rho):
-    """The time u below which every flux mode at boundary distance >= rho is exactly 0.0.
-
-    Each mode carries the Gaussian factor e^{-a^2/(4u)} of a boundary distance
-    a >= rho, and np.exp rounds an exponent below _EXP_FLOOR to 0.0.
-    """
-    return rho ** 2 / (-4.0 * _EXP_FLOOR)
-
-
 def _coefficient_tensor(flux, probe_t, xs, edges):
     """Ito coefficients (mode, probe, step): psi_k(t_i - s_mid, x_i) sqrt(ds) for s < t_i.
 
-    Probes sharing a time share u = t - s, so one flux call covers them all; the
-    cell adjacent to a probe time carries its exact local variance, a 16-point
-    log-panel quadrature in u.  Its panels start at u0/2 (not below 2e-18), u0
-    the time below which the flux at that time's probes is exactly 0.0
-    (`_flux_zero_below` of their smallest boundary distance), and a cell below
-    u0 gets none.  The panel edges above u0 are octaves down from the cell's
-    top, so the nonzero terms are those of panels started at any lower floor,
-    in the same order; the partial first panel lies in [u0/2, u0] and adds
-    zeros only.  numpy's pairwise sum may still group the terms otherwise.
+    Probes sharing a time share u = t - s, so one flux call covers them all.
+    The cell next to a probe time takes its midpoint like every other cell:
+    the schedule puts an edge at t_i - u0, u0 <= rho_min^2/80, so the squared
+    flux there carries e^{-rho^2/(2u)} <= e^{-40}.
 
     Returns the tensor and the number of time nodes the flux calls took.
     """
@@ -652,27 +648,13 @@ def _coefficient_tensor(flux, probe_t, xs, edges):
     for ti in np.unique(probe_t):
         rows = np.flatnonzero(probe_t == ti)
         n_live = int(np.count_nonzero(smid < ti))       # a prefix: smid increases
-        u = ti - smid[:n_live]
-        # final cell adjacent to the probe time: exact local variance
-        jlast = np.searchsorted(edges, ti) - 1
-        u_hi = ti - edges[jlast]
-        u_zero = _flux_zero_below(float(np.min(flux.rho(xs[rows]))))
-        if u_hi > max(1e-15, u_zero):
-            s_nodes, s_w = log_time_panels(max(2e-18, 0.5 * u_zero), u_hi, 16)
-        else:
-            s_nodes = s_w = np.empty(0)
         # with many modes pv is the largest transient here: work in place and
         # free it before the next call, so peak memory stays that of the draws
-        pv = flux.psi(np.concatenate([u, s_nodes]), xs[rows])
-        n_nodes += pv.shape[2]
-        live, last = pv[:, :, :n_live], pv[:, :, n_live:]
-        live *= np.sqrt(ds[:n_live])
-        coeff[:, rows, :n_live] = live
-        if s_nodes.size:
-            last **= 2
-            last *= s_w
-            coeff[:, rows, jlast] = np.sqrt(np.maximum(last.sum(axis=2), 0.0))
-        del pv, live, last
+        pv = flux.psi(ti - smid[:n_live], xs[rows])
+        n_nodes += n_live
+        pv *= np.sqrt(ds[:n_live])
+        coeff[:, rows, :n_live] = pv
+        del pv
     return coeff, n_nodes
 
 
@@ -815,7 +797,9 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
 
     Gaussian by default; the Ito sums use the global step schedule with
     geometric refinement toward every probe time.  Returns probe statistics
-    plus the quadrature variance at each probe (the isometry oracle).
+    plus the quadrature variance at each probe (the isometry oracle); `meta`
+    holds the largest relative gap between it and the Ito sums' variance,
+    `max_isometry_bias`, a deterministic bias of the step schedule.
     law "student_t" is the heavy-tailed negative control for tail diagnostics.
 
     Both laws draw one variate per probe, whatever the mode count: a path is
@@ -854,6 +838,8 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     var_oracle = np.empty(n_probes)
     for r, v in zip(rows, _level_profiles(flux, times, [xs[r] for r in rows], 0.0, 12)):
         var_oracle[r] = v
+    # the Ito sums' own variance against the oracle: |Sigma_ii / var_oracle - 1|
+    bias = _gap_ratio(np.abs(np.sum(factor * factor, axis=0) - var_oracle), var_oracle)
     _, mean, m2, _, m4 = moments
     var1, var0 = m2 / (n_paths - 1), m2 / n_paths
     stats = {
@@ -866,7 +852,8 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     }
     ens = PathEnsemble(M if return_paths else np.empty((0, n_probes)),
                        meta={**counts, "normals_drawn": width * n_paths,
-                             "stat_block_paths": _BLOCK_PATHS})
+                             "stat_block_paths": _BLOCK_PATHS,
+                             "max_isometry_bias": float(np.max(bias))})
     return ens, stats
 
 

@@ -229,11 +229,15 @@ def schur_constants(domain, p, theta, c=4.0, levels=3):
                 continue
             m = np.minimum(1.0, rho / np.sqrt(t))
             g = gauss_density(xs[:, None] - xs[None, :], c * t)
-            # integrate over y (columns) for fixed x (rows): (rho_x/rho_y)^beta m(y) g
-            inte_y = (rho[:, None] / rho[None, :]) ** beta * m[None, :] * g * grid.weights[None, :]
-            # integrate over x (rows) for fixed y (cols): rho_x^(beta-1) rho_y^(1-beta) m(y) g
-            inte_x = (rho[:, None] ** (beta - 1) * rho[None, :] ** (1 - beta)
-                      * m[None, :] * g * grid.weights[:, None])
+            # a large beta overflows to inf: those sups read inf, and their
+            # verdict diverging
+            with np.errstate(over="ignore", invalid="ignore"):
+                # integrate over y (columns) for fixed x (rows): (rho_x/rho_y)^beta m(y) g
+                inte_y = ((rho[:, None] / rho[None, :]) ** beta * m[None, :] * g
+                          * grid.weights[None, :])
+                # integrate over x (rows) for fixed y (cols): rho_x^(beta-1) rho_y^(1-beta) m(y) g
+                inte_x = (rho[:, None] ** (beta - 1) * rho[None, :] ** (1 - beta)
+                          * m[None, :] * g * grid.weights[:, None])
             for nm, xmask, ymask, over_y in (
                     ("k1", near, near, True), ("k2", near, near, False),
                     ("k3", far, near, True), ("k4", near, far, False),

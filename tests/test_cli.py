@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bnlab import cli
+from bnlab import convolution as cv
 from bnlab import scenarios as sc
 
 
@@ -115,6 +116,40 @@ def test_cli_verify_kernels_at_an_overflowing_scale_is_diverging_without_warning
     assert rep.count("sup_per_level: inf inf inf\n") == 2
 
 
+@pytest.mark.parametrize("config, code", [
+    ("pipeline = j-diagnose\nscenario = p717\nhorizon = 0.001\n", 0),
+    ("pipeline = j-diagnose\nscenario = p71\np = 900\n", 2),
+    ("pipeline = invariant\nscenario = p71\np = 900\n", 2),
+    (None, 0)], ids=["j-zero-variances", "j-overflow", "invariant-overflow", "schur-overflow"])
+def test_diagnostics_at_vanishing_or_overflowing_values_print_no_warnings(tmp_path, monkeypatch,
+                                                                         config, code):
+    # p717 at horizon 0.001: the mode-doubling probes at T/8 have both variances
+    # 0.0, a change of 0; p71 at p = 900: profile^(p/2) overflows, and J (at
+    # T = inf too) is refused; schur at theta = 900: four split constants
+    # overflow to inf
+    monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
+    args = ["verify", "schur", "--theta", "900"]
+    if config:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config)
+        args = ["run", str(cfg)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = CliRunner().invoke(cli.main, args)
+    assert res.exit_code == code, res.output
+    assert "Traceback" not in res.output
+    if code == 2:
+        assert res.stderr == "numerical refusal: J is not finite at p = 900.0: inf\n"
+        return
+    assert res.stderr == ""
+    report = next((tmp_path / "out").glob("*/*_report.txt")).read_text()
+    assert "nan" not in report
+    if config:
+        assert "j=divergent agreement=True" in res.output
+    else:
+        assert "all_bounded=False" in res.output and report.count("verdict=diverging") == 4
+
+
 def test_cli_list_catalog():
     runner = CliRunner()
     res = runner.invoke(cli.main, ["list"])
@@ -140,16 +175,27 @@ def test_cli_simulate_pipeline(tmp_path, monkeypatch):
     manifest = next((tmp_path / "out").glob("*/manifest.txt"))
     assert "resolved normals_drawn: " in manifest.read_text()
     assert "resolved stat_block_paths: 4096\n" in manifest.read_text()
+    # the schedule's deterministic isometry bias, outside the hashed files too
+    bias = manifest.read_text().split("resolved max_isometry_bias: ")[1].split("\n")[0]
+    assert abs(float(bias) / 4.0774e-3 - 1.0) < 1e-4
     res2 = runner.invoke(cli.main, ["replay", str(manifest)])
     assert res2.exit_code == 0, res2.output
     assert "replay ok: 1 data file(s) byte-identical" in res2.output
-    # the time nodes of the plan's flux calls, p717 at the default horizon and base_steps
+    # the time nodes of the plan's flux calls, p717 at the default horizon and
+    # base_steps: one midpoint per cell below each probe time
     cfg.write_text(f"pipeline = simulate\nscenario = p717\nn_paths = 20\n"
                    f"out_dir = {tmp_path / 'p717'}\n")
     res3 = runner.invoke(cli.main, ["run", str(cfg)])
     assert res3.exit_code == 0, res3.output
     manifest = next((tmp_path / "p717").glob("*/manifest.txt")).read_text()
-    assert "resolved flux_time_nodes: 2070\n" in manifest
+    assert "resolved flux_time_nodes: 1686\n" in manifest
+    setup, _ = sc.build_setup("p717", p=2.0, theta=2.0, horizon=0.5)
+    probes = cli._default_probes(setup)
+    times = sorted({t for t, _ in probes})
+    rho_min = min(x0 for _, (x0, _) in probes)
+    edges = cv._step_schedule(max(times), times, 512, rho_min)
+    smid = 0.5 * (edges[:-1] + edges[1:])
+    assert sum(int(np.count_nonzero(smid < t)) for t in times) == 1686
 
 
 def test_cli_simulate_zero_variance_probes_agree_with_a_zero_oracle(tmp_path, monkeypatch):

@@ -1,4 +1,3 @@
-import functools
 import os
 import sys
 import tracemalloc
@@ -342,7 +341,7 @@ def test_simulate_without_noise_modes_draws_nothing(law):
                                 geo.WeightedSpaceParams(2, 2, 0), horizon=0.3)
     ens, stats = cv.simulate_convolution(setup, [(0.3, 0.5), (0.1, 0.2)], n_paths=50,
                                          base_steps=128, return_paths=True, law=law)
-    assert ens.meta["normals_drawn"] == 0
+    assert ens.meta["normals_drawn"] == 0 and ens.meta["max_isometry_bias"] == 0.0
     assert np.all(ens.values == 0.0) and np.all(stats["var_oracle"] == 0.0)
 
 
@@ -371,10 +370,10 @@ def _tensor(setup, probes, base_steps=128):
     return edges, cv._coefficient_tensor(flux, probe_t, xs, edges)[0]
 
 
-def _tensor_from_the_old_floor(flux, probe_t, xs, edges):
-    """The Ito tensor as it was built with each final cell's panels started at
-    u = 2e-18, whatever the probes' boundary distances: the reference for the
-    floor at the flux's exact zeros."""
+def _tensor_with_the_final_cell_quadrature(flux, probe_t, xs, edges):
+    """The Ito tensor as it was built with each probe time's final cell given
+    its exact local variance, a 16-point log-panel quadrature in u from
+    u = 2e-18: the reference for the midpoint rule in every cell."""
     smid = 0.5 * (edges[:-1] + edges[1:])
     ds = np.diff(edges)
     coeff = np.zeros((flux.n_modes, len(probe_t), len(smid)))
@@ -414,38 +413,50 @@ ACCEPT1_PROBES = {
 }
 
 
-@pytest.mark.parametrize("probe_set", ["acceptance-1", "cli-default"])
-@pytest.mark.parametrize("sid", ["p71", "p72", "p713", "p717"])
-def test_final_cell_floor_at_the_flux_zeros_keeps_the_tensor_bit_for_bit(sid, probe_set):
-    # dropping the final-cell nodes where the flux is exactly 0.0 leaves the
-    # nonzero terms and their summation order, on the default schedule
+def _probe_set(group, sid):
+    # the horizon does not enter the tensor: the schedule ends at the last probe time
     setup, _ = sc.build_setup(sid, p=2.0, theta=2.0, horizon=0.5)
-    probes = ACCEPT1_PROBES[sid] if probe_set == "acceptance-1" else cli._default_probes(setup)
+    if group == "acceptance-1":
+        return setup, ACCEPT1_PROBES[sid]
+    if group == "cli-default":
+        return setup, cli._default_probes(setup)
+    # the probes of one simulate_mild step at dt = 0.01 on its default grid
+    grid = geo.interior_grid(geo.interval01(), graded=True, level=8, per_panel=8)
+    return setup, [(0.01, x) for x in grid.x]
+
+
+@pytest.mark.parametrize("sid, group", [
+    *[(sid, group) for group in ("acceptance-1", "cli-default")
+      for sid in ("p71", "p72", "p713", "p717")],
+    ("p718", "cli-default"), ("p71", "mild-step")])
+def test_final_cell_midpoint_matches_its_exact_variance(sid, group):
+    # the schedule ends each probe time's final cell within u <= rho_min^2/80,
+    # where the squared flux is below e^{-40}: its midpoint value and its exact
+    # local variance give the same covariance to rounding on the diagonal
+    setup, probes = _probe_set(group, sid)
     edges, coeff = _tensor(setup, probes, base_steps=512)
-    ref = _tensor_from_the_old_floor(cv.flux_for(setup), np.array([t for t, _ in probes]),
-                                     np.array([x for _, x in probes], float), edges)
-    assert np.array_equal(coeff, ref)
+    ref = _tensor_with_the_final_cell_quadrature(
+        cv.flux_for(setup), np.array([t for t, _ in probes]),
+        np.array([x for _, x in probes], float), edges)
+    sigma, sigma_ref = (sum(c @ c.T for c in t) for t in (coeff, ref))
+    d = np.diag(sigma_ref)
+    assert np.all(np.abs(np.diag(sigma) - d) <= 1e-15 * d)
+    assert np.all(np.abs(sigma - sigma_ref) <= 1e-9 * np.sqrt(np.outer(d, d)))
+    if sid in ("p713", "p717"):
+        assert np.array_equal(cv._gaussian_factor(coeff), cv._gaussian_factor(ref))
 
 
-@functools.cache
-def _flux_and_points(name):
-    # a flux the plan draws from, and a strategy for its probe points
-    if name in ("interval", "halfline"):
-        dom = geo.interval01() if name == "interval" else geo.half_line()
-        hi = 1.0 - 1e-3 if name == "interval" else 10.0
-        return cv.EndpointFlux(dom), st.floats(1e-3, hi).map(lambda x: np.array([x]))
-    setup, _ = sc.build_setup(name, p=2.0, theta=2.0)
-    return cv.flux_for(setup, truncated=True), st.tuples(
-        st.floats(1e-3, 5.0), st.floats(-3.0, 3.0)).map(lambda p: np.array([p]))
-
-
-@pytest.mark.parametrize("name", ["interval", "halfline", "p713", "p717", "p718"])
-@given(data=st.data(), frac=st.floats(1e-9, 1.0, exclude_max=True))
-def test_every_flux_is_exactly_zero_below_the_final_cell_bound(name, data, frac):
-    flux, points = _flux_and_points(name)
-    x = data.draw(points)
-    u = frac * cv._flux_zero_below(float(flux.rho(x)[0]))
-    assert np.all(flux.psi(u, x) == 0.0)
+@pytest.mark.parametrize("sid", ["p71", "p72", "p717"])
+def test_max_isometry_bias_is_the_schedules_largest_variance_gap(sid):
+    # acceptance 1's probe sets: 2.2e-3, 6.4e-3 and 1.2e-4
+    setup, probes = _probe_set("acceptance-1", sid)
+    _, coeff = _tensor(setup, probes, base_steps=512)
+    ens, stats = cv.simulate_convolution(setup, probes, n_paths=20)
+    diag = np.einsum("kps,kps->p", coeff, coeff)
+    want = np.max(np.abs(diag / stats["var_oracle"] - 1.0))
+    # the factor's column sums of squares are diag Sigma to rounding
+    assert abs(ens.meta["max_isometry_bias"] - want) <= 1e-13
+    assert f"{want:.2g}" == {"p71": "0.0022", "p72": "0.0064", "p717": "0.00012"}[sid]
 
 
 @pytest.mark.parametrize("sid, probes", [
