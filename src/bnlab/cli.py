@@ -25,6 +25,7 @@ from .geometry import UnsupportedDomainError, half_line, interval01
 from .kernels import (HeatKernel, difference_bound_report, far_weight_constants,
                       fit_boundary_mass_constant, fit_singular_moment_exponent,
                       halfline_resolvent_exact, verify_kernel_upper_bounds)
+from .noise import BESSEL_KAPPA_MAX
 from .scenarios import NoPrediction, build_setup, catalog, unbuildable
 from .semigroup import schur_constants
 
@@ -44,11 +45,14 @@ SCHEMA = {
     "n_paths": (int, False, 10000),
     "base_steps": (int, False, 512),
     "grid_level": (int, False, 26),
-    "mode_count": (int, False, 64),
     "seed": (int, False, 2024),
     "out_dir": (str, False, None),
     "c": (float, False, 4.0),
 }
+
+
+# keys that configs once took, and why they are refused now
+REMOVED = {"mode_count": "the half plane draws its noise whole, with no mode count to set"}
 
 
 class ConfigError(ValueError):
@@ -69,6 +73,9 @@ def parse_config(text):
             errors.append(f"line {ln}: expected 'key = value'")
             continue
         key, val = (s.strip() for s in line.split("=", 1))
+        if key in REMOVED:
+            errors.append(f"line {ln}: key '{key}' was removed: {REMOVED[key]}")
+            continue
         if key not in SCHEMA:
             errors.append(f"line {ln}: unknown key '{key}'")
             continue
@@ -107,8 +114,9 @@ def parse_config(text):
         errors.append("n_paths must be at least 2")
     if cfg.get("grid_level") is not None and cfg["grid_level"] < 14:
         errors.append("grid_level must be at least 14: J compares the levels 10 and 14")
-    if cfg.get("mode_count") is not None and cfg["mode_count"] < 1:
-        errors.append("mode_count must be at least 1")
+    if cfg.get("kappa", 0.0) > BESSEL_KAPPA_MAX:
+        errors.append(f"kappa = {cfg['kappa']:g} is above {BESSEL_KAPPA_MAX:g}, the largest "
+                      "Bessel exponent whose transform is checked")
     if cfg.get("seed") is not None and cfg["seed"] < 0:
         errors.append("seed must be nonnegative")
     if errors:
@@ -163,8 +171,7 @@ def run_scenario(cfg):
     if pipe in ("j-diagnose", "simulate", "invariant"):
         setup, pred = build_setup(cfg["scenario"], p=cfg["p"], theta=cfg["theta"],
                                   delta=cfg["delta"], horizon=cfg["horizon"],
-                                  alpha=cfg["alpha"], kappa=cfg["kappa"],
-                                  n_cells=cfg["mode_count"])
+                                  alpha=cfg["alpha"], kappa=cfg["kappa"])
         resolved["mode"] = setup.mode
         if setup.mode == "exact":       # a majorant setup draws no modes
             resolved["n_modes"] = flux_for(setup).n_modes

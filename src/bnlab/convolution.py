@@ -1,26 +1,26 @@
 """Stochastic convolution diagnostics: variance profiles, well-posedness integrals,
 Monte Carlo ensembles of the mild solution, and the semilinear fixed-point solver.
 
-The boundary flux of mode k is psi_k(t, x) = -int dG/dn(t,x,y) e_k(y) ds(y);
-everything here is built from the per-mode squared flux.  Exact mode evaluates
-psi_k from the closed 1-d kernels (interval, half line; the half plane takes
-the half-line influx times frequency-cell modes); majorant mode, mandatory on
-the ball, replaces the squared-flux sum by the Gaussian surface majorant the
-existence proofs bound it with.  Stochastic sums are Ito: left
-(independent-forward) Wiener increments with no Stratonovich correction; the
-deterministic coefficient is sampled at cell midpoints.
+The boundary flux of mode k is psi_k(t, x) = -int dG/dn(t,x,y) e_k(y) ds(y).
+Exact mode sums the squared fluxes from the closed 1-d kernels: the endpoint
+modes one by one, and on the half plane, by Parseval over the whole noise,
+the half-line influx a(t, x0) squared times the measure's transform K(2t, 0);
+majorant mode, mandatory on the ball, bounds that sum by the Gaussian surface
+majorant of the existence proofs.  Stochastic sums are Ito (left increments,
+no Stratonovich correction) with the coefficient at cell midpoints; draws take
+their probe covariance, on the half plane the midpoint rule of
+int a(t-s, x0) a(t'-s, x0') K(t+t'-2s, x1-x1') ds (Da Prato & Zabczyk, 1993).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import exp1, gamma, gammaincc
 
 from .geometry import (UnsupportedDomainError, WeightedSpaceParams, _graded_edges_01,
                        distance_to_boundary, gauss_legendre, half_line, halfline_grid,
                        interior_grid, weight)
 from .kernels import HeatKernel, NumericalRefusal, ball_boundary_mass_exact
-from .noise import NoiseSpec, frequency_cells, substream
+from .noise import NoiseSpec, substream
 from .semigroup import _lp, semigroup_matrix
 
 
@@ -51,10 +51,10 @@ class ConvolutionSetup:
 # ---------------------------------------------------------------------------
 # flux modes
 #
-# Every flux answers the same four calls: rho(x), the boundary distances of the
-# nodes x; sum_sq(u, x), the (nx, nu) squared-flux sum over its modes; psi(u, x),
-# the (n_modes, nx, nu) per-mode flux; and variance(t_hi, x, alpha,
-# pts_per_octave), the weighted time integral of sum_sq.
+# Every flux answers rho(x), the boundary distances of the nodes x; sum_sq(u, x),
+# the (nx, nu) squared-flux sum; and variance(t_hi, x, alpha, pts_per_octave),
+# its weighted time integral.  The exact fluxes also give covariance(probe_t, x,
+# edges), the Ito sums' probe covariance on the step cells that the draws take.
 
 
 class EndpointFlux:
@@ -88,6 +88,15 @@ class EndpointFlux:
     def sum_sq(self, u, x):
         p = self.psi(u, x)
         return np.sum(p * p, axis=0)
+
+    def covariance(self, probe_t, x, edges):
+        """Sum of C_k C_k^T over the modes C_k of the Ito coefficient tensor, and
+        the flux time nodes it took."""
+        coeff, n_nodes = _coefficient_tensor(self, probe_t, x, edges)
+        sigma = np.zeros((len(probe_t),) * 2)
+        for c in coeff:                     # mode by mode: no copy of the tensor
+            sigma += c @ c.T
+        return sigma, n_nodes
 
     def rho(self, x):
         return distance_to_boundary(self.domain, np.asarray(x).reshape(-1, 1))
@@ -132,6 +141,8 @@ def _image_pairs(a0, t_hi, order, shells):
     weighted 1 on the diagonal and 2 off it.  That is the per-pair loop's
     arithmetic bit for bit, and memory is one shell of the nodes.
     """
+    from scipy.special import gamma, gammaincc
+
     def pairs(m, n):
         am, an = a0 + 2 * m[:, None], a0 + 2 * n[:, None]
         c = 0.25 * (am * am + an * an)
@@ -156,6 +167,7 @@ def _image_pairs(a0, t_hi, order, shells):
 def _upper_gamma(a, z):
     """Gamma(a, z) for real a and z > 0 (DLMF 8.2.2); a <= 0 recurs down from
     a + k in [0, 1) by Gamma(a, z) = (Gamma(a+1, z) - z^a e^{-z}) / a (DLMF 8.8.2)."""
+    from scipy.special import exp1, gamma, gammaincc
     steps = int(np.ceil(-a)) if a <= 0 else 0
     top = a + steps
     out = exp1(z) if top == 0 else gamma(top) * gammaincc(top, z)
@@ -199,72 +211,56 @@ class _TimeQuadrature:
 class HomogeneousFlux(_TimeQuadrature):
     """Spatially homogeneous boundary noise on the half space {x0 > 0} x R^m, m = 1.
 
-    The exact squared-flux sum over a complete basis collapses by Parseval to
-    (x0/t)^2 g_{2t}(x0)^2 * int e^{-2t z^2} d mu(z), a profile in x0.  The modes
-    that simulations draw are cosine/sine pairs per frequency cell (`psi`); an
-    atom of the measure is a one-node cell, so its pair is an exact mode.  A
-    truncated flux sums those modes instead, at points (x0, x1).
-    """
+    The flux of the boundary point y is the half-line influx a(t, x0) times the
+    line's heat kernel g_t(x1 - y1); over the whole noise, Parseval turns each
+    product of two fluxes into the measure's transform K."""
 
-    def __init__(self, domain, spec, truncated=False):
+    def __init__(self, domain, spec):
         if domain.kind != "halfspace" or domain.dim != 2:
             raise ConfigurationError("homogeneous flux implemented for the half plane (m = 1)")
         self.domain = domain
-        # the normal factor (x0/t) g_{2t}(x0) of the flux is the half-line influx
         self.normal = HeatKernel(half_line())
-        self.spec = spec
         self.measure = spec.measure
-        self.truncated = truncated
-        self.cells = frequency_cells(spec.measure, spec.z_max, spec.n_cells)
 
     @property
     def n_modes(self):
-        return 2 * self.cells.n_cells
-
-    def psi(self, u, xy):
-        """(n_modes, nx, nu) flux array: the cosine and sine mode of each cell in turn."""
-        u = np.atleast_1d(np.asarray(u, float))
-        out = np.empty((self.n_modes, np.atleast_2d(xy).shape[0], u.size))
-        for kc, (cos_mode, sin_mode) in enumerate(self._cell_modes(u, xy)):
-            out[2 * kc], out[2 * kc + 1] = cos_mode, sin_mode
-        return out
-
-    def _cell_modes(self, u, xy, sines=True):
-        # the (cosine, sine) mode pair of each cell in cell order, (nx, nu) each:
-        # sqrt(2/m_k) * amp * (trig(outer(x1, z_k)) @ damp_k), with the cos and
-        # sin of every cell's phases formed once, rounded as per cell; with
-        # sines=False, the cosine mode alone
-        pts = np.atleast_2d(np.asarray(xy, float))
-        x0, x1 = pts[:, 0], pts[:, 1]
-        amp = -self.normal.normal_derivative(u, x0, 0.0)     # (nx, nu)
-        phase = x1[None, :, None] * self.cells.nodes[:, None, :]     # (cell, nx, q)
-        trig = (np.cos(phase), np.sin(phase)) if sines else (np.cos(phase),)
-        for kc in range(self.cells.n_cells):
-            z = self.cells.nodes[kc]                        # (q,)
-            w = self.cells.weights[kc]
-            damp = np.exp(-u[None, :] * z[:, None] ** 2) * w[:, None]    # (q, nu)
-            scaled = np.sqrt(2.0 / self.cells.masses[kc]) * amp
-            yield tuple(scaled * (f[kc] @ damp) for f in trig)
+        """The measure's discrete modes: a cosine and a sine per atom, none for a density."""
+        return 2 * len(self.measure.masses) if self.measure.kind == "atoms" else 0
 
     def sum_sq(self, u, x):
-        """(nx, nu) squared-flux sum: the Parseval profile, or the truncated modes.
-
-        The truncated sum adds the squares in mode order (cosine then sine of
-        each cell), the sequential sum np.sum(psi * psi, axis=0) makes, bit for
-        bit, without forming the (mode, node, time) array.  Where every point
-        has x1 = 0, each sine mode is sin(0) = 0 times its amplitude, whose
-        square adds an exact zero, so only the cosines are formed.
-        """
+        """(nx, nu) squared-flux sum a(u, x0)^2 K(2u, 0), a profile in x0."""
         u = np.atleast_1d(np.asarray(u, float))
-        if self.truncated:
-            pts = np.atleast_2d(np.asarray(x, float))
-            total = np.zeros((pts.shape[0], u.size))
-            for modes in self._cell_modes(u, pts, sines=bool(np.any(pts[:, 1]))):
-                for p in modes:
-                    total += p * p
-            return total
         return self.normal.normal_derivative(u, self.rho(x), 0.0) ** 2 \
-            * self.measure.gauss_transform(2 * u)[None, :]
+            * self.measure.transform(2 * u)[None, :]
+
+    def covariance(self, probe_t, xy, edges):
+        """Ito sums' probe covariance on the step cells, and the flux time nodes it took:
+        Sigma_ij = sum_m a(u_im, x0_i) a(u_jm, x0_j) K(u_im + u_jm, x1_i - x1_j) ds_m,
+        u_im = t_i - s_m, over the cells with midpoint s_m below both probe times.
+        One transform call takes every (earlier time, later time, lag) of a pair.
+        """
+        pts = np.atleast_2d(np.asarray(xy, float))
+        smid = 0.5 * (edges[:-1] + edges[1:])
+        ds = np.diff(edges)
+        amp = np.zeros((len(probe_t), len(smid)))          # a(u, x0) sqrt(ds), live cells
+        for ti in np.unique(probe_t):
+            rows = np.flatnonzero(probe_t == ti)
+            live = int(np.searchsorted(smid, ti))            # a prefix: smid increases
+            amp[rows, :live] = -self.normal.normal_derivative(ti - smid[:live], pts[rows, 0],
+                                                              0.0) * np.sqrt(ds[:live])
+        i, j = np.triu_indices(len(probe_t))
+        t_lo, t_hi = np.minimum(probe_t[i], probe_t[j]), np.maximum(probe_t[i], probe_t[j])
+        keys, which = np.unique(np.column_stack([t_lo, t_hi, np.abs(pts[i, 1] - pts[j, 1])]),
+                                axis=0, return_inverse=True)
+        count = np.searchsorted(smid, keys[:, 0])
+        row = np.repeat(np.arange(len(keys)), count)
+        col = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+        kern = np.zeros((len(keys), len(smid)))
+        kern[row, col] = self.measure.transform(
+            (keys[row, 0] - smid[col]) + (keys[row, 1] - smid[col]), keys[row, 2])
+        sigma = np.empty((len(probe_t),) * 2)
+        sigma[i, j] = sigma[j, i] = np.einsum("pm,pm,pm->p", amp[i], amp[j], kern[which.ravel()])
+        return sigma, int(np.sum(np.searchsorted(smid, np.unique(probe_t))))
 
 
 # the Gaussian time scale c and the amplitude C of the majorant's pointwise flux bound
@@ -312,14 +308,14 @@ class MajorantFlux(_TimeQuadrature):
             * ((2 * np.pi * _MAJORANT_C * u) ** (-d / 2.0) * mass) ** 2
 
 
-def flux_for(setup, truncated=False):
-    """The setup's flux; `truncated` makes a homogeneous flux sum the modes it draws."""
+def flux_for(setup):
+    """The setup's flux: majorant on the ball, else endpoint or homogeneous."""
     if setup.mode == "majorant":
         return MajorantFlux(setup.domain, setup.noise)
     if setup.noise.kind == "endpoints":
         return EndpointFlux(setup.domain, n_atoms=setup.noise.n_atoms)
     if setup.noise.kind == "homogeneous":
-        return HomogeneousFlux(setup.domain, setup.noise, truncated=truncated)
+        return HomogeneousFlux(setup.domain, setup.noise)
     raise ConfigurationError(f"no exact flux for noise kind {setup.noise.kind}")
 
 
@@ -465,6 +461,7 @@ def _tangential_weight(theta, delta, x0):
     """
     if delta <= 0.5:
         raise ConfigurationError("half-space scenarios need delta > 1/2")
+    from scipy.special import gamma
     x0 = np.atleast_1d(np.asarray(x0, float))
     const = np.sqrt(np.pi) * gamma(delta - 0.5) / gamma(delta)
     return np.minimum(x0, 1.0) ** theta * (1.0 + x0 ** 2) ** (0.5 - delta) * const
@@ -488,10 +485,10 @@ def j_integral(setup, levels=(10, 14, 18, 22, 26), prediction=None):
     whose nested grids share one profile evaluation (`_j_levels`).  The
     report also records stability under time-quadrature doubling (`exact` for
     endpoint fluxes, whose time integral is closed form), a separate call at
-    the finest level, and under mode-truncation doubling.  A finite integral
-    only certifies well-posedness when the state space itself is admissible
-    (theta < 2p-1), so inadmissible theta reports the divergent verdict with
-    the reason attached.  The prediction reads both theta and delta.
+    the finest level.  A finite integral only certifies well-posedness when
+    the state space itself is admissible (theta < 2p-1), so inadmissible
+    theta reports the divergent verdict with the reason attached.  The
+    prediction reads both theta and delta.
     """
     if len(levels) < 2:
         raise ValueError("the J verdict compares the last two levels; give at least 2")
@@ -507,24 +504,6 @@ def j_integral(setup, levels=(10, 14, 18, 22, 26), prediction=None):
                                 pts_per_octave=2 * _J_PTS_PER_OCTAVE)
         checks["time_refinement_rel_change"] = abs(_j_sum(setup, fine, prof) - js[-1]) \
             / abs(js[-1]) if js[-1] > 0 else 0.0
-    if setup.noise.kind == "homogeneous" and setup.noise.measure.kind != "atoms":
-        # the J verdict uses the complete-basis sum; the declared truncation is
-        # what simulations consume, so certify its K-stability at simulation
-        # probes (a frequency cutoff can never resolve the x0 < 1/z_max layer,
-        # where the complete route remains authoritative)
-        wider = NoiseSpec("homogeneous", measure=setup.noise.measure,
-                          z_max=2 * setup.noise.z_max, n_cells=2 * setup.noise.n_cells)
-        fluxes = [HomogeneousFlux(setup.domain, spec, truncated=True)
-                  for spec in (setup.noise, wider)]
-        probes = np.array([[x0, 0.0] for x0 in (0.2, 0.5, 1.0)])
-        # each flux once, over the union of the time nodes of the three horizons
-        horizons = (setup.horizon / 8, setup.horizon / 2, setup.horizon)
-        profs_k, profs_2k = (_level_profiles(f, horizons, [probes] * 3, setup.alpha,
-                                             _J_PTS_PER_OCTAVE) for f in fluxes)
-        rel = 0.0
-        for vk, v2k in zip(profs_k, profs_2k):
-            rel = max(rel, float(np.max(_gap_ratio(np.abs(v2k - vk), v2k))))
-        checks["probe_variance_mode_doubling_rel_change"] = rel
     verdict = _j_verdict(js)
     if verdict == "finite" and any(v > 0.01 for v in checks.values() if not isinstance(v, str)):
         verdict = "inconclusive"
@@ -648,8 +627,6 @@ def _coefficient_tensor(flux, probe_t, xs, edges):
     for ti in np.unique(probe_t):
         rows = np.flatnonzero(probe_t == ti)
         n_live = int(np.count_nonzero(smid < ti))       # a prefix: smid increases
-        # with many modes pv is the largest transient here: work in place and
-        # free it before the next call, so peak memory stays that of the draws
         pv = flux.psi(ti - smid[:n_live], xs[rows])
         n_nodes += n_live
         pv *= np.sqrt(ds[:n_live])
@@ -658,17 +635,14 @@ def _coefficient_tensor(flux, probe_t, xs, edges):
     return coeff, n_nodes
 
 
-def _gaussian_factor(coeff):
-    """F = C^{1/2} D^{1/2}, so F^T F = Sigma = sum_k C_k C_k^T over the modes C_k of coeff.
+def _gaussian_factor(sigma):
+    """F = C^{1/2} D^{1/2}, so F^T F = Sigma, the Ito sums' probe covariance.
 
     D = diag Sigma, C = D^{-1/2} Sigma D^{-1/2}, and C^{1/2} is the symmetric root
     from `eigh` with negative eigenvalues clipped.  It is Hoelder-1/2 in Sigma, so
-    round-off in coeff cannot redraw the paths, and D keeps small variances to
+    round-off in Sigma cannot redraw the paths, and D keeps small variances to
     relative round-off.  One row per probe of positive variance.
     """
-    sigma = np.zeros((coeff.shape[1],) * 2)
-    for c in coeff:                     # mode by mode: no copy of the tensor
-        sigma += c @ c.T
     sd = np.sqrt(np.diag(sigma))
     live = sd > 0
     w, v = np.linalg.eigh(sigma[np.ix_(live, live)] / np.outer(sd[live], sd[live]))
@@ -687,7 +661,7 @@ def _draw_plan(setup, probes, base_steps):
     """Flux, probe points and times, the factor F of a probe set and the plan's counts."""
     if setup.mode != "exact":
         raise ConfigurationError("simulation requires exact mode")
-    flux = flux_for(setup, truncated=True)
+    flux = flux_for(setup)
     times = sorted({float(t) for t, _ in probes})
     pts = [p for _, p in probes]
     dom1d = setup.domain.dim == 1
@@ -707,9 +681,9 @@ def _draw_plan(setup, probes, base_steps):
         raise NumericalRefusal(f"base step {step:.3g} below 1e-13")
     edges = _step_schedule(t_max, times, base_steps, rho_min)
     probe_t = np.array([float(t) for t, _ in probes])
-    coeff, n_nodes = _coefficient_tensor(flux, probe_t, xs, edges)
+    sigma, n_nodes = flux.covariance(probe_t, xs, edges)
     counts = {"n_steps": len(edges) - 1, "flux_time_nodes": n_nodes}
-    return flux, xs, probe_t, _gaussian_factor(coeff), counts
+    return flux, xs, probe_t, _gaussian_factor(sigma), counts
 
 
 def _draws(factor, n_paths, root_seed, law="gaussian"):
@@ -827,7 +801,7 @@ def simulate_convolution(setup, probes, n_paths=10000, base_steps=512, root_seed
     moments, start = None, 0
     for xi in _draws(factor, n_paths, root_seed, law):
         block = M[start:start + len(xi)] if return_paths else M[:len(xi)]
-        # row i of xi @ factor is path i's sum; coeff already carries sqrt(ds)
+        # row i of xi @ factor is path i's sum; Sigma already carries the ds
         _paths_into(block, xi, factor)
         moments = _merge_moments(moments, _block_moments(block))
         start += len(xi)

@@ -3,7 +3,7 @@
 The Laplacian kernels are exact and one-dimensional: method of images on the
 interval (with the sine eigenseries as an independent second representation),
 reflection formula on the half line.  The half plane needs no kernel of its
-own, since its flux is the half-line influx times frequency-cell modes; the
+own, since its flux is the half-line influx times the line's heat kernel; the
 ball has none and goes through its radial boundary-mass majorant.  Resolvent
 kernels come from Laplace-transform quadrature in time, cross-checked on the
 half line against the ODE closed form.
@@ -13,7 +13,6 @@ on; the caller supplies the Gaussian scale c, the best constant is fitted.
 """
 
 import numpy as np
-from scipy import special
 
 from .geometry import UnsupportedDomainError, boundary_quadrature
 from .reports import EstimateReport, loglog_slope
@@ -592,11 +591,12 @@ def ball_boundary_mass_exact(d, t, rho, c=1.0):
     q = 1.0 - np.asarray(rho, float)
     a = c * t
     if d == 2:
+        from scipy.special import i0e
         arg = np.asarray(2 * q / a)
         gauss = np.exp(-(1 - q) ** 2 / a)
         live = ~(gauss == 0.0) | np.isnan(arg)
         i0 = np.zeros(arg.shape)
-        i0[live] = special.i0e(arg[live])
+        i0[live] = i0e(arg[live])
         return 2 * np.pi * i0 * gauss
     if d == 3:
         out = np.pi * a / q * np.exp(-(1 - q) ** 2 / a) * (1 - np.exp(-4 * q / a))

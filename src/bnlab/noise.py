@@ -1,12 +1,12 @@
-"""Boundary Wiener processes: mode bases, spectral measures, reproducible sampling.
+"""Boundary Wiener processes: spectral measures, noise specifications, reproducible sampling.
 
-Noise is a finite or truncated series of boundary modes with independent
-scalar Wiener coefficients: endpoint atoms (interval, half line), frequency
-cells on the boundary line of the half plane, and on the circle white noise
-or a sup-summable series known by the sup norms of its terms.  Homogeneous
-processes on that line are described by a symmetric spectral measure; their
-mode bases come from a symmetric cell partition of frequency space, and the
-space correlation is the Fourier transform of the measure.
+Noise drives the boundary through independent scalar Wiener coefficients:
+endpoint atoms (interval, half line), a homogeneous process on the boundary
+line of the half plane, and on the circle white noise or a sup-summable series
+known by the sup norms of its terms.  All that the half plane reads of its
+spectral measure mu is K(a, d) = int e^{-a z^2} cos(z d) dmu(z): the Parseval
+mode mass K(a, 0), the space correlation K(0, d), and the convolution kernel
+K(t + t' - 2s, x1 - x1') (Da Prato & Zabczyk, 1993).
 
 Sampling is counter-based: every (purpose, index...) tuple deterministically
 derives its own Philox substream from the root seed, so ensembles replay
@@ -14,10 +14,12 @@ bit-for-bit and distinct streams are independent.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import gamma, lgamma, pi
 
 import numpy as np
 
-from .geometry import UnsupportedDomainError, gauss_legendre
+from .geometry import UnsupportedDomainError
 
 
 # ---------------------------------------------------------------------------
@@ -39,8 +41,8 @@ class SpectralMeasure:
     """Symmetric spectral measure on the line: atoms, Lebesgue or the Bessel family.
 
     kind "atoms": frequencies z_k with masses, symmetrized under z -> -z.
-    kind "bessel": density (1+z^2)^(-kappa/2).  kind "lebesgue": the flat
-    measure.
+    kind "bessel": density (1+z^2)^(-kappa/2), for kappa in (-1, BESSEL_KAPPA_MAX].
+    kind "lebesgue": the flat measure.
     """
 
     kind: str
@@ -48,33 +50,27 @@ class SpectralMeasure:
     points: tuple = None
     masses: tuple = None
 
-    def gauss_transform(self, s):
-        """int exp(-s |z|^2) d mu(z); the time-dependent mode mass of half-space variances.
+    def transform(self, a, d=0.0):
+        """K(a, d) = int e^{-a z^2} cos(z d) d mu(z), entry by entry over broadcast a >= 0 and d.
 
-        s may be an array, transformed entry by entry: a float for a scalar s.
+        Lebesgue: sqrt(pi/a) e^{-d^2/(4a)}, for a > 0 only.  Atoms: the cosine
+        sum 2 sum_k m_k e^{-a z_k^2} cos(z_k d).  Bessel: `_bessel_transform`.
+        An entry does not depend on the others: a float for scalar arguments.
         """
-        s = np.asarray(s, float)
-        if np.any(s <= 0):
-            raise ValueError("s must be positive")
-        if self.kind == "atoms":
-            z = np.asarray(self.points)
-            out = 2.0 * np.sum(np.asarray(self.masses) * np.exp(-s[..., None] * z ** 2), axis=-1)
-        elif self.kind == "lebesgue":
-            out = (np.pi / s) ** 0.5
-        else:
-            # int (1+z^2)^(-k/2) e^(-s z^2) dz = sqrt(pi) U(1/2, (3-k)/2, s), uniformly
-            # accurate down to s -> 0 (direct quadrature loses the spike there)
-            from scipy.special import hyperu
-            out = np.sqrt(np.pi) * hyperu(0.5, (3.0 - self.kappa) / 2.0, s)
-        return float(out) if out.ndim == 0 else out
-
-    def density_at(self, z):
-        z = np.asarray(z, float)
+        a, d = np.broadcast_arrays(np.asarray(a, float), np.abs(np.asarray(d, float)))
+        if not np.all(a >= 0):
+            raise ValueError("a must be nonnegative")
         if self.kind == "lebesgue":
-            return np.ones_like(z)
-        if self.kind == "bessel":
-            return (1 + z * z) ** (-self.kappa / 2)
-        raise ValueError("atomic measures have no density")
+            if np.any(a == 0):
+                raise UnsupportedDomainError("the flat measure has no pointwise correlation")
+            out = (np.pi / a) ** 0.5 * np.exp(-d * d / (4.0 * a))
+        elif self.kind == "atoms":
+            z = np.asarray(self.points)
+            out = 2.0 * np.sum(np.asarray(self.masses) * np.exp(-a[..., None] * z ** 2)
+                               * np.cos(d[..., None] * z), axis=-1)
+        else:
+            out = _bessel_transform(self.kappa, a, d)
+        return float(out) if out.ndim == 0 else out
 
 
 def bessel_measure(kappa):
@@ -94,58 +90,116 @@ def atomic_measure(points, masses):
     return SpectralMeasure("atoms", points=tuple(pts), masses=tuple(np.asarray(masses, float)))
 
 
-def spectral_correlation(measure, y):
-    """Space correlation: the Fourier transform of the spectral measure at the lag y, a number.
+# The Bessel transform is checked against 30-digit mpmath for kappa in
+# (-1, BESSEL_KAPPA_MAX]; below -1 no p718 case is treatable.
+BESSEL_KAPPA_MAX = 100.0
+# e^{-_TAIL_LOG} bounds the rule's truncation relative to K(a, 0); below s =
+# d^2/(4 _SCALE_D), e^{-d^2/(4s)} bounds the integrand by a pure power at scale s
+_TAIL_LOG = 37.0
+_SCALE_D = 16.0
 
-    Atomic measures give the exact cosine sum; continuous densities are
-    transformed by oscillatory-weight quadrature.
+
+@lru_cache(maxsize=None)
+def _bessel_rule(kappa):
+    """(n, b, h, x, r, w) of the trapezoid rule behind `_bessel_transform`.
+
+    n shifts the exponent to b = kappa/2 + n >= 3/2.  The nodes r = b e^x step
+    down by h from x = log(2 + 80/b), where the Gamma(b) density in log r is
+    below e^{-40} of its peak, to the cut of scale 0; the weights are that
+    density normalised by their sum.  h^2 b <= 0.16 keeps the error below
+    1e-15 (the density's strip of analyticity narrows like 1/sqrt(b)).
     """
-    if measure.kind == "lebesgue":
-        raise UnsupportedDomainError("the flat measure has no pointwise correlation")
-    yy = abs(float(y))
-    if measure.kind == "atoms":
-        phase = np.asarray(measure.points) * yy
-        return 2.0 * float(np.sum(np.asarray(measure.masses) * np.cos(phase)))
-    from scipy import integrate
-    dens = measure.density_at
-    integrable = not (measure.kind == "bessel" and measure.kappa <= 1)
-    if yy == 0.0 or (yy < 1e-4 and integrable):
-        # no oscillation happens before an integrable density has decayed away
-        if not integrable:
-            return np.inf
-        return 2.0 * integrate.quad(lambda z: dens(z) * np.cos(yy * z), 0, np.inf, limit=300)[0]
-    # QUADPACK Fourier integral handles the oscillation panel by panel
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val = integrate.quad(lambda z: dens(z), 0, np.inf, weight="cos", wvar=yy,
-                             limit=400, epsabs=1e-12)[0]
-    return 2.0 * val
+    if not -1.0 < kappa <= BESSEL_KAPPA_MAX:
+        raise ValueError(f"kappa = {kappa:g} is outside (-1, {BESSEL_KAPPA_MAX:g}], "
+                         "where the Bessel transform is checked")
+    n = max(0, int(np.ceil((3.0 - kappa) / 2.0)))
+    b = kappa / 2.0 + n
+    h = min(0.2, 0.4 / np.sqrt(b))
+    x = np.log(2.0 + 80.0 / b) - h * np.arange((np.log(2.0 + 80.0 / b)
+                                                - _cut(n, b, 0.0)) // h + 1)
+    w = np.exp(b * (x - np.expm1(x)))
+    w *= np.sqrt(pi) / np.sum(w)
+    return n, b, h, x, b * np.exp(x), w
+
+
+def _cut(n, b, scale):
+    """log(r/b) at the lowest node an entry of this scale needs: below, the
+    integrand is at most r^b scale^-(n+1/2) (scale <= 1), and the nodes left
+    out weigh below e^{-37} of K(a, 0) >= sqrt(pi/(a + b))."""
+    log_scale = np.minimum(np.log(np.maximum(scale, 5e-324)), 0.0)
+    return (lgamma(b) - _TAIL_LOG + (n + 0.5) * log_scale) / b - np.log(b)
+
+
+def _bessel_transform(kappa, a, d):
+    """K(a, d) of the Bessel density (1+z^2)^(-kappa/2), entry by entry.
+
+    The Gamma mixture (1+z^2)^(-b) = Gamma(b)^-1 int r^(b-1) e^{-r(1+z^2)} dr
+    makes K the Gamma(b) average over r of the Lebesgue form at a + r.  Below
+    kappa = 3 that average converges slowly at r -> 0, so the transform of
+    kappa + 2n is taken instead and (1 - d/da)^n applied to the Lebesgue form
+    (1 + z^2 is 1 - d/da on e^{-a z^2}).  With q = 1/(a + r) and D = d^2/4,
+    L = sqrt(pi q) e^{-D q}, (1 - d/da) L = L (1 + q/2 - D q^2) and
+    (1 - d/da)^2 L = L (1 + q + (3/4 - 2D) q^2 - 3D q^3 + D^2 q^4).
+
+    The average is a trapezoid rule in log r (`_bessel_rule`).  Each entry
+    adds its nodes from the top down to its own cut (`_cut`) at the scale
+    a + D/16, so its value does not depend on the batch.  K(0, 0) is the total
+    mass sqrt(pi) Gamma((kappa-1)/2) / Gamma(kappa/2), infinite for kappa <= 1.
+    """
+    n, b, h, x, r, w = _bessel_rule(kappa)
+    flat, big_d = a.ravel(), 0.25 * d.ravel() ** 2
+    scale = flat + big_d / _SCALE_D
+    depth = np.minimum((x[0] - _cut(n, b, scale)) // h, len(r) - 1).astype(int)  # last node
+    order = np.argsort(-depth, kind="stable")
+    a_s, d_s = flat[order], big_d[order]
+    reach = np.searchsorted(-depth[order], -np.arange(depth.max(initial=-1) + 1), side="right")
+    coef = ([], [-d_s, 0.5, 1.0], [d_s * d_s, -3.0 * d_s, 0.75 - 2.0 * d_s, 1.0, 1.0])[n]
+    with_d = bool(np.any(d_s))
+    if not with_d:      # then the D terms are exact zeros and e^{-D q} = 1: left out
+        coef = ([], [0.5, 1.0], [0.75, 1.0, 1.0])[n]
+    acc = np.zeros(flat.size)
+    # node by node from the top, over the entries that reach it (a prefix, as
+    # depth decreases): each entry adds its terms in one fixed order; scales
+    # below ~1e-120 overflow and read inf or nan
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, m in enumerate(reach):
+            q = 1.0 / (a_s[:m] + r[i])
+            term = np.sqrt(q) * np.exp(-d_s[:m] * q) if with_d else np.sqrt(q)
+            if n:                                   # P(q) by Horner, top coefficient first
+                poly = 0.0
+                for c in coef:
+                    poly = poly * q + (c[:m] if np.ndim(c) else c)
+                term *= poly
+            acc[:m] += w[i] * term
+    out = np.empty(flat.size)
+    out[order] = acc
+    if np.any(scale == 0.0):
+        out[scale == 0.0] = np.sqrt(pi) * gamma((kappa - 1) / 2) / gamma(kappa / 2) \
+            if kappa > 1 else np.inf
+    return out.reshape(a.shape)
 
 
 # ---------------------------------------------------------------------------
-# boundary noise specifications and frequency cells
+# boundary noise specifications
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Boundary noise: which modes drive the boundary, and how they are truncated.
+    """Boundary noise: which modes drive the boundary.
 
     kind "endpoints": unit atoms at the boundary points of a 1-d domain.
     kind "finite_series": a sup-summable series of boundary functions, given
     by the sup norms of its terms, which is all the majorant route reads.
     kind "circle_white": white noise on S^1, which only the majorant route
     treats, through its complete Fourier basis.  kind "homogeneous":
-    spatially homogeneous process on the boundary line given by a
-    spectral measure with a frequency truncation (z_max, n_cells).
+    spatially homogeneous process on the boundary line given by its spectral
+    measure, taken whole: nothing is truncated.
     """
 
     kind: str
     n_atoms: int = 0
     sup_norms: tuple = None
     measure: SpectralMeasure = None
-    z_max: float = 0.0
-    n_cells: int = 0
 
 
 def endpoint_noise(domain):
@@ -171,43 +225,5 @@ def rotational_noise(amplitudes):
     return NoiseSpec("finite_series", sup_norms=tuple(sups))
 
 
-def homogeneous_noise(measure, z_max, n_cells):
-    return NoiseSpec("homogeneous", measure=measure, z_max=float(z_max), n_cells=int(n_cells))
-
-
-# Gauss-Legendre nodes per frequency cell of a continuous measure
-_CELL_ORDER = 12
-
-
-@dataclass(frozen=True)
-class FrequencyCells:
-    """Symmetric partition of frequency space backing the homogeneous mode basis.
-
-    Each cell (0 < z1 < z2) yields a cosine and a sine mode, orthonormal in the
-    measure-weighted symmetric L^2; cell masses are the measure of the cell.
-    A cell is a quadrature of the measure over it: Gauss-Legendre nodes in
-    [z1, z2] weighted by the density, or for an atom z_k a single node of
-    weight and mass m_k.
-    """
-
-    masses: np.ndarray         # (n_cells,)
-    nodes: np.ndarray          # (n_cells, q) frequencies
-    weights: np.ndarray        # (n_cells, q) mu-weights
-
-    @property
-    def n_cells(self):
-        return len(self.masses)
-
-
-def frequency_cells(measure, z_max, n_cells):
-    """Cells of [0, z_max] for a continuous measure, one cell per atom of an atomic one."""
-    if measure.kind == "atoms":
-        masses = np.asarray(measure.masses, float)
-        nodes = np.asarray(measure.points)[:, None]
-        return FrequencyCells(masses, nodes, masses[:, None])
-    edges = np.linspace(0.0, z_max, n_cells + 1)
-    a, b = edges[:-1, None], edges[1:, None]
-    gx, gw = gauss_legendre(_CELL_ORDER)
-    nodes = 0.5 * (b - a) * gx + 0.5 * (a + b)
-    weights = 0.5 * (b - a) * gw * measure.density_at(nodes)
-    return FrequencyCells(weights.sum(axis=1), nodes, weights)
+def homogeneous_noise(measure):
+    return NoiseSpec("homogeneous", measure=measure)

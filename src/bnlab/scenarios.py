@@ -69,12 +69,12 @@ def _endpoints(dom):
     return dom, endpoint_noise(dom)
 
 
-def _half_plane(measure, opts):
-    return half_space(2), homogeneous_noise(measure, z_max=24.0, n_cells=opts.n_cells)
+def _half_plane(measure):
+    return half_space(2), homogeneous_noise(measure)
 
 
 def _bessel(opts):
-    return _half_plane(bessel_measure(opts.kappa), opts)
+    return _half_plane(bessel_measure(opts.kappa))
 
 
 _MAJORANT_BALL_ONLY = "the majorant flux covers only the unit ball"
@@ -92,10 +92,10 @@ REGISTRY = {s.sid: s for s in (
     Scenario("p711ii", "bounded C^{1,a} region in the plane, boundary white noise",
              "theta in {mid}", unbuilt=_MAJORANT_BALL_ONLY, theta_lo=_mid),
     Scenario("p713", "half space, finite spectral measure", "theta in {low}, delta > (m+1)/2",
-             lambda o: _half_plane(atomic_measure([0.7, 1.9], [0.6, 0.4]), o), delta=1.5,
+             lambda o: _half_plane(atomic_measure([0.7, 1.9], [0.6, 0.4])), delta=1.5,
              delta_min=1.0),
     Scenario("p717", "half plane, space-time white noise on the boundary line (m=1)",
-             "theta in {mid}, delta > 1", lambda o: _half_plane(lebesgue_measure(), o),
+             "theta in {mid}, delta > 1", lambda o: _half_plane(lebesgue_measure()),
              delta=1.5, theta_lo=_mid, delta_min=1.0),
     Scenario("p718i", "half plane, Bessel spectral density, kappa >= m",
              "theta in {low}, delta > (m+1)/2", _bessel, delta=1.5, delta_min=1.0),
@@ -137,7 +137,7 @@ def _p718_case(kappa):
 
 
 def build_setup(scenario, p=2.0, theta=None, delta=None, horizon=0.5, alpha=0.0,
-                kappa=0.5, n_cells=64):
+                kappa=0.5):
     """Instantiate the (domain, noise, params) tuple of a catalogued scenario.
 
     Returns the setup and the Prediction of its record.  The id p718 lets kappa
@@ -150,7 +150,7 @@ def build_setup(scenario, p=2.0, theta=None, delta=None, horizon=0.5, alpha=0.0,
     if theta is None:
         raise ConfigurationError("theta is required")
     rec = REGISTRY["p718i" if sid == "p718" else sid]
-    opts = SimpleNamespace(kappa=kappa, n_cells=n_cells)
+    opts = SimpleNamespace(kappa=kappa)
     dom, nz = rec.build(opts)
     delta = rec.delta if delta is None else delta
     setup = ConvolutionSetup(dom, nz, WeightedSpaceParams(p, theta, delta),

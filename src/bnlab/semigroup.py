@@ -249,7 +249,9 @@ def schur_constants(domain, p, theta, c=4.0, levels=3):
                     vals = inte_y[np.ix_(xmask, ymask)].sum(axis=1)
                 else:
                     vals = inte_x[np.ix_(ymask, xmask)].sum(axis=0)
-                sups[nm] = max(sups[nm], float(vals.max()))
+                # the largest value: +inf if any is, else NaN (unknown) if any is
+                top = np.append(vals, sups[nm])
+                sups[nm] = np.inf if np.any(top == np.inf) else float(np.max(top))
         for nm in names:
             traces[nm].append(sups[nm])
     return SchurReport(p, theta, c, traces)

@@ -123,10 +123,11 @@ def test_cli_verify_kernels_at_an_overflowing_scale_is_diverging_without_warning
     (None, 0)], ids=["j-zero-variances", "j-overflow", "invariant-overflow", "schur-overflow"])
 def test_diagnostics_at_vanishing_or_overflowing_values_print_no_warnings(tmp_path, monkeypatch,
                                                                          config, code):
-    # p717 at horizon 0.001: the mode-doubling probes at T/8 have both variances
-    # 0.0, a change of 0; p71 at p = 900: profile^(p/2) overflows, and J (at
-    # T = inf too) is refused; schur at theta = 900: four split constants
-    # overflow to inf
+    # p717 at horizon 0.001: most of J's nodes have variance 0.0; p71 at
+    # p = 900: profile^(p/2) overflows, and J (at T = inf too) is refused;
+    # schur at theta = 900: four split constants overflow to inf, and k2, k6
+    # and k8 hold only inf * 0 = NaN beside finite values, which their traces
+    # keep (inconclusive, not bounded)
     monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
     args = ["verify", "schur", "--theta", "900"]
     if config:
@@ -143,11 +144,13 @@ def test_diagnostics_at_vanishing_or_overflowing_values_print_no_warnings(tmp_pa
         return
     assert res.stderr == ""
     report = next((tmp_path / "out").glob("*/*_report.txt")).read_text()
-    assert "nan" not in report
     if config:
+        assert "nan" not in report
         assert "j=divergent agreement=True" in res.output
     else:
         assert "all_bounded=False" in res.output and report.count("verdict=diverging") == 4
+        assert "k2: nan nan nan  verdict=inconclusive\n" in report
+        assert report.count("verdict=inconclusive") == 3
 
 
 def test_cli_list_catalog():
@@ -226,9 +229,10 @@ def test_variance_z_is_infinite_where_only_the_sample_spread_is_zero():
 
 def test_cli_manifest_mode_count_is_the_flux_mode_count(tmp_path):
     runner = CliRunner()
-    # p713's two symmetric atoms draw a cosine and a sine mode each, whatever
-    # the cell count; the majorant route of p78 draws no modes
+    # p713's two symmetric atoms are a cosine and a sine mode each; p717's
+    # density has no discrete mode; the majorant route of p78 draws no modes
     for sid, pipe, line in [("p713", "simulate", "resolved n_modes: 4\n"),
+                            ("p717", "simulate", "resolved n_modes: 0\n"),
                             ("p78", "j-diagnose", None)]:
         cfg = tmp_path / f"{sid}.txt"
         cfg.write_text(f"pipeline = {pipe}\nscenario = {sid}\nn_paths = 20\nbase_steps = 64\n"
@@ -321,8 +325,7 @@ def test_cli_unconverged_resolvent_quadrature_is_a_refusal(tmp_path, monkeypatch
     assert "Traceback" not in res.output
 
 
-TINY_CFG = ("pipeline = {}\nn_paths = 20\nbase_steps = 64\ngrid_level = 14\n"
-            "mode_count = 2\n")
+TINY_CFG = "pipeline = {}\nn_paths = 20\nbase_steps = 64\ngrid_level = 14\n"
 
 
 @pytest.mark.parametrize("pipe, line, message", [
@@ -330,7 +333,8 @@ TINY_CFG = ("pipeline = {}\nn_paths = 20\nbase_steps = 64\ngrid_level = 14\n"
     ("schur", "c = 0", "c must be positive"),
     ("verify-kernels", "c = -1", "c must be positive"),
     ("simulate", "seed = -1", "seed must be nonnegative"),
-    ("j-diagnose", "mode_count = 0", "mode_count must be at least 1"),
+    ("j-diagnose", "mode_count = 64", "key 'mode_count' was removed: the half plane draws"),
+    ("j-diagnose", "kappa = 150", "kappa = 150 is above 100, the largest Bessel exponent"),
     ("j-diagnose", "lam = 99", "unknown key 'lam'"),
     ("j-diagnose", "scenario = p711i", "no setup builder: the majorant flux covers only"),
     ("j-diagnose", "scenario = r88", "the catalog rejects Dirac boundary noise"),
@@ -398,8 +402,8 @@ def test_every_config_key_is_read_by_some_pipeline(tmp_path, monkeypatch):
     assert read == set(cli.SCHEMA)
 
 
-# the values of a valid config at small sizes (n_paths <= 50, grid_level 14,
-# mode_count <= 8); an example may replace one key's value by any of its type
+# the values of a valid config at small sizes (n_paths <= 50, grid_level 14);
+# an example may replace one key's value by any of its type
 VALID = {
     "pipeline": st.sampled_from(cli.PIPELINES),
     "scenario": st.sampled_from(sorted(sc.REGISTRY) + ["p718"]),
@@ -412,7 +416,6 @@ VALID = {
     "n_paths": st.integers(2, 50),
     "base_steps": st.integers(64, 512),
     "grid_level": st.just(14),
-    "mode_count": st.integers(1, 8),
     "seed": st.integers(0, 2 ** 32 - 1),
     "c": st.floats(0.05, 10.0),
 }
@@ -444,6 +447,8 @@ J_P71 = {"pipeline": "j-diagnose", "scenario": "p71", "grid_level": 14}
 # J's half-line cutoff lands one ulp past the doubling edge 8
 @example(cfg={**J_P71, "scenario": "p72", "horizon": 0.434294481903252})
 @example(cfg={**J_P71, "pipeline": "simulate", "base_steps": 0})
+# a key configs no longer take, named by every manifest written before its removal
+@example(cfg={**J_P71, "mode_count": 64})
 def test_every_run_exits_0_1_or_2_with_one_line_per_problem(cfg, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     text = "".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
@@ -506,17 +511,21 @@ def _damaged(manifest, kind, cut, junk):
     if kind == "garbled line":
         lines[min(int(cut * len(lines)), len(lines) - 1)] = junk + "\n"
         return "".join(lines).encode()
+    if kind == "removed key":
+        # as a manifest written while configs took mode_count (default 64)
+        return manifest.replace("\nn_paths = ", "\nmode_count = 64\nn_paths = ").encode()
     k = int(cut * len(manifest))            # "not text": a byte no text decoding reads
     return manifest[:k].encode() + b"\xff" + manifest[k:].encode()
 
 
 @given(kind=st.sampled_from(["truncated", "missing hash", "missing config", "garbled line",
-                             "not text"]),
+                             "not text", "removed key"]),
        cut=st.floats(0.0, 1.0), junk=st.text(alphabet="abcfilnp:-= #", max_size=16))
 @example(kind="missing hash", cut=0.0, junk="")
 @example(kind="missing config", cut=0.0, junk="")
 @example(kind="truncated", cut=0.5, junk="")
 @example(kind="not text", cut=0.5, junk="")
+@example(kind="removed key", cut=0.0, junk="")
 def test_replay_of_a_damaged_manifest_is_validation_or_a_mismatch(kind, cut, junk,
                                                                   tmp_path_factory):
     out = tmp_path_factory.mktemp("replay")
@@ -539,3 +548,8 @@ def test_replay_of_a_damaged_manifest_is_validation_or_a_mismatch(kind, cut, jun
                   if line.startswith("file: "))
         assert res.stderr == (f"validation: manifest line {ln}: "
                               "expected 'file: <name> sha256=<hash>'\n")
+    if kind == "removed key":
+        config = _damaged(_tiny_manifest(), kind, cut, junk).decode().split("-- config --")[1]
+        ln = config.splitlines().index("mode_count = 64") + 1
+        assert res.stderr == (f"validation: line {ln}: key 'mode_count' was removed: "
+                              f"{cli.REMOVED['mode_count']}\n")

@@ -25,8 +25,6 @@ READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"
 
 # kept because a test certifies a paper identity or claim that their docstring states
 IDENTITIES = {
-    "spectral_correlation": "the Bessel correlation exponent kappa - m, which separates p718i "
-                            "from p718ii (test_spectral_correlation_small_scale_exponent)",
     "gaussian_boundary_mass": "the quadrature reference for the closed form "
                               "ball_boundary_mass_exact behind J on p74 and p78 "
                               "(test_boundary_mass_quadrature_vs_exact_radial)",

@@ -206,6 +206,16 @@ def test_schur_constants_supercritical():
     assert not rep.all_bounded
 
 
+def test_schur_constants_keep_a_nan_split_integral():
+    # at theta = 900 the x-integral of k2 holds inf * 0 = NaN beside finite
+    # values: its sup is unknown, so its trace reads NaN and is not bounded;
+    # k4 holds NaN and inf, and a sup with an inf in it is inf
+    rep = sg.schur_constants(geo.interval01(), 2, 900.0, c=4.0, levels=3)
+    assert np.all(np.isnan(rep.constants["k2"])) and rep.verdicts["k2"] == "inconclusive"
+    assert rep.constants["k4"] == [np.inf] * 3 and rep.verdicts["k4"] == "diverging"
+    assert not rep.all_bounded
+
+
 def test_min_weight_splice():
     ker = HeatKernel(geo.interval01())
     out = sg.min_weight_splice_check(ker, 0.1, geo.WeightedSpaceParams(2, 0.2, 1.0),
