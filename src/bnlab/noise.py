@@ -193,7 +193,7 @@ class NoiseSpec:
     kind "circle_white": white noise on S^1, which only the majorant route
     treats, through its complete Fourier basis.  kind "homogeneous":
     spatially homogeneous process on the boundary line given by its spectral
-    measure, taken whole: nothing is truncated.
+    measure, taken whole.
     """
 
     kind: str
