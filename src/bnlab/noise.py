@@ -154,6 +154,9 @@ def _bessel_transform(kappa, a, d):
     a_s, d_s = flat[order], big_d[order]
     reach = np.searchsorted(-depth[order], -np.arange(depth.max(initial=-1) + 1), side="right")
     coef = ([], [-d_s, 0.5, 1.0], [d_s * d_s, -3.0 * d_s, 0.75 - 2.0 * d_s, 1.0, 1.0])[n]
+    with_d = bool(np.any(d_s))
+    if not with_d:      # J's calls: D terms are 0, e^{-Dq} = 1; same bits in 3/4 the time
+        coef = ([], [0.5, 1.0], [0.75, 1.0, 1.0])[n]
     acc = np.zeros(flat.size)
     # node by node from the top, over the entries that reach it (a prefix, as
     # depth decreases): each entry adds its terms in one fixed order; scales
@@ -161,7 +164,7 @@ def _bessel_transform(kappa, a, d):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, m in enumerate(reach):
             q = 1.0 / (a_s[:m] + r[i])
-            term = np.sqrt(q) * np.exp(-d_s[:m] * q)
+            term = np.sqrt(q) * np.exp(-d_s[:m] * q) if with_d else np.sqrt(q)
             if n:                                   # P(q) by Horner, top coefficient first
                 poly = 0.0
                 for c in coef:
