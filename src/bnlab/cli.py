@@ -26,6 +26,7 @@ from .kernels import (HeatKernel, difference_bound_report, far_weight_constants,
                       fit_boundary_mass_constant, fit_singular_moment_exponent,
                       halfline_resolvent_exact, verify_kernel_upper_bounds)
 from .noise import BESSEL_KAPPA_MAX
+from .reports import largest
 from .scenarios import NoPrediction, build_setup, catalog, unbuildable
 from .semigroup import schur_constants
 
@@ -210,9 +211,9 @@ def run_scenario(cfg):
         kerI = HeatKernel(interval01(), "image")
         kerS = HeatKernel(interval01(), "sine")
         xs = np.linspace(0.05, 0.95, 19)
-        sup = max(float(np.max(np.abs(kerI.value(t, xs[:, None], xs[None, :])
-                                      - kerS.value(t, xs[:, None], xs[None, :]))))
-                  for t in (1e-3, 1e-2, 0.1, 1.0))
+        sup = largest([np.abs(kerI.value(t, xs[:, None], xs[None, :])
+                              - kerS.value(t, xs[:, None], xs[None, :]))
+                       for t in (1e-3, 1e-2, 0.1, 1.0)])
         out.append(f"image_vs_sine_sup: {sup:.3e}")
         verdicts.append(f"cross_series_ok={sup < 1e-10}")
         kerH = HeatKernel(half_line())

@@ -9,7 +9,8 @@ majorant mode, mandatory on the ball, bounds that sum by the Gaussian surface
 majorant of the existence proofs.  Stochastic sums are Ito (left increments,
 no Stratonovich correction) with the coefficient at cell midpoints; draws take
 their probe covariance, on the half plane the midpoint rule of
-int a(t-s, x0) a(t'-s, x0') K(t+t'-2s, x1-x1') ds (Da Prato & Zabczyk, 1993).
+int a(t-s, x0) a(t'-s, x0') K(t+t'-2s, x1-x1') ds (Da Prato & Zabczyk, 1993),
+summed pair by pair with K evaluated once per (earlier time, later time, lag).
 """
 
 from dataclasses import dataclass, field
@@ -237,30 +238,55 @@ class HomogeneousFlux(_TimeQuadrature):
         """Ito sums' probe covariance on the step cells, and the flux time nodes it took:
         Sigma_ij = sum_m a(u_im, x0_i) a(u_jm, x0_j) K(u_im + u_jm, x1_i - x1_j) ds_m,
         u_im = t_i - s_m, over the cells with midpoint s_m below both probe times.
-        One transform call takes every (earlier time, later time, lag) of a pair.
+
+        The pairs i <= j go by block (earlier time, later time), whose cells are
+        the earlier time's live prefix.  K is evaluated once per (block, lag) on
+        that prefix, and each pair sums (a_i a_j) K in cell order, so an entry
+        does not depend on the other probes.  A transform call takes whole
+        blocks up to `_TRANSFORM_ENTRIES` entries.
         """
         pts = np.atleast_2d(np.asarray(xy, float))
         smid = 0.5 * (edges[:-1] + edges[1:])
         ds = np.diff(edges)
+        times, tix = np.unique(probe_t, return_inverse=True)
+        live = np.searchsorted(smid, times)                 # a prefix: smid increases
         amp = np.zeros((len(probe_t), len(smid)))          # a(u, x0) sqrt(ds), live cells
-        for ti in np.unique(probe_t):
-            rows = np.flatnonzero(probe_t == ti)
-            live = int(np.searchsorted(smid, ti))            # a prefix: smid increases
-            amp[rows, :live] = -self.normal.normal_derivative(ti - smid[:live], pts[rows, 0],
-                                                              0.0) * np.sqrt(ds[:live])
+        for k, (ti, m) in enumerate(zip(times, live)):
+            rows = np.flatnonzero(tix == k)
+            amp[rows, :m] = -self.normal.normal_derivative(ti - smid[:m], pts[rows, 0],
+                                                           0.0) * np.sqrt(ds[:m])
         i, j = np.triu_indices(len(probe_t))
-        t_lo, t_hi = np.minimum(probe_t[i], probe_t[j]), np.maximum(probe_t[i], probe_t[j])
-        keys, which = np.unique(np.column_stack([t_lo, t_hi, np.abs(pts[i, 1] - pts[j, 1])]),
-                                axis=0, return_inverse=True)
-        count = np.searchsorted(smid, keys[:, 0])
-        row = np.repeat(np.arange(len(keys)), count)
-        col = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
-        kern = np.zeros((len(keys), len(smid)))
-        kern[row, col] = self.measure.transform(
-            (keys[row, 0] - smid[col]) + (keys[row, 1] - smid[col]), keys[row, 2])
+        lo, hi = np.minimum(tix[i], tix[j]), np.maximum(tix[i], tix[j])
+        lag = np.abs(pts[i, 1] - pts[j, 1])
+        order = np.lexsort((lag, hi, lo))                   # by block, then by lag
+        i, j, lo, hi, lag = i[order], j[order], lo[order], hi[order], lag[order]
+        block = np.diff(lo * len(times) + hi, prepend=-1) != 0
+        key = np.cumsum(block | (np.diff(lag, prepend=-1.0) != 0)) - 1     # (block, lag)
+        key_lag = lag[np.flatnonzero(np.diff(key, prepend=-1))]
+        first = np.flatnonzero(block)
         sigma = np.empty((len(probe_t),) * 2)
-        sigma[i, j] = sigma[j, i] = np.einsum("pm,pm,pm->p", amp[i], amp[j], kern[which.ravel()])
-        return sigma, int(np.sum(np.searchsorted(smid, np.unique(probe_t))))
+        batch, args, lags_of = [], [], []
+        for n, (b0, b1) in enumerate(zip(first, [*first[1:], len(i)]), 1):
+            m = live[lo[b0]]
+            k0, k1 = key[b0], key[b1 - 1] + 1
+            args.append(np.tile((times[lo[b0]] - smid[:m]) + (times[hi[b0]] - smid[:m]), k1 - k0))
+            lags_of.append(np.repeat(key_lag[k0:k1], m))
+            batch.append((i[b0:b1], j[b0:b1], m, k1 - k0, key[b0:b1] - k0))
+            if sum(map(len, args)) < _TRANSFORM_ENTRIES and n < len(first):
+                continue
+            kern = self.measure.transform(np.concatenate(args), np.concatenate(lags_of))
+            for ii, jj, m, n_lags, which in batch:
+                rows, kern = kern[:n_lags * m].reshape(n_lags, m), kern[n_lags * m:]
+                sigma[ii, jj] = sigma[jj, ii] = np.einsum("pm,pm,pm->p", amp[ii, :m], amp[jj, :m],
+                                                          rows[which])
+            batch, args, lags_of = [], [], []
+        return sigma, int(np.sum(live))
+
+
+# entries per transform call of `HomogeneousFlux.covariance`: a few lags share one
+# call (the Bessel rule loops over its nodes once per call), and many lags take
+# calls that stay in cache
+_TRANSFORM_ENTRIES = 1 << 15
 
 
 # the Gaussian time scale c and the amplitude C of the majorant's pointwise flux bound
@@ -536,15 +562,22 @@ def _j_levels(setup, flux, levels):
 
 def _j_sum(setup, grid, prof):
     # scale * sum(prof^(p/2) * factor_1 * factor_2 ...), the factors in their
-    # order; a sum that is not finite (an overflow at a large p) is refused
-    _, factors, scale = grid
+    # order; a sum that is not finite is refused, naming the first input that
+    # is not: the profile at a node, or its power (an overflow at a large p)
+    nodes, factors, scale = grid
+    p = setup.params.p
     with np.errstate(over="ignore"):
-        v = prof ** (setup.params.p / 2.0)
+        v = power = prof ** (p / 2.0)
         for f in factors:
             v = v * f
         j = float(scale * np.sum(v))
     if not np.isfinite(j):
-        raise NumericalRefusal(f"J is not finite at p = {setup.params.p}: {j}")
+        for what, vals in (("the variance profile", prof), ("profile^(p/2)", power)):
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                raise NumericalRefusal(f"J is not finite at p = {p}: {what} is {vals[bad[0]]} "
+                                       f"at node {nodes[bad[0]]:.6g}")
+        raise NumericalRefusal(f"J is not finite at p = {p}: {j}")
     return j
 
 

@@ -15,7 +15,7 @@ on; the caller supplies the Gaussian scale c, the best constant is fitted.
 import numpy as np
 
 from .geometry import UnsupportedDomainError, boundary_quadrature
-from .reports import EstimateReport, loglog_slope
+from .reports import EstimateReport, largest, loglog_slope
 
 SERIES_TAIL = 1e-16     # first omitted series term below this is dropped
 IMAGE_SINE_SWITCH = 0.05  # auto representation: images for small t, sine series otherwise
@@ -546,12 +546,13 @@ def verify_kernel_upper_bounds(kernel, c):
             dG = kernel.grad_x(t, X, Y)
             m = np.minimum(1.0, Y / np.sqrt(t))
             denom = m * gauss_density(X - Y, c * t)
-            # a scale c too tight for the kernel overflows the ratio: an infinite sup
+            # a scale c too tight for the kernel overflows the ratio: an infinite sup;
+            # 0 where the majorant underflows to 0, NaN where it or the kernel is NaN
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                rv = np.where(denom > 0, G / denom, 0.0)
-                rg = np.where(denom > 0, np.abs(dG) * np.sqrt(t) / denom, 0.0)
-            sv = max(sv, float(np.max(rv)))
-            sg = max(sg, float(np.max(rg)))
+                rv = np.where(denom == 0, 0.0, G / denom)
+                rg = np.where(denom == 0, 0.0, np.abs(dG) * np.sqrt(t) / denom)
+            sv = largest(sv, rv)
+            sg = largest(sg, rg)
         sup_val.append(sv)
         sup_grad.append(sg)
     spec = f"{dom.kind}, c={c}, levels={levels}"
@@ -722,12 +723,12 @@ def far_weight_constants(theta, c=1.0):
     for y in (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 9.0, 17.0):
         val = integrate.quad(lambda x: (x / y) ** theta * np.exp(-(x - y) ** 2 / c),
                              1.0, np.inf, limit=200)[0]
-        A1 = max(A1, val)
+        A1 = largest(A1, val)
     A2 = 0.0
     for y in np.linspace(0.02, 0.999, 25):
         val = integrate.quad(lambda x: x ** theta * np.exp(-(x - y) ** 2 / c),
                              1.0, np.inf, limit=200)[0]
-        A2 = max(A2, val)
+        A2 = largest(A2, val)
     rep = EstimateReport.from_trace(
         "far_weight_constants", f"halfline, theta={theta}, c={c}, d=1",
         [A1 + A2, A1 + A2], fitted={"A1": A1, "A2": A2, "N": N})

@@ -31,6 +31,14 @@ def verdict_from_trace(sups):
     return INCONCLUSIVE
 
 
+def largest(*parts):
+    """The largest entry of the scalars and arrays given: +inf if any entry is,
+    else NaN (unknown) if any is.  Python's max keeps its first argument against
+    a NaN, so a fold over it can drop the one entry that says a sup is unknown."""
+    v = np.concatenate([np.ravel(np.asarray(x, float)) for x in parts])
+    return np.inf if np.any(v == np.inf) else float(np.max(v))
+
+
 @dataclass
 class EstimateReport:
     """Outcome of a numerical estimate certification sweep."""

@@ -13,7 +13,7 @@ import numpy as np
 from .geometry import (QuadratureGrid, WeightedSpaceParams, distance_to_boundary,
                        interior_grid, interval_grid, weight)
 from .kernels import gauss_density
-from .reports import EstimateReport, SchurReport, loglog_slope
+from .reports import BOUNDED, EstimateReport, SchurReport, largest, loglog_slope
 
 
 @dataclass
@@ -112,8 +112,9 @@ def _normed(fields, grid, w, p):
 
 
 def _sup_ratio(A, fields, grid, w, p):
-    """max(0, ||A f|| / ||f||) over the (values, norm) pairs with a nonzero norm."""
-    return max([0.0] + [float(_lp(A @ vals, grid, w, p)) / n0 for vals, n0 in fields if n0 != 0])
+    """max(0, ||A f|| / ||f||) over the (values, norm) pairs with a nonzero norm; NaN
+    if a ratio is (`largest`)."""
+    return largest(0.0, [float(_lp(A @ vals, grid, w, p)) / n0 for vals, n0 in fields if n0 != 0])
 
 
 def extension_bound(kernel, params):
@@ -135,8 +136,8 @@ def extension_bound(kernel, params):
         fields = _normed(smooth_fields(dom, grid) + [boundary_witness(dom, grid, s_wit)],
                          grid, w, params.p)
         # one matrix per time node serves every field
-        sups.append(max(_sup_ratio(semigroup_matrix(kernel, t, grid), fields, grid, w, params.p)
-                        for t in ts))
+        sups.append(largest([_sup_ratio(semigroup_matrix(kernel, t, grid), fields, grid, w,
+                                        params.p) for t in ts]))
     return EstimateReport.from_trace(
         "extension_bound", f"{dom.kind} p={params.p} theta={params.theta}", sups,
         fitted={"sup_ratio": sups[-1]})
@@ -188,14 +189,17 @@ def gradient_smoothing_ratio(kernel, params, order=1):
         sup = _sup_ratio(D, static + _normed(bumps, grid, w, params.p), grid, w, params.p)
         if use_svd:
             B = scale[:, None] * D / scale[None, :]
-            sup = max(sup, _top_singular_value(B))
+            sup = largest(sup, _top_singular_value(B))
         sups.append(sup)
     slope = loglog_slope(ts, sups)
     rep = EstimateReport.from_trace(
         f"smoothing_rate_order{order}", f"{dom.kind} p={params.p} theta={params.theta}",
         sups[::-1],
         fitted={"slope": slope, "target": -order / 2.0})
-    rep.verdict = "bounded"
+    # the sups grow as t falls, so the trace's own rule would read them diverging:
+    # the rate is the estimate, bounded wherever every sup is known
+    if np.all(np.isfinite(sups)):
+        rep.verdict = BOUNDED
     return rep
 
 
@@ -249,9 +253,7 @@ def schur_constants(domain, p, theta, c=4.0, levels=3):
                     vals = inte_y[np.ix_(xmask, ymask)].sum(axis=1)
                 else:
                     vals = inte_x[np.ix_(ymask, xmask)].sum(axis=0)
-                # the largest value: +inf if any is, else NaN (unknown) if any is
-                top = np.append(vals, sups[nm])
-                sups[nm] = np.inf if np.any(top == np.inf) else float(np.max(top))
+                sups[nm] = largest(vals, sups[nm])
         for nm in names:
             traces[nm].append(sups[nm])
     return SchurReport(p, theta, c, traces)
@@ -287,9 +289,9 @@ def min_weight_splice_check(kernel, t, params, n_fields=100):
             nn = float(_lp(part, grid, w, p))
             if nn > 0:
                 ratios.append(float(_lp(M @ part, grid, w, p)) / nn)
-        bound = factor * max(ratios) * float(_lp(vals, grid, wmin, p))
-        worst = max(worst, lhs / bound)
-        failures += lhs > bound * (1 + 1e-12)
+        bound = factor * largest(ratios) * float(_lp(vals, grid, wmin, p))
+        worst = largest(worst, lhs / bound)
+        failures += not lhs <= bound * (1 + 1e-12)         # a NaN side is a failure
     return {"worst_ratio": worst, "failures": failures, "factor": factor, "n_fields": n_fields}
 
 

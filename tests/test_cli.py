@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bnlab import cli
 from bnlab import convolution as cv
 from bnlab import scenarios as sc
+from bnlab.noise import SpectralMeasure
 
 
 BASE_CFG = """
@@ -116,6 +117,20 @@ def test_cli_verify_kernels_at_an_overflowing_scale_is_diverging_without_warning
     assert rep.count("sup_per_level: inf inf inf\n") == 2
 
 
+def test_j_refusal_names_a_nan_profile_and_its_node(tmp_path, monkeypatch, with_nan):
+    # a NaN transform at one time node makes the p717 profile NaN at every
+    # node: J is refused in one line that names the profile and its first node
+    monkeypatch.setenv("BNLAB_OUT", str(tmp_path / "out"))
+    monkeypatch.setattr(SpectralMeasure, "transform",
+                        with_nan(SpectralMeasure.transform, call=0, entry=5))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("pipeline = j-diagnose\nscenario = p717\n")
+    res = CliRunner().invoke(cli.main, ["run", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == "numerical refusal: J is not finite at p = 2.0: the variance profile " \
+                         "is nan at node 6.20882e-10\n"
+
+
 @pytest.mark.parametrize("config, code", [
     ("pipeline = j-diagnose\nscenario = p717\nhorizon = 0.001\n", 0),
     ("pipeline = j-diagnose\nscenario = p71\np = 900\n", 2),
@@ -140,7 +155,8 @@ def test_diagnostics_at_vanishing_or_overflowing_values_print_no_warnings(tmp_pa
     assert res.exit_code == code, res.output
     assert "Traceback" not in res.output
     if code == 2:
-        assert res.stderr == "numerical refusal: J is not finite at p = 900.0: inf\n"
+        assert res.stderr == (
+            "numerical refusal: J is not finite at p = 900.0: profile^(p/2) is inf at node 4.06901e-05\n")
         return
     assert res.stderr == ""
     report = next((tmp_path / "out").glob("*/*_report.txt")).read_text()

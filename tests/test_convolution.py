@@ -1131,6 +1131,82 @@ def test_half_plane_covariance_is_the_midpoint_sum_of_influx_and_transform(sid, 
     assert n_nodes == sum(np.count_nonzero(smid < t) for t in np.unique(probe_t))
 
 
+def _gathered_sigma(flux, probe_t, xy, edges):
+    """Sigma as one einsum over every upper-triangle pair: the pairs' amplitude
+    rows and K rows, zero past each pair's live cells, gathered over all cells,
+    with the K rows keyed by np.unique of the (earlier time, later time, lag)
+    rows.  The block-by-block build must give these bits."""
+    pts = np.atleast_2d(np.asarray(xy, float))
+    smid = 0.5 * (edges[:-1] + edges[1:])
+    ds = np.diff(edges)
+    amp = np.zeros((len(probe_t), len(smid)))
+    for ti in np.unique(probe_t):
+        rows = np.flatnonzero(probe_t == ti)
+        live = int(np.searchsorted(smid, ti))
+        amp[rows, :live] = -flux.normal.normal_derivative(ti - smid[:live], pts[rows, 0],
+                                                          0.0) * np.sqrt(ds[:live])
+    i, j = np.triu_indices(len(probe_t))
+    t_lo, t_hi = np.minimum(probe_t[i], probe_t[j]), np.maximum(probe_t[i], probe_t[j])
+    keys, which = np.unique(np.column_stack([t_lo, t_hi, np.abs(pts[i, 1] - pts[j, 1])]),
+                            axis=0, return_inverse=True)
+    count = np.searchsorted(smid, keys[:, 0])
+    row = np.repeat(np.arange(len(keys)), count)
+    col = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+    kern = np.zeros((len(keys), len(smid)))
+    kern[row, col] = flux.measure.transform(
+        (keys[row, 0] - smid[col]) + (keys[row, 1] - smid[col]), keys[row, 2])
+    sigma = np.empty((len(probe_t),) * 2)
+    sigma[i, j] = sigma[j, i] = np.einsum("pm,pm,pm->p", amp[i], amp[j], kern[which.ravel()])
+    return sigma
+
+
+# 40 probes at 4 times with 780 pairs of nearly all distinct lags: each time-pair
+# block holds tens of lags, and the lags of all blocks fill several transform calls
+_RNG = np.random.default_rng(40)
+MANY_LAGS = [(float(t), (float(x0), float(x1))) for t, x0, x1 in zip(
+    _RNG.choice([0.1, 0.2, 0.3, 0.4], 40), _RNG.uniform(0.1, 1.0, 40), _RNG.uniform(-1.0, 1.0, 40))]
+
+
+@pytest.mark.parametrize("sid, kw", HALF_PLANE_SIDS,
+                         ids=["p713", "p717", "p718-0.5", "p718-4"])
+@pytest.mark.parametrize("group", ["acceptance-1", "cli-default", "near-boundary", "many-lags"])
+def test_half_plane_covariance_is_the_gathered_einsum_bit_for_bit(sid, kw, group):
+    setup, _ = sc.build_setup(sid, p=2.0, theta=2.0, **kw)
+    probes = {"acceptance-1": HALF_PLANE_PROBES, "cli-default": cli._default_probes(setup),
+              "near-boundary": NEAR_BOUNDARY, "many-lags": MANY_LAGS}[group]
+    probe_t, xy, edges = _schedule(setup, probes, 512)
+    flux = cv.flux_for(setup)
+    sigma, n_nodes = flux.covariance(probe_t, xy, edges)
+    assert np.array_equal(sigma, _gathered_sigma(flux, probe_t, xy, edges))
+    smid = 0.5 * (edges[:-1] + edges[1:])
+    assert n_nodes == sum(np.count_nonzero(smid < t) for t in np.unique(probe_t))
+
+
+@lru_cache(maxsize=None)
+def _half_plane_setup(case):
+    sid, kw = HALF_PLANE_SIDS[case]
+    return sc.build_setup(sid, p=2.0, theta=2.0, **kw)[0]
+
+
+@given(case=st.integers(0, len(HALF_PLANE_SIDS) - 1),
+       probes=st.lists(st.tuples(st.sampled_from([0.1, 0.2, 0.3]), st.floats(0.05, 1.0),
+                                 st.sampled_from([-0.7, 0.0, 0.4]) | st.floats(-1.0, 1.0)),
+                       min_size=1, max_size=12),
+       data=st.data())
+def test_half_plane_covariance_of_a_subset_is_the_full_sets_entries(case, probes, data):
+    # on one step schedule, the probes of any subset, in any order, get the
+    # entries of the full set's Sigma bit for bit: no entry depends on the
+    # other probes, their blocks, or how the lags fill the transform calls
+    setup = _half_plane_setup(case)
+    probe_t, xy, edges = _schedule(setup, [(t, (x0, x1)) for t, x0, x1 in probes], 128)
+    flux = cv.flux_for(setup)
+    full, _ = flux.covariance(probe_t, xy, edges)
+    order = data.draw(st.permutations(range(len(probes))))
+    sub = np.array(order[:data.draw(st.integers(1, len(probes)))])
+    part, _ = flux.covariance(probe_t[sub], xy[sub], edges)
+    assert np.array_equal(part, full[np.ix_(sub, sub)])
+
+
 @pytest.mark.parametrize("sid, kw, probes, tol", [
     ("p713", {}, HALF_PLANE_PROBES, 1e-3), ("p717", {}, HALF_PLANE_PROBES, 1e-3),
     ("p718", {"kappa": 0.5}, HALF_PLANE_PROBES, 1e-3),

@@ -145,6 +145,15 @@ def test_majorant_fit_and_domination():
         assert np.all(np.abs(exact.values) <= maj.values + 1e-15)
 
 
+@pytest.mark.parametrize("where", ["boundary_propagator", "propagator_majorant"])
+def test_majorant_fit_keeps_a_nan(monkeypatch, with_nan, where):
+    # a NaN flux or majorant at one node of the sixth time: C is unknown
+    H = geo.half_line()
+    monkeypatch.setattr(dm, where, with_nan(getattr(dm, where), call=5, entry=40))
+    assert np.isnan(dm.fit_majorant_constant(H, dm.endpoint_data(H, 1.0),
+                                             geo.halfline_grid(level=8, cutoff=8.0), c=4.0))
+
+
 def test_weighted_grid_datum_scales_its_node():
     # a boundary node carries the mass of its weight: weight 2 doubles a unit atom
     H = geo.half_line()

@@ -159,6 +159,29 @@ def test_kernel_upper_bounds_halfline_bounded():
     assert val.fitted["C"] < 10
 
 
+@pytest.mark.parametrize("where, traces", [
+    ("value", (0,)), ("grad_x", (1,)), ("gauss_density", (0, 1))])
+def test_kernel_upper_bounds_keep_a_nan(monkeypatch, with_nan, where, traces):
+    # one NaN in the finest level's sixth time: the kernel's NaN reaches the
+    # value sup, the gradient's the gradient sup, the majorant's both
+    ker = K.HeatKernel(geo.half_line())
+    owner = K if where == "gauss_density" else ker
+    monkeypatch.setattr(owner, where, with_nan(getattr(owner, where), call=25, entry=1234))
+    reports = K.verify_kernel_upper_bounds(ker, c=4.0)
+    for k, rep in enumerate(reports):
+        if k in traces:
+            assert np.isnan(rep.sup_per_level[-1]) and rep.verdict == "inconclusive"
+        else:
+            assert rep.verdict == "bounded"
+
+
+def test_far_weight_constants_keep_a_nan_integral(monkeypatch, with_nan):
+    from scipy import integrate
+    monkeypatch.setattr(integrate, "quad", with_nan(integrate.quad, call=4))
+    rep = K.far_weight_constants(theta=0.0, c=1.0)
+    assert np.isnan(rep.fitted["A1"]) and rep.verdict != "bounded"
+
+
 def test_kernel_upper_bounds_tight_scale_diverges():
     ker = K.HeatKernel(geo.interval01())
     val, _ = K.verify_kernel_upper_bounds(ker, c=1.0)

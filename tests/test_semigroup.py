@@ -216,6 +216,41 @@ def test_schur_constants_keep_a_nan_split_integral():
     assert not rep.all_bounded
 
 
+def test_sup_ratio_keeps_a_nan_ratio(monkeypatch, with_nan):
+    # the second of three fields has an unknown norm of its image: the sup is unknown
+    I = geo.interval01()
+    grid = geo.interval_grid(n=64)
+    w = geo.weight(I, grid.nodes, geo.WeightedSpaceParams(2, 1.0, 0))
+    fields = sg._normed(sg.smooth_fields(I, grid, n=3), grid, w, 2)
+    monkeypatch.setattr(sg, "_lp", with_nan(sg._lp, call=1))
+    assert np.isnan(sg._sup_ratio(np.eye(grid.n), fields, grid, w, 2))
+
+
+def test_extension_bound_keeps_a_nan_kernel_matrix(monkeypatch, with_nan):
+    # a NaN in the finest level's fourth time matrix: that level's sup is
+    # unknown, and the trace is not bounded
+    monkeypatch.setattr(sg, "semigroup_matrix", with_nan(sg.semigroup_matrix, call=17, entry=7))
+    rep = sg.extension_bound(HeatKernel(geo.interval01()), geo.WeightedSpaceParams(2, 2, 0))
+    assert np.isnan(rep.sup_per_level[-1]) and np.all(np.isfinite(rep.sup_per_level[:-1]))
+    assert rep.verdict == "inconclusive"
+
+
+def test_gradient_smoothing_keeps_a_nan_singular_value(monkeypatch, with_nan):
+    # the operator-norm member of the fourth time is unknown: so is that sup,
+    # and the verdict is bounded only while every sup is finite
+    monkeypatch.setattr(sg, "_top_singular_value", with_nan(sg._top_singular_value, call=3))
+    rep = sg.gradient_smoothing_ratio(HeatKernel(geo.interval01()), geo.WeightedSpaceParams(2, 1.5, 0))
+    assert np.isnan(rep.sup_per_level[3]) and np.isnan(rep.fitted["slope"])
+    assert rep.verdict == "inconclusive"
+
+
+def test_min_weight_splice_counts_a_nan_bound_as_a_failure(monkeypatch, with_nan):
+    monkeypatch.setattr(sg, "semigroup_matrix", with_nan(sg.semigroup_matrix, call=0))
+    out = sg.min_weight_splice_check(HeatKernel(geo.interval01()), 0.1,
+                                     geo.WeightedSpaceParams(2, 0.2, 1.0), n_fields=20)
+    assert out["failures"] == 20 and np.isnan(out["worst_ratio"])
+
+
 def test_min_weight_splice():
     ker = HeatKernel(geo.interval01())
     out = sg.min_weight_splice_check(ker, 0.1, geo.WeightedSpaceParams(2, 0.2, 1.0),
