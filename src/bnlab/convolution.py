@@ -242,8 +242,8 @@ class HomogeneousFlux(_TimeQuadrature):
         The pairs i <= j go by block (earlier time, later time), whose cells are
         the earlier time's live prefix.  K is evaluated once per (block, lag) on
         that prefix, and each pair sums (a_i a_j) K in cell order, so an entry
-        does not depend on the other probes.  A transform call takes whole
-        blocks up to `_TRANSFORM_ENTRIES` entries.
+        does not depend on the other probes.  One transform call takes every
+        (block, lag) row.
         """
         pts = np.atleast_2d(np.asarray(xy, float))
         smid = 0.5 * (edges[:-1] + edges[1:])
@@ -262,31 +262,23 @@ class HomogeneousFlux(_TimeQuadrature):
         i, j, lo, hi, lag = i[order], j[order], lo[order], hi[order], lag[order]
         block = np.diff(lo * len(times) + hi, prepend=-1) != 0
         key = np.cumsum(block | (np.diff(lag, prepend=-1.0) != 0)) - 1     # (block, lag)
-        key_lag = lag[np.flatnonzero(np.diff(key, prepend=-1))]
-        first = np.flatnonzero(block)
+        head = np.flatnonzero(np.diff(key, prepend=-1))                    # a pair per key
+        count = live[lo[head]]                              # each key's live cells
+        row = np.repeat(np.arange(len(head)), count)
+        col = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+        # K by key, zero past its cells; once freed, this padded array keeps the
+        # allocator from handing later large Bessel calls fresh pages (a flat
+        # K array took 12x the page faults on repeated many-lag calls)
+        kern = np.zeros((len(head), len(smid)))
+        kern[row, col] = self.measure.transform((times[lo[head]][row] - smid[col])
+                                                + (times[hi[head]][row] - smid[col]), lag[head][row])
         sigma = np.empty((len(probe_t),) * 2)
-        batch, args, lags_of = [], [], []
-        for n, (b0, b1) in enumerate(zip(first, [*first[1:], len(i)]), 1):
-            m = live[lo[b0]]
-            k0, k1 = key[b0], key[b1 - 1] + 1
-            args.append(np.tile((times[lo[b0]] - smid[:m]) + (times[hi[b0]] - smid[:m]), k1 - k0))
-            lags_of.append(np.repeat(key_lag[k0:k1], m))
-            batch.append((i[b0:b1], j[b0:b1], m, k1 - k0, key[b0:b1] - k0))
-            if sum(map(len, args)) < _TRANSFORM_ENTRIES and n < len(first):
-                continue
-            kern = self.measure.transform(np.concatenate(args), np.concatenate(lags_of))
-            for ii, jj, m, n_lags, which in batch:
-                rows, kern = kern[:n_lags * m].reshape(n_lags, m), kern[n_lags * m:]
-                sigma[ii, jj] = sigma[jj, ii] = np.einsum("pm,pm,pm->p", amp[ii, :m], amp[jj, :m],
-                                                          rows[which])
-            batch, args, lags_of = [], [], []
+        first = np.flatnonzero(block)
+        for b0, b1 in zip(first, [*first[1:], len(i)]):
+            m, ii, jj = live[lo[b0]], i[b0:b1], j[b0:b1]
+            sigma[ii, jj] = sigma[jj, ii] = np.einsum("pm,pm,pm->p", amp[ii, :m], amp[jj, :m],
+                                                      kern[key[b0:b1], :m])
         return sigma, int(np.sum(live))
-
-
-# entries per transform call of `HomogeneousFlux.covariance`: a few lags share one
-# call (the Bessel rule loops over its nodes once per call), and many lags take
-# calls that stay in cache
-_TRANSFORM_ENTRIES = 1 << 15
 
 
 # the Gaussian time scale c and the amplitude C of the majorant's pointwise flux bound

@@ -732,5 +732,6 @@ def far_weight_constants(theta, c=1.0):
     rep = EstimateReport.from_trace(
         "far_weight_constants", f"halfline, theta={theta}, c={c}, d=1",
         [A1 + A2, A1 + A2], fitted={"A1": A1, "A2": A2, "N": N})
-    rep.verdict = "bounded" if A1 + A2 <= N * (1 + 1e-12) else "diverging"
+    rep.verdict = ("inconclusive" if np.isnan(A1 + A2)
+                   else "bounded" if A1 + A2 <= N * (1 + 1e-12) else "diverging")
     return rep

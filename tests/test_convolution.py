@@ -1161,7 +1161,7 @@ def _gathered_sigma(flux, probe_t, xy, edges):
 
 
 # 40 probes at 4 times with 780 pairs of nearly all distinct lags: each time-pair
-# block holds tens of lags, and the lags of all blocks fill several transform calls
+# block holds tens of lags
 _RNG = np.random.default_rng(40)
 MANY_LAGS = [(float(t), (float(x0), float(x1))) for t, x0, x1 in zip(
     _RNG.choice([0.1, 0.2, 0.3, 0.4], 40), _RNG.uniform(0.1, 1.0, 40), _RNG.uniform(-1.0, 1.0, 40))]
@@ -1196,7 +1196,7 @@ def _half_plane_setup(case):
 def test_half_plane_covariance_of_a_subset_is_the_full_sets_entries(case, probes, data):
     # on one step schedule, the probes of any subset, in any order, get the
     # entries of the full set's Sigma bit for bit: no entry depends on the
-    # other probes, their blocks, or how the lags fill the transform calls
+    # other probes or on which blocks and lags share the transform call
     setup = _half_plane_setup(case)
     probe_t, xy, edges = _schedule(setup, [(t, (x0, x1)) for t, x0, x1 in probes], 128)
     flux = cv.flux_for(setup)
