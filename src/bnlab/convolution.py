@@ -22,7 +22,7 @@ from .geometry import (UnsupportedDomainError, WeightedSpaceParams, _graded_edge
                        interior_grid, weight)
 from .kernels import HeatKernel, NumericalRefusal, ball_boundary_mass_exact
 from .noise import NoiseSpec, substream
-from .semigroup import _lp, semigroup_matrix
+from .semigroup import Field, _lp, apply_semigroup, semigroup_matrix
 
 
 class ConfigurationError(ValueError):
@@ -908,9 +908,10 @@ def simulate_mild(setup, x0_field, time_grid, n_paths=200, root_seed=7, grid=Non
     # deterministic part, one-shot per output time (no compounding quadrature error)
     xdet = np.zeros((n_t, nx))
     if x0_field is not None:
-        xdet[0] = x0_field.values
+        x0 = Field(dom, grid, x0_field.values)
+        xdet[0] = x0.values
         for i in range(1, n_t):
-            xdet[i] = semigroup_matrix(kernel, edges[i], grid) @ x0_field.values
+            xdet[i] = apply_semigroup(kernel, edges[i], x0).values
     base = np.zeros((n_paths, n_t, nx))
     for i in range(n_t - 1):
         base[:, i + 1] = base[:, i] @ P.T + eta[:, i]

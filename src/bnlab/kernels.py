@@ -33,6 +33,7 @@ _BLOCK = 1 << 14
 _EXP_FLOOR = -745.2
 _EXP_MASKED_FROM = _BLOCK // 4
 _MOMENT_LIMIT = 300     # subintervals of the singular-moment quadrature
+_FAR_LIMIT = 200        # subintervals of the far-weight quadrature
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
@@ -161,6 +162,20 @@ def _dg1(order, u, t):
     return (u * u / (4 * t * t) - 1 / (2 * t)) * g
 
 
+def _sine_modes(order, n_terms, t, x):
+    """(k pi, coefficients, basis) of the sine series of d^order/dx^order G over
+    the modes k = 1..n_terms, on a trailing mode axis:
+    d^order/dx^order G(t, x, y) = sum_k coef_k(t) phi_k(x) sin(k pi y).
+
+    d^order/dx^order sin(k pi x) is (k pi)^order times sin, cos, -sin, so the
+    coefficients are 2 (k pi)^order e^{-k^2 pi^2 t} with those signs.
+    """
+    kpi = np.arange(1, n_terms + 1) * np.pi
+    coef = (2.0, 2 * kpi, -2 * kpi ** 2)[order] * np.exp(-kpi * kpi * t[..., None])
+    phi = (np.cos if order == 1 else np.sin)(kpi * x[..., None])
+    return kpi, coef, phi
+
+
 def _interval_series(order, image, n_terms, t, x, y):
     """Image shifts -n_terms..n_terms or sine modes 1..n_terms, at every time of t.
 
@@ -172,11 +187,8 @@ def _interval_series(order, image, n_terms, t, x, y):
     one block adds them once, without slicing.
     """
     if not image:
-        # d^order/dx^order sin(k pi x) is (k pi)^order times sin, cos, -sin; one
-        # contraction over a trailing mode axis serves every input shape
-        kpi = np.arange(1, n_terms + 1) * np.pi
-        coef = (2.0, 2 * kpi, -2 * kpi ** 2)[order] * np.exp(-kpi * kpi * t[..., None])
-        phi = (np.cos if order == 1 else np.sin)(kpi * x[..., None])
+        # one contraction over the trailing mode axis serves every input shape
+        kpi, coef, phi = _sine_modes(order, n_terms, t, x)
         return np.einsum("...k,...k->...", phi, coef * np.sin(kpi * y[..., None]))
     out = np.zeros(np.broadcast(x, y, t).shape)
     if out.size == 0:
@@ -324,6 +336,20 @@ class HeatKernel:
             out[..., cols] = _interval_series(order, image, n, t[cols], x[..., None], y[..., None])
         return out
 
+    def sine_apply(self, t, x, f):
+        """sum_j G(t, x_i, x_j) f_j over the points x, through the sine modes:
+        sum_k 2 e^{-k^2 pi^2 t} sin(k pi x_i) sum_j sin(k pi x_j) f_j.  None where
+        the kernel does not take its sine series at the time t (images, the half line).
+
+        The modes are the scalar-time series' own (`_n_modes`), so a call holds
+        len(x) x modes numbers where the kernel matrix holds len(x)^2.
+        """
+        if self.domain.kind != "interval01" or self._rep(t) != "sine":
+            return None
+        t = np.asarray(t, float)
+        _, coef, phi = _sine_modes(0, int(_n_modes(t)), t, np.asarray(x, float))
+        return phi @ (coef * (f @ phi))
+
     # -- boundary flux ------------------------------------------------------
 
     def normal_derivative(self, t, x, b):
@@ -447,6 +473,18 @@ def _gauss_kronrod(f, breaks, epsabs, epsrel, limit, rule=_GK21):
         rounding, refined = rounding + rnd.sum(), True
 
 
+def _from_unit(fn):
+    """fn on [1, inf) as an integrand on (0, 1], by t = 1 + (1 - s)/s.
+
+    Nodes s below tiny^(1/2), where 1/s^2 would overflow, count as 0.
+    """
+    def mapped(s):
+        live = s >= _TINY ** 0.5
+        s = np.where(live, s, 1.0)
+        return np.where(live, fn(1.0 + (1.0 - s) / s) / s / s, 0.0)
+    return mapped
+
+
 def _laplace(fn, lam, where, scales=()):
     """int_0^inf e^{-lam t} fn(t) dt for an array-valued fn, all entries on one mesh.
 
@@ -457,24 +495,18 @@ def _laplace(fn, lam, where, scales=()):
     mass sits at u ~ scale below _HEAD_PANEL looks like zero to the head's first
     panel, which never refines toward it, so the head gets breakpoints from the
     smallest such scale up by factors of _LADDER.  The tail maps [1, inf) onto
-    (0, 1] by t = 1 + (1 - s)/s and takes GK15 there; nodes s below
-    tiny^(1/2), where 1/s^2 would overflow, count as 0.
+    (0, 1] (`_from_unit`) and takes GK15 there.
     """
     scales = np.asarray(scales, float)
     scales = scales[scales > 0]
     low = float(scales.min()) if scales.size else _HEAD_PANEL
     points = low * _LADDER ** np.arange(np.ceil(np.log(_HEAD_PANEL / low) / np.log(_LADDER)))
 
-    def mapped(s):
-        live = s >= _TINY ** 0.5
-        s = np.where(live, s, 1.0)
-        t = 1.0 + (1.0 - s) / s
-        return np.where(live, np.exp(-lam * t) * fn(t) / s / s, 0.0)
-
     head, h_ok = _gauss_kronrod(lambda u: 2 * u * np.exp(-lam * u * u) * fn(u * u),
                                 np.concatenate([[0.0], points, [1.0]]), 1e-12, 1e-12,
                                 _LAPLACE_LIMIT)
-    tail, t_ok = _gauss_kronrod(mapped, [0.0, 1.0], 1e-13, 1e-12, _LAPLACE_LIMIT, _GK15)
+    tail, t_ok = _gauss_kronrod(_from_unit(lambda t: np.exp(-lam * t) * fn(t)), [0.0, 1.0],
+                                1e-13, 1e-12, _LAPLACE_LIMIT, _GK15)
     if not (h_ok and t_ok):
         raise NumericalRefusal(
             f"Laplace quadrature at lambda={lam:g}, {where} did not reach its tolerance "
@@ -715,20 +747,27 @@ def far_weight_constants(theta, c=1.0):
     A1 = sup_{y: rho(y)>=1} int_{rho(x)>=1} (rho(x)/rho(y))^theta e^{-|x-y|^2/c} dx,
     A2 = sup_{y: rho(y)<1}  int_{rho(x)>=1} rho(x)^theta e^{-|x-y|^2/c} dx,
     both on the half line (the far set {rho >= 1} is empty on the interval).
+    Every integral, N's as 4 int_1^inf x^theta e^{-(x-1)^2/c} dx, is one entry
+    of a single vector-valued quadrature over [1, inf) mapped onto (0, 1]
+    (`_from_unit`); the max-norm tolerance is relative to the largest entry.
+    A quadrature stopped by a non-finite value leaves every constant NaN, and
+    the verdict inconclusive; one that runs out of panels is refused.
     """
-    from scipy import integrate
-    N = 2 * integrate.quad(lambda z: (1 + abs(z)) ** theta * np.exp(-z * z / c),
-                           -np.inf, np.inf, limit=200)[0]
-    A1 = 0.0
-    for y in (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 9.0, 17.0):
-        val = integrate.quad(lambda x: (x / y) ** theta * np.exp(-(x - y) ** 2 / c),
-                             1.0, np.inf, limit=200)[0]
-        A1 = largest(A1, val)
-    A2 = 0.0
-    for y in np.linspace(0.02, 0.999, 25):
-        val = integrate.quad(lambda x: x ** theta * np.exp(-(x - y) ** 2 / c),
-                             1.0, np.inf, limit=200)[0]
-        A2 = largest(A2, val)
+    a1_y = np.array([1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 9.0, 17.0])
+    a2_y = np.linspace(0.02, 0.999, 25)
+    # entry 0 is N, then A1 and A2 at their y: scale x^theta e^{-(x - centre)^2/c}
+    centre = np.concatenate([[1.0], a1_y, a2_y])[:, None]
+    scale = np.concatenate([[4.0], a1_y ** -theta, np.ones(a2_y.size)])[:, None]
+    vals, ok = _gauss_kronrod(
+        _from_unit(lambda x: scale * x ** theta * np.exp(-(x - centre) ** 2 / c)),
+        [0.0, 1.0], 0.0, 1e-12, _FAR_LIMIT)
+    if not ok:
+        if np.all(np.isfinite(vals)):
+            raise NumericalRefusal(
+                f"far-weight quadrature at theta={theta:g}, c={c:g} did not reach its "
+                f"tolerance within {_FAR_LIMIT} subintervals")
+        vals = np.full(vals.shape, np.nan)
+    N, A1, A2 = float(vals[0]), largest(vals[1:1 + a1_y.size]), largest(vals[1 + a1_y.size:])
     rep = EstimateReport.from_trace(
         "far_weight_constants", f"halfline, theta={theta}, c={c}, d=1",
         [A1 + A2, A1 + A2], fitted={"A1": A1, "A2": A2, "N": N})

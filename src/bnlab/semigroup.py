@@ -50,10 +50,19 @@ def semigroup_matrix(kernel, t, grid, order=0):
 
 
 def apply_semigroup(kernel, t, psi):
-    """Apply S(t) to a sampled field by kernel quadrature (positivity preserving)."""
+    """Apply S(t) to a sampled field by kernel quadrature (positivity preserving).
+
+    Where the kernel takes the interval's sine series, S(t) goes through its
+    modes (`HeatKernel.sine_apply` on the weighted values), in O(n modes) time
+    and memory; elsewhere through the n x n `semigroup_matrix`.
+    """
     if t <= 0:
         raise ValueError("t must be positive")
-    return Field(psi.domain, psi.grid, semigroup_matrix(kernel, t, psi.grid) @ psi.values)
+    grid = psi.grid
+    vals = kernel.sine_apply(t, grid.x, grid.weights * psi.values)
+    if vals is None:
+        vals = semigroup_matrix(kernel, t, grid) @ psi.values
+    return Field(psi.domain, grid, vals)
 
 
 def _lp(values, grid, w, p):
@@ -203,45 +212,40 @@ def gradient_smoothing_ratio(kernel, params, order=1):
     return rep
 
 
-def _schur_regions(domain, t, level):
-    grid = interior_grid(domain, graded=True, level=level, per_panel=8,
-                         cutoff=None if domain.kind == "interval01" else 8.0)
-    x = grid.x
-    rho = distance_to_boundary(domain, grid.nodes)
-    near = rho < np.sqrt(t)
-    return grid, x, rho, near
-
-
 def schur_constants(domain, p, theta, c=4.0, levels=3):
     """Suprema of the eight near/far split integrals of the weighted Schur kernel.
 
     The kernel is (rho(x)/rho(y))^((theta+1)/p) m_t(y) g_{ct}(x-y) rho(y),
     integrated against dy/rho(y) (odd constants, x fixed) or dx/rho(x) (even,
     y fixed), split over {rho < sqrt(t)} and its complement, at 6 times in
-    [1e-3, 1] on grids of level 10, 12, 14, ...
+    [1e-3, 1] on grids of level 10, 12, 14, ...  The grid and the two weight
+    ratios do not depend on t, so each level builds them once.
     """
     beta = (theta + 1.0) / p
     ts = np.geomspace(1e-3, 1.0, 6)
     names = [f"k{j}" for j in range(1, 9)]
     traces = {nm: [] for nm in names}
     for lev in range(levels):
+        grid = interior_grid(domain, graded=True, level=10 + 2 * lev, per_panel=8,
+                             cutoff=None if domain.kind == "interval01" else 8.0)
+        rho = distance_to_boundary(domain, grid.nodes)
+        # a large beta overflows to inf: those sups read inf, and their verdict diverging
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio_y = (rho[:, None] / rho[None, :]) ** beta
+            ratio_x = rho[:, None] ** (beta - 1) * rho[None, :] ** (1 - beta)
         sups = {nm: 0.0 for nm in names}
         for t in ts:
-            grid, xs, rho, near = _schur_regions(domain, t, 10 + 2 * lev)
+            near = rho < np.sqrt(t)
             far = ~near
             if not near.any():
                 continue
             m = np.minimum(1.0, rho / np.sqrt(t))
-            g = gauss_density(xs[:, None] - xs[None, :], c * t)
-            # a large beta overflows to inf: those sups read inf, and their
-            # verdict diverging
+            g = gauss_density(grid.x[:, None] - grid.x[None, :], c * t)
             with np.errstate(over="ignore", invalid="ignore"):
                 # integrate over y (columns) for fixed x (rows): (rho_x/rho_y)^beta m(y) g
-                inte_y = ((rho[:, None] / rho[None, :]) ** beta * m[None, :] * g
-                          * grid.weights[None, :])
+                inte_y = ratio_y * m[None, :] * g * grid.weights[None, :]
                 # integrate over x (rows) for fixed y (cols): rho_x^(beta-1) rho_y^(1-beta) m(y) g
-                inte_x = (rho[:, None] ** (beta - 1) * rho[None, :] ** (1 - beta)
-                          * m[None, :] * g * grid.weights[:, None])
+                inte_x = ratio_x * m[None, :] * g * grid.weights[:, None]
             for nm, xmask, ymask, over_y in (
                     ("k1", near, near, True), ("k2", near, near, False),
                     ("k3", far, near, True), ("k4", near, far, False),

@@ -176,10 +176,37 @@ def test_kernel_upper_bounds_keep_a_nan(monkeypatch, with_nan, where, traces):
 
 
 def test_far_weight_constants_keep_a_nan_integral(monkeypatch, with_nan):
-    from scipy import integrate
-    monkeypatch.setattr(integrate, "quad", with_nan(integrate.quad, call=4))
+    # a NaN in the integrand's first call, which holds one 21-node panel per
+    # entry: flat index 94 is the middle node of entry 4, A1 at y = 2
+    from_unit = K._from_unit
+    monkeypatch.setattr(K, "_from_unit", lambda fn: with_nan(from_unit(fn), call=0, entry=94))
     rep = K.far_weight_constants(theta=0.0, c=1.0)
     assert np.isnan(rep.fitted["A1"]) and rep.verdict == "inconclusive"
+
+
+def test_far_weight_quadrature_refuses_when_not_converged(monkeypatch):
+    monkeypatch.setattr(K, "_FAR_LIMIT", 4)
+    with pytest.raises(K.NumericalRefusal, match=r"theta=1\.5\b.*c=2\b.*4 subintervals"):
+        K.far_weight_constants(theta=1.5, c=2.0)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.5, 2.0])
+@pytest.mark.parametrize("c", [1.0, 2.0])
+def test_far_weight_constants_match_scalar_quad(theta, c):
+    # the oracle: one scipy quad call per integral at a tolerance of 1e-13
+    from scipy import integrate
+
+    def quad(f, lo=1.0):
+        return integrate.quad(f, lo, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    N = 2 * quad(lambda z: (1 + abs(z)) ** theta * np.exp(-z * z / c), -np.inf)
+    A1 = max(quad(lambda x: (x / y) ** theta * np.exp(-(x - y) ** 2 / c))
+             for y in (1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 9.0, 17.0))
+    A2 = max(quad(lambda x: x ** theta * np.exp(-(x - y) ** 2 / c))
+             for y in np.linspace(0.02, 0.999, 25))
+    rep = K.far_weight_constants(theta, c)
+    for name, ref in (("N", N), ("A1", A1), ("A2", A2)):
+        assert rep.fitted[name] == pytest.approx(ref, rel=1e-12, abs=0), name
 
 
 def test_kernel_upper_bounds_tight_scale_diverges():

@@ -38,6 +38,45 @@ def test_apply_semigroup_zero_and_positive():
         sg.apply_semigroup(ker, -0.1, psi)
 
 
+@pytest.mark.parametrize("grid", [geo.interval_grid(n=512), geo.interval_grid(n=2048),
+                                  geo.interior_grid(geo.interval01(), graded=True, level=14,
+                                                    per_panel=16)],
+                         ids=["uniform-512", "uniform-2048", "graded-14"])
+def test_sine_regime_applies_the_matrix_through_its_modes(grid):
+    # from t = 0.05 on the interval kernel takes its sine series, and S(t) goes
+    # through the modes; below, and on the half line, through the matrix itself
+    I = geo.interval01()
+    ker = HeatKernel(I)
+    vals = np.random.default_rng(3).normal(size=grid.n)
+    psi = sg.Field(I, grid, vals)
+    for t in (0.05, 0.1, 0.5, 2.0):
+        err = np.max(np.abs(sg.apply_semigroup(ker, t, psi).values
+                            - sg.semigroup_matrix(ker, t, grid) @ vals))
+        assert err <= 1e-14 * np.max(np.abs(vals)), t
+    assert np.array_equal(sg.apply_semigroup(ker, 0.01, psi).values,
+                          sg.semigroup_matrix(ker, 0.01, grid) @ vals)
+    H = geo.half_line()
+    gh = geo.halfline_grid(level=6, cutoff=5.0, per_panel=4)
+    vh = np.random.default_rng(4).normal(size=gh.n)
+    assert np.array_equal(sg.apply_semigroup(HeatKernel(H), 0.5, sg.Field(H, gh, vh)).values,
+                          sg.semigroup_matrix(HeatKernel(H), 0.5, gh) @ vh)
+
+
+def test_sine_regime_apply_holds_no_matrix():
+    # at n = 8192 the quadrature matrix alone is 512 MiB; the modes hold n x 10
+    import tracemalloc
+    I = geo.interval01()
+    grid = geo.interval_grid(n=8192)
+    psi = sg.Field(I, grid, np.random.default_rng(5).normal(size=grid.n))
+    tracemalloc.start()
+    try:
+        sg.apply_semigroup(HeatKernel(I), 0.05, psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_eigenfunction_decay():
     I = geo.interval01()
     ker = HeatKernel(I)
@@ -197,6 +236,56 @@ def test_schur_constants_bounded():
     assert rep.all_bounded
     rep_h = sg.schur_constants(geo.half_line(), 2, 2.0, c=4.0, levels=2)
     assert rep_h.all_bounded
+
+
+def _schur_per_time(domain, p, theta, c, levels):
+    # the reference: every (level, t) pair builds its grid and both weight
+    # ratios afresh, in the operand order of schur_constants
+    from bnlab.kernels import gauss_density
+    from bnlab.reports import largest
+    beta = (theta + 1.0) / p
+    traces = {f"k{j}": [] for j in range(1, 9)}
+    for lev in range(levels):
+        sups = dict.fromkeys(traces, 0.0)
+        for t in np.geomspace(1e-3, 1.0, 6):
+            grid = geo.interior_grid(domain, graded=True, level=10 + 2 * lev, per_panel=8,
+                                     cutoff=None if domain.kind == "interval01" else 8.0)
+            rho = geo.distance_to_boundary(domain, grid.nodes)
+            near = rho < np.sqrt(t)
+            far = ~near
+            if not near.any():
+                continue
+            m = np.minimum(1.0, rho / np.sqrt(t))
+            g = gauss_density(grid.x[:, None] - grid.x[None, :], c * t)
+            with np.errstate(over="ignore", invalid="ignore"):
+                inte_y = ((rho[:, None] / rho[None, :]) ** beta * m[None, :] * g
+                          * grid.weights[None, :])
+                inte_x = (rho[:, None] ** (beta - 1) * rho[None, :] ** (1 - beta)
+                          * m[None, :] * g * grid.weights[:, None])
+            for nm, xmask, ymask, over_y in (
+                    ("k1", near, near, True), ("k2", near, near, False),
+                    ("k3", far, near, True), ("k4", near, far, False),
+                    ("k5", near, far, True), ("k6", far, near, False),
+                    ("k7", far, far, True), ("k8", far, far, False)):
+                if xmask.any() and ymask.any():
+                    vals = (inte_y[np.ix_(xmask, ymask)].sum(axis=1) if over_y
+                            else inte_x[np.ix_(ymask, xmask)].sum(axis=0))
+                    sups[nm] = largest(vals, sups[nm])
+        for nm in traces:
+            traces[nm].append(sups[nm])
+    return traces
+
+
+@pytest.mark.parametrize("domain, theta, levels", [
+    (geo.interval01(), 2.0, 3), (geo.interval01(), 900.0, 3), (geo.half_line(), 2.0, 2)],
+    ids=["interval", "interval-overflow", "halfline"])
+def test_schur_constants_equal_the_per_time_loop(domain, theta, levels):
+    # the grid and the weight ratios are built once per level: bit for bit, NaN and inf too
+    rep = sg.schur_constants(domain, 2, theta, c=4.0, levels=levels)
+    ref = _schur_per_time(domain, 2, theta, 4.0, levels)
+    assert rep.constants.keys() == ref.keys()
+    for nm, trace in ref.items():
+        assert np.array_equal(rep.constants[nm], trace, equal_nan=True), nm
 
 
 def test_schur_constants_supercritical():

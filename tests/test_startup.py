@@ -1,9 +1,9 @@
 """Start-up loads only what a run uses.
 
 The check runs in a fresh interpreter: pytest itself imports scipy.integrate
-to resolve the IntegrationWarning filter in pyproject.toml.  scipy.special is
-loaded by the functions that call it, so `list` and the verify suites that
-need no special function do not load it.
+to resolve the IntegrationWarning filter in pyproject.toml.  No run loads
+scipy.integrate.  scipy.special is loaded by the functions that call it, so
+`list` and the verify suites that need no special function do not load it.
 """
 
 import os
@@ -47,6 +47,11 @@ def test_imports_list_and_simulate_load_no_quadrature_or_sparse_modules(tmp_path
 def test_verify_kernels_loads_no_quadrature_or_sparse_modules(tmp_path):
     # the resolvent's Laplace quadrature is bnlab's own
     assert _start(tmp_path, "verify", "kernels") == ["heavy: []", "special: False"]
+
+
+def test_appendix_checks_load_no_quadrature_or_sparse_modules(tmp_path):
+    # the far-weight constants use bnlab's own Gauss-Kronrod quadrature
+    assert _start(tmp_path, "verify", "appendix") == ["heavy: []", "special: True"]
 
 
 def test_list_and_verify_schur_load_no_special_functions(tmp_path):
