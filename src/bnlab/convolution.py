@@ -7,10 +7,9 @@ modes one by one, and on the half plane, by Parseval over the whole noise,
 the half-line influx a(t, x0) squared times the measure's transform K(2t, 0);
 majorant mode, mandatory on the ball, bounds that sum by the Gaussian surface
 majorant of the existence proofs.  Stochastic sums are Ito (left increments,
-no Stratonovich correction) with the coefficient at cell midpoints; draws take
-their probe covariance, on the half plane the midpoint rule of
-int a(t-s, x0) a(t'-s, x0') K(t+t'-2s, x1-x1') ds (Da Prato & Zabczyk, 1993),
-summed pair by pair with K evaluated once per (earlier time, later time, lag).
+no Stratonovich correction) on the nodes and weights of one midpoint rule; on
+the half plane their covariance is that rule applied to
+int a(t-s, x0) a(t'-s, x0') K(t+t'-2s, x1-x1') ds (Da Prato & Zabczyk, 1993).
 """
 
 from dataclasses import dataclass, field
@@ -18,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (UnsupportedDomainError, WeightedSpaceParams, _graded_edges_01,
-                       distance_to_boundary, gauss_legendre, half_line, halfline_grid,
-                       interior_grid, weight)
+                       _midpoint_cells, distance_to_boundary, gauss_legendre, half_line,
+                       halfline_grid, interior_grid, weight)
 from .kernels import HeatKernel, NumericalRefusal, ball_boundary_mass_exact
 from .noise import NoiseSpec, substream
 from .semigroup import Field, _lp, apply_semigroup, semigroup_matrix
@@ -55,7 +54,7 @@ class ConvolutionSetup:
 # Every flux answers rho(x), the boundary distances of the nodes x; sum_sq(u, x),
 # the (nx, nu) squared-flux sum; and variance(t_hi, x, alpha, pts_per_octave),
 # its weighted time integral.  The exact fluxes also give covariance(probe_t, x,
-# edges), the Ito sums' probe covariance on the step cells that the draws take.
+# s, ds), the Ito sums' probe covariance on the draws' time nodes s, weights ds.
 
 
 class EndpointFlux:
@@ -87,13 +86,14 @@ class EndpointFlux:
         return out
 
     def sum_sq(self, u, x):
-        p = self.psi(u, x)
-        return np.sum(p * p, axis=0)
+        u, x = np.atleast_1d(u, x)     # squares of normal derivatives: no sign flip, no copy
+        sq = [self.kernel.normal_derivative(u, x, b) ** 2 for b in self.boundary]
+        return sum(sq[1:], sq[0]) if sq else np.zeros((x.size, u.size))
 
-    def covariance(self, probe_t, x, edges):
+    def covariance(self, probe_t, x, s, ds):
         """Sum of C_k C_k^T over the modes C_k of the Ito coefficient tensor, and
         the flux time nodes it took."""
-        coeff, n_nodes = _coefficient_tensor(self, probe_t, x, edges)
+        coeff, n_nodes = _coefficient_tensor(self, probe_t, x, s, ds)
         sigma = np.zeros((len(probe_t),) * 2)
         for c in coeff:                     # mode by mode: no copy of the tensor
             sigma += c @ c.T
@@ -102,6 +102,8 @@ class EndpointFlux:
     def rho(self, x):
         return distance_to_boundary(self.domain, np.asarray(x).reshape(-1, 1))
 
+    # an overflow, and the inf * 0 it may meet, leaves inf or NaN: J's refusal names its node
+    @np.errstate(over="ignore", invalid="ignore")
     def variance(self, t_hi, x, alpha=0.0, pts_per_octave=8):
         """Exact int_0^t_hi s^{-alpha} sum_b psi_b(s, x)^2 ds at interior nodes x.
 
@@ -115,6 +117,9 @@ class EndpointFlux:
         sine modes of the same flux carry s > 1 (see `_sine_pairs`), so the cost
         does not grow with t_hi and t_hi = inf is allowed on both domains.
         """
+        from scipy.special import gamma
+        if not np.isfinite(gamma(2.0 + alpha)):     # also before _upper_gamma's ~alpha steps
+            raise NumericalRefusal(f"alpha = {alpha:g}: Gamma(2 + alpha) overflows the closed form")
         x = np.atleast_1d(np.asarray(x, float))
         interval = self.domain.kind == "interval01"
         t_img = min(t_hi, _SINE_FROM) if interval else t_hi
@@ -212,15 +217,15 @@ class _TimeQuadrature:
 class HomogeneousFlux(_TimeQuadrature):
     """Spatially homogeneous boundary noise on the half space {x0 > 0} x R^m, m = 1.
 
-    The flux of the boundary point y is the half-line influx a(t, x0) times the
-    line's heat kernel g_t(x1 - y1); over the whole noise, Parseval turns each
-    product of two fluxes into the measure's transform K."""
+    The flux of the boundary point y is the half line's endpoint flux a(t, x0)
+    times the line's heat kernel g_t(x1 - y1); over the whole noise, Parseval
+    turns each product of two fluxes into the measure's transform K."""
 
     def __init__(self, domain, spec):
         if domain.kind != "halfspace" or domain.dim != 2:
             raise ConfigurationError("homogeneous flux implemented for the half plane (m = 1)")
         self.domain = domain
-        self.normal = HeatKernel(half_line())
+        self.influx = EndpointFlux(half_line())
         self.measure = spec.measure
 
     @property
@@ -230,34 +235,26 @@ class HomogeneousFlux(_TimeQuadrature):
 
     def sum_sq(self, u, x):
         """(nx, nu) squared-flux sum a(u, x0)^2 K(2u, 0), a profile in x0."""
-        u = np.atleast_1d(np.asarray(u, float))
-        return self.normal.normal_derivative(u, self.rho(x), 0.0) ** 2 \
-            * self.measure.transform(2 * u)[None, :]
+        return self.influx.sum_sq(u, self.rho(x)) * self.measure.transform(2 * np.atleast_1d(u))
 
-    def covariance(self, probe_t, xy, edges):
-        """Ito sums' probe covariance on the step cells, and the flux time nodes it took:
+    def covariance(self, probe_t, xy, s, ds):
+        """Ito sums' probe covariance on the time nodes, and the flux time nodes it took:
         Sigma_ij = sum_m a(u_im, x0_i) a(u_jm, x0_j) K(u_im + u_jm, x1_i - x1_j) ds_m,
-        u_im = t_i - s_m, over the cells with midpoint s_m below both probe times.
+        u_im = t_i - s_m, over the nodes s_m below both probe times.
 
-        The pairs i <= j go by block (earlier time, later time), whose cells are
+        The rows a(u_im, x0_i) sqrt(ds_m) are the half line's Ito coefficients.
+        The pairs i <= j go by block (earlier time, later time), whose nodes are
         the earlier time's live prefix.  K is evaluated once per (block, lag) on
-        that prefix, and each pair sums (a_i a_j) K in cell order, so an entry
+        that prefix, and each pair sums (a_i a_j) K in node order, so an entry
         does not depend on the other probes.  One transform call takes every
         (block, lag) row.
         """
-        pts = np.atleast_2d(np.asarray(xy, float))
-        smid = 0.5 * (edges[:-1] + edges[1:])
-        ds = np.diff(edges)
+        (amp,), n_nodes = _coefficient_tensor(self.influx, probe_t, xy[:, 0], s, ds)
         times, tix = np.unique(probe_t, return_inverse=True)
-        live = np.searchsorted(smid, times)                 # a prefix: smid increases
-        amp = np.zeros((len(probe_t), len(smid)))          # a(u, x0) sqrt(ds), live cells
-        for k, (ti, m) in enumerate(zip(times, live)):
-            rows = np.flatnonzero(tix == k)
-            amp[rows, :m] = -self.normal.normal_derivative(ti - smid[:m], pts[rows, 0],
-                                                           0.0) * np.sqrt(ds[:m])
+        live = np.searchsorted(s, times)                    # a prefix: s increases
         i, j = np.triu_indices(len(probe_t))
         lo, hi = np.minimum(tix[i], tix[j]), np.maximum(tix[i], tix[j])
-        lag = np.abs(pts[i, 1] - pts[j, 1])
+        lag = np.abs(xy[i, 1] - xy[j, 1])
         order = np.lexsort((lag, hi, lo))                   # by block, then by lag
         i, j, lo, hi, lag = i[order], j[order], lo[order], hi[order], lag[order]
         block = np.diff(lo * len(times) + hi, prepend=-1) != 0
@@ -269,16 +266,16 @@ class HomogeneousFlux(_TimeQuadrature):
         # K by key, zero past its cells; once freed, this padded array keeps the
         # allocator from handing later large Bessel calls fresh pages (a flat
         # K array took 12x the page faults on repeated many-lag calls)
-        kern = np.zeros((len(head), len(smid)))
-        kern[row, col] = self.measure.transform((times[lo[head]][row] - smid[col])
-                                                + (times[hi[head]][row] - smid[col]), lag[head][row])
+        kern = np.zeros((len(head), len(s)))
+        kern[row, col] = self.measure.transform((times[lo[head]][row] - s[col])
+                                                + (times[hi[head]][row] - s[col]), lag[head][row])
         sigma = np.empty((len(probe_t),) * 2)
         first = np.flatnonzero(block)
         for b0, b1 in zip(first, [*first[1:], len(i)]):
             m, ii, jj = live[lo[b0]], i[b0:b1], j[b0:b1]
             sigma[ii, jj] = sigma[jj, ii] = np.einsum("pm,pm,pm->p", amp[ii, :m], amp[jj, :m],
                                                       kern[key[b0:b1], :m])
-        return sigma, int(np.sum(live))
+        return sigma, n_nodes
 
 
 # the Gaussian time scale c and the amplitude C of the majorant's pointwise flux bound
@@ -635,28 +632,22 @@ def _step_schedule(t_max, probe_times, base_steps, rho_min):
     return edges[keep]
 
 
-def _coefficient_tensor(flux, probe_t, xs, edges):
-    """Ito coefficients (mode, probe, step): psi_k(t_i - s_mid, x_i) sqrt(ds) for s < t_i.
+def _coefficient_tensor(influx, probe_t, xs, s, ds):
+    """Ito coefficients (mode, probe, node): psi_k(t_i - s_m, x_i) sqrt(ds_m) for s_m < t_i.
 
-    Probes sharing a time share u = t - s, so one flux call covers them all.
-    The cell next to a probe time takes its midpoint like every other cell:
-    the schedule puts an edge at t_i - u0, u0 <= rho_min^2/80, so the squared
-    flux there carries e^{-rho^2/(2u)} <= e^{-40}.
+    The one place where Ito rows are formed, for the endpoint modes and for the
+    half plane's influx alike.  Probes sharing a time share u = t - s, so one
+    flux call covers them all.
 
     Returns the tensor and the number of time nodes the flux calls took.
     """
-    smid = 0.5 * (edges[:-1] + edges[1:])
-    ds = np.diff(edges)
-    coeff = np.zeros((flux.n_modes, len(probe_t), len(smid)))
+    coeff = np.zeros((influx.n_modes, len(probe_t), len(s)))
     n_nodes = 0
     for ti in np.unique(probe_t):
         rows = np.flatnonzero(probe_t == ti)
-        n_live = int(np.count_nonzero(smid < ti))       # a prefix: smid increases
-        pv = flux.psi(ti - smid[:n_live], xs[rows])
+        n_live = int(np.count_nonzero(s < ti))          # a prefix: s increases
+        coeff[:, rows, :n_live] = influx.psi(ti - s[:n_live], xs[rows]) * np.sqrt(ds[:n_live])
         n_nodes += n_live
-        pv *= np.sqrt(ds[:n_live])
-        coeff[:, rows, :n_live] = pv
-        del pv
     return coeff, n_nodes
 
 
@@ -681,6 +672,9 @@ def _gaussian_factor(sigma):
 # bitstream
 _BLOCK_PATHS = 4096
 
+# the finest backbone: memory grows with it (a p71 simulate of 2 paths peaks at 75 MB)
+_MAX_BASE_STEPS = 2 ** 16
+
 
 def _draw_plan(setup, probes, base_steps):
     """Flux, probe points and times, the factor F of a probe set and the plan's counts."""
@@ -688,14 +682,14 @@ def _draw_plan(setup, probes, base_steps):
         raise ConfigurationError("simulation requires exact mode")
     flux = flux_for(setup)
     times = sorted({float(t) for t, _ in probes})
-    pts = [p for _, p in probes]
-    dom1d = setup.domain.dim == 1
-    xs = np.array([float(p) for p in pts]) if dom1d else np.atleast_2d(np.asarray(pts, float))
-    rho = distance_to_boundary(setup.domain, xs.reshape(-1, 1) if dom1d else xs)
-    rho_min = float(np.min(rho))
+    xs = np.array([p for _, p in probes], float)     # (n,) on a line, (n, 2) on the plane
+    rho_min = float(np.min(flux.rho(xs)))
     if not rho_min ** 2 / _FLOOR_SCALE > 0:     # the step ladder would start at u = 0
         raise NumericalRefusal(f"probe at boundary distance {rho_min:.3g}: no step schedule "
                                "resolves a probe on the boundary")
+    if base_steps > _MAX_BASE_STEPS:
+        raise NumericalRefusal(f"base_steps = {base_steps} is above {_MAX_BASE_STEPS}, the "
+                               "finest step schedule a draw plan builds")
     t_max = max(times)
     step = t_max / base_steps if base_steps else np.inf
     if base_steps < 64 or step > min(times) / 4.0:
@@ -705,8 +699,13 @@ def _draw_plan(setup, probes, base_steps):
     if step <= 1e-13:           # the schedule merges edges 1e-15 apart
         raise NumericalRefusal(f"base step {step:.3g} below 1e-13")
     edges = _step_schedule(t_max, times, base_steps, rho_min)
+    # the Ito rule: cell m at its midpoint s_m, weight ds_m; the cell next to a probe
+    # time lies in u <= rho_min^2/80, where the squared flux is below e^{-40}
+    s, ds = _midpoint_cells(edges)
     probe_t = np.array([float(t) for t, _ in probes])
-    sigma, n_nodes = flux.covariance(probe_t, xs, edges)
+    sigma, n_nodes = flux.covariance(probe_t, xs, s, ds)
+    if not np.all(np.isfinite(sigma)):      # eigh fails on it; a NaN variance reads as none
+        raise NumericalRefusal("the Ito sums' probe covariance is not finite")
     counts = {"n_steps": len(edges) - 1, "flux_time_nodes": n_nodes}
     return flux, xs, probe_t, _gaussian_factor(sigma), counts
 

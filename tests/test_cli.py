@@ -1,5 +1,6 @@
 import functools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -10,7 +11,11 @@ from hypothesis import strategies as st
 
 from bnlab import cli
 from bnlab import convolution as cv
+from bnlab import kernels as km
 from bnlab import scenarios as sc
+from bnlab import semigroup as sg
+from bnlab.geometry import WeightedSpaceParams, interval01
+from bnlab.kernels import HeatKernel, NumericalRefusal
 from bnlab.noise import SpectralMeasure
 
 
@@ -115,6 +120,47 @@ def test_cli_verify_kernels_at_an_overflowing_scale_is_diverging_without_warning
     assert "upper_bounds=diverging/diverging" in res.output
     rep = next((tmp_path / "out").glob("*/kernels_report.txt")).read_text()
     assert rep.count("sup_per_level: inf inf inf\n") == 2
+
+
+@pytest.mark.parametrize("alpha, horizon", [(200.0, 0.5), (2e5, 2.0)])
+def test_cli_j_past_the_gamma_overflow_is_one_quiet_refusal(tmp_path, alpha, horizon):
+    # Gamma(2 + alpha) overflows from alpha ~ 170 on, and with it the closed
+    # form: J is refused before the ~alpha steps of the upper gamma recursion,
+    # without a warning
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"pipeline = j-diagnose\nscenario = p71\ngrid_level = 14\nalpha = {alpha!r}\n"
+                   f"horizon = {horizon!r}\nout_dir = {tmp_path / 'out'}\n")
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = CliRunner().invoke(cli.main, ["run", str(cfg)])
+    assert time.perf_counter() - start < 2.0
+    _assert_clean_exit(res, 2)
+    assert res.stderr == (f"numerical refusal: alpha = {alpha:g}: Gamma(2 + alpha) overflows "
+                          "the closed form\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_base_steps_above_the_bound_is_one_refusal_before_the_schedule(tmp_path,
+                                                                           monkeypatch):
+    # the schedule's memory grows with base_steps, and 1e9 steps would need tens
+    # of GB: they are refused before the schedule is built, which fails here
+    def no_schedule(*args):
+        raise AssertionError("the step schedule was built")
+
+    monkeypatch.setattr(cv, "_step_schedule", no_schedule)
+    cfg = tmp_path / "cfg.txt"
+    for steps in (10 ** 9, cv._MAX_BASE_STEPS):
+        cfg.write_text(f"pipeline = simulate\nn_paths = 2\nbase_steps = {steps}\n"
+                       f"out_dir = {tmp_path / 'out'}\n")
+        res = CliRunner().invoke(cli.main, ["run", str(cfg)])
+        if steps > cv._MAX_BASE_STEPS:
+            _assert_clean_exit(res, 2)
+            assert res.stderr == ("numerical refusal: base_steps = 1000000000 is above 65536, "
+                                  "the finest step schedule a draw plan builds\n")
+        else:       # the bound itself reaches the schedule
+            _assert_clean_exit(res, 3)
+            assert res.stderr == "internal error: AssertionError: the step schedule was built\n"
 
 
 def test_j_refusal_names_a_nan_profile_and_its_node(tmp_path, monkeypatch, with_nan):
@@ -465,6 +511,9 @@ J_P71 = {"pipeline": "j-diagnose", "scenario": "p71", "grid_level": 14}
 @example(cfg={**J_P71, "pipeline": "simulate", "base_steps": 0})
 # a key configs no longer take, named by every manifest written before its removal
 @example(cfg={**J_P71, "mode_count": 64})
+# Gamma(2 + alpha) overflows: refused before the upper gamma recursion
+@example(cfg={**J_P71, "alpha": 200.0})
+@example(cfg={**J_P71, "alpha": 2e5, "horizon": 2.0})
 def test_every_run_exits_0_1_or_2_with_one_line_per_problem(cfg, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     text = "".join(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n"
@@ -489,6 +538,77 @@ def _assert_one_line_per_problem(res, text):
         kind = "validation: " if res.exit_code == 1 else "numerical refusal: "
         lines = res.stderr.splitlines()
         assert len(lines) == problems and all(ln.startswith(kind) for ln in lines), res.stderr
+
+
+# the verdict paths that read a kernel or a density: (name, config text or library
+# call, the function that returns a NaN, the verdicts it feeds); each reads
+# bounded, finite or True on clean data
+NAN_PATHS = [
+    *[(f"j-{sid}", f"pipeline = j-diagnose\nscenario = {sid}\n{extra}", "transform",
+       ("j", "agreement")) for sid, extra in (("p713", ""), ("p717", "theta = 2.5\n"),
+                                             ("p718", ""))],
+    *[(f"simulate-{sid}", f"pipeline = simulate\nscenario = {sid}\nn_paths = 200\n"
+                          "base_steps = 128\n", "transform", ("isometry_within_3se",))
+      for sid in ("p713", "p717", "p718")],
+    ("verify-kernels", "pipeline = verify-kernels\n", "value",
+     ("cross_series_ok", "resolvent_ok", "upper_bounds")),
+    ("verify-kernels", "pipeline = verify-kernels\n", "gauss_density", ("upper_bounds",)),
+    ("schur", "pipeline = schur\n", "gauss_density", ("all_bounded",)),
+    ("extension_bound", None, "value", ("verdict",)),
+]
+NAN_TARGETS = {"transform": (SpectralMeasure, "transform"), "value": (HeatKernel, "value"),
+               "gauss_density": (km, "gauss_density")}
+
+
+def _nan_path_verdicts(config, out):
+    """{verdict: values} of a path's run, or the run's refusal line."""
+    if config is None:
+        try:
+            rep = sg.extension_bound(HeatKernel(interval01()), WeightedSpaceParams(2, 2, 0))
+        except NumericalRefusal as exc:
+            return f"numerical refusal: {exc}\n"
+        return {"verdict": [rep.verdict]}
+    (out / "cfg.txt").write_text(config + f"grid_level = 14\nout_dir = {out}\n")
+    res = CliRunner().invoke(cli.main, ["run", str(out / "cfg.txt")])
+    assert res.exit_code in (0, 2) and "Traceback" not in res.output, res.output
+    if res.exit_code:
+        return res.stderr
+    line = next(ln for ln in res.stdout.splitlines() if ln.startswith("verdicts: "))
+    pairs = (kv.split("=") for kv in line[len("verdicts: "):].replace(";", " ").split())
+    return {k: v.split("/") for k, v in pairs}
+
+
+@pytest.mark.parametrize("path", NAN_PATHS, ids=[f"{p[0]}-{p[2]}" for p in NAN_PATHS])
+def test_every_nan_path_reads_ok_on_clean_data(path, tmp_path):
+    _, config, _, keys = path
+    verdicts = _nan_path_verdicts(config, tmp_path)
+    assert all(v in ("bounded", "finite", "True") for k in keys for v in verdicts[k]), verdicts
+
+
+@given(path=st.sampled_from(NAN_PATHS), entry=st.integers(0, 2 ** 20))
+def test_no_verdict_reads_ok_from_a_nan_entry(path, entry, tmp_path_factory):
+    # the kernel or density returns NaN at one drawn entry of every result; each
+    # verdict it feeds then reads neither bounded, finite nor True, or the run
+    # is refused in one line
+    _, config, target, keys = path
+    owner, attr = NAN_TARGETS[target]
+    fn = getattr(owner, attr)
+
+    def with_nan(*args, **kwargs):
+        out = np.array(fn(*args, **kwargs), float)
+        out.flat[entry % out.size] = np.nan
+        return out if out.ndim else float(out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(owner, attr, with_nan)
+        if target == "gauss_density":       # semigroup imports it by value
+            mp.setattr(sg, attr, with_nan)
+        verdicts = _nan_path_verdicts(config, tmp_path_factory.mktemp("nan"))
+    if isinstance(verdicts, str):
+        assert verdicts.startswith("numerical refusal: ") and verdicts.count("\n") == 1
+    else:
+        assert not [(k, v) for k in keys for v in verdicts[k]
+                    if v in ("bounded", "finite", "True")], verdicts
 
 
 @given(suite=st.sampled_from(["kernels", "schur", "appendix", "j", "simulate", "invariant"]),

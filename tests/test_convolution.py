@@ -162,9 +162,11 @@ def test_simulate_probes_sharing_a_time_match_a_subset_run():
     edges = cv._step_schedule(0.3, [0.1, 0.3], 128, rho_min=0.3)
     flux = cv.flux_for(setup)
     coeff_s, _ = cv._coefficient_tensor(flux, np.array([t for t, _ in small]),
-                                        np.array([x for _, x in small]), edges)
+                                        np.array([x for _, x in small]),
+                                        *geo._midpoint_cells(edges))
     coeff_l, _ = cv._coefficient_tensor(flux, np.array([t for t, _ in large]),
-                                        np.array([x for _, x in large]), edges)
+                                        np.array([x for _, x in large]),
+                                        *geo._midpoint_cells(edges))
     assert np.array_equal(coeff_l[:, [1, 3]], coeff_s)
     ens_s, st_s = cv.simulate_convolution(setup, small, n_paths=300, base_steps=128,
                                           root_seed=3)
@@ -332,13 +334,14 @@ def _schedule(setup, probes, base_steps):
 def _tensor(setup, probes, base_steps=128):
     """Step schedule and Ito coefficient tensor of a simulate call on endpoint probes."""
     probe_t, xs, edges = _schedule(setup, probes, base_steps)
-    return edges, cv._coefficient_tensor(cv.flux_for(setup), probe_t, xs, edges)[0]
+    return edges, cv._coefficient_tensor(cv.flux_for(setup), probe_t, xs,
+                                         *geo._midpoint_cells(edges))[0]
 
 
 def _sigma(setup, probes, base_steps=128):
     """Step schedule and Ito sums' probe covariance of a simulate call on these probes."""
     probe_t, xs, edges = _schedule(setup, probes, base_steps)
-    return edges, cv.flux_for(setup).covariance(probe_t, xs, edges)[0]
+    return edges, cv.flux_for(setup).covariance(probe_t, xs, *geo._midpoint_cells(edges))[0]
 
 
 def _tensor_with_the_final_cell_quadrature(flux, probe_t, xs, edges):
@@ -374,12 +377,12 @@ def _homogeneous_sigma_with_the_final_cell_quadrature(flux, probe_t, xy, edges):
     given its exact covariance with every probe of time t_j >= t_i, a 16-point
     log-panel quadrature in u = t_i - s from u = 2e-18, in place of its
     midpoint term."""
-    sigma, _ = flux.covariance(probe_t, xy, edges)
+    sigma, _ = flux.covariance(probe_t, xy, *geo._midpoint_cells(edges))
     smid = 0.5 * (edges[:-1] + edges[1:])
     ds = np.diff(edges)
 
     def amp(u, x0):
-        return -flux.normal.normal_derivative(u, np.atleast_1d(x0), 0.0)[0]
+        return -flux.influx.kernel.normal_derivative(u, np.atleast_1d(x0), 0.0)[0]
 
     for i, ti in enumerate(probe_t):
         jlast = np.searchsorted(edges, ti) - 1
@@ -436,7 +439,7 @@ def test_final_cell_midpoint_matches_its_exact_variance(sid, group):
     setup, probes = _probe_set(group, sid)
     probe_t, xs, edges = _schedule(setup, probes, 512)
     flux = cv.flux_for(setup)
-    sigma, _ = flux.covariance(probe_t, xs, edges)
+    sigma, _ = flux.covariance(probe_t, xs, *geo._midpoint_cells(edges))
     if setup.noise.kind == "homogeneous":
         sigma_ref = _homogeneous_sigma_with_the_final_cell_quadrature(flux, probe_t, xs, edges)
     else:
@@ -1063,12 +1066,12 @@ def test_plan_and_oracle_helpers_make_one_array_call(monkeypatch):
     monkeypatch.undo()
     setup, _ = sc.build_setup("p718", p=2.0, theta=2.0)
     flux = cv.flux_for(setup)
-    monkeypatch.setattr(flux.normal, "normal_derivative",
-                        counting("influx", flux.normal.normal_derivative))
+    monkeypatch.setattr(flux.influx.kernel, "normal_derivative",
+                        counting("influx", flux.influx.kernel.normal_derivative))
     monkeypatch.setattr(SpectralMeasure, "transform",
                         counting("transform", SpectralMeasure.transform))
     probe_t, xs, edges = _schedule(setup, HALF_PLANE_PROBES, 512)
-    flux.covariance(probe_t, xs, edges)
+    flux.covariance(probe_t, xs, *geo._midpoint_cells(edges))
     assert (calls["influx"], calls["transform"]) == (3, 1)
 
 
@@ -1118,7 +1121,7 @@ def test_half_plane_covariance_is_the_midpoint_sum_of_influx_and_transform(sid, 
     # a(t_i - s, x0_i) a(t_j - s, x0_j) K(t_i + t_j - 2s, x1_i - x1_j) ds, pair by pair
     setup, _ = sc.build_setup(sid, p=2.0, theta=2.0, **kw)
     probe_t, xy, edges = _schedule(setup, probes, 512)
-    sigma, n_nodes = cv.flux_for(setup).covariance(probe_t, xy, edges)
+    sigma, n_nodes = cv.flux_for(setup).covariance(probe_t, xy, *geo._midpoint_cells(edges))
     smid, ds = 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
     ref = np.empty_like(sigma)
     for i, j in np.ndindex(*sigma.shape):
@@ -1143,7 +1146,7 @@ def _gathered_sigma(flux, probe_t, xy, edges):
     for ti in np.unique(probe_t):
         rows = np.flatnonzero(probe_t == ti)
         live = int(np.searchsorted(smid, ti))
-        amp[rows, :live] = -flux.normal.normal_derivative(ti - smid[:live], pts[rows, 0],
+        amp[rows, :live] = -flux.influx.kernel.normal_derivative(ti - smid[:live], pts[rows, 0],
                                                           0.0) * np.sqrt(ds[:live])
     i, j = np.triu_indices(len(probe_t))
     t_lo, t_hi = np.minimum(probe_t[i], probe_t[j]), np.maximum(probe_t[i], probe_t[j])
@@ -1176,7 +1179,7 @@ def test_half_plane_covariance_is_the_gathered_einsum_bit_for_bit(sid, kw, group
               "near-boundary": NEAR_BOUNDARY, "many-lags": MANY_LAGS}[group]
     probe_t, xy, edges = _schedule(setup, probes, 512)
     flux = cv.flux_for(setup)
-    sigma, n_nodes = flux.covariance(probe_t, xy, edges)
+    sigma, n_nodes = flux.covariance(probe_t, xy, *geo._midpoint_cells(edges))
     assert np.array_equal(sigma, _gathered_sigma(flux, probe_t, xy, edges))
     smid = 0.5 * (edges[:-1] + edges[1:])
     assert n_nodes == sum(np.count_nonzero(smid < t) for t in np.unique(probe_t))
@@ -1200,10 +1203,10 @@ def test_half_plane_covariance_of_a_subset_is_the_full_sets_entries(case, probes
     setup = _half_plane_setup(case)
     probe_t, xy, edges = _schedule(setup, [(t, (x0, x1)) for t, x0, x1 in probes], 128)
     flux = cv.flux_for(setup)
-    full, _ = flux.covariance(probe_t, xy, edges)
+    full, _ = flux.covariance(probe_t, xy, *geo._midpoint_cells(edges))
     order = data.draw(st.permutations(range(len(probes))))
     sub = np.array(order[:data.draw(st.integers(1, len(probes)))])
-    part, _ = flux.covariance(probe_t[sub], xy[sub], edges)
+    part, _ = flux.covariance(probe_t[sub], xy[sub], *geo._midpoint_cells(edges))
     assert np.array_equal(part, full[np.ix_(sub, sub)])
 
 

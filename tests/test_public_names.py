@@ -1,5 +1,6 @@
 """Every public top-level function and class of bnlab has a reader that matters,
-and every keyword parameter with a default has a caller that sets it.
+every private function, class and method has a reader in the code, and every
+keyword parameter with a default has a caller that sets it.
 
 Both guards count only the files that matter, READERS: the package itself,
 perfbench/ and tests/test_acceptance.py.  What only unit tests read or set is
@@ -7,6 +8,9 @@ code that no pipeline, benchmark or acceptance line uses: a public name only
 unit tests read goes, and a default only unit tests set is a setting with one
 value, which belongs in the body as a constant.  The two tables below name the
 few that stay, each with the test that needs it.
+
+A private definition counts as read when the package or perfbench/ names it
+outside that definition: a private name that only tests name is dead code.
 
 A name counts as read when it is named outside its own definition.  Click
 commands count as read through their decorator.  Names are taken from the
@@ -16,6 +20,7 @@ dotted key such as perfbench's span names ("kernels.HeatKernel.value").
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,15 +55,16 @@ KEPT = {
 
 
 def _named(node):
-    """Every name, attribute and imported name under node."""
-    out = set()
+    """How often each name, attribute and imported name is named under node."""
+    out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            out.update(sub.name.split("."), [sub.asname])
+            out.update(sub.name.split("."))
+            out[sub.asname] += 1
     return out
 
 
@@ -85,6 +91,28 @@ def _unread_public_names():
 def test_every_public_name_is_read_outside_the_unit_tests():
     unread = _unread_public_names()
     assert sorted(n.split(".")[1] for n in unread) == sorted(IDENTITIES), unread
+
+
+def _private_definitions(tree):
+    """The private top-level functions and classes of a module and the private
+    methods of its classes; dunder methods are not private."""
+    for stmt in tree.body:
+        for node in [stmt] + (stmt.body if isinstance(stmt, ast.ClassDef) else []):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and node.name.startswith("_") and not node.name.endswith("__"):
+                yield node
+
+
+def test_every_private_name_is_read_in_the_package_or_perfbench():
+    trees = {path: ast.parse(path.read_text()) for path in READERS
+             if path.parent in (PACKAGE, ROOT / "perfbench")}
+    named = sum((_named(tree) for tree in trees.values()), Counter())
+    defined = [(path.stem, node) for path, tree in trees.items() if path.parent == PACKAGE
+               for node in _private_definitions(tree)]
+    assert defined
+    unread = [f"{mod}.{node.name}" for mod, node in defined
+              if named[node.name] == _named(node)[node.name]]
+    assert unread == []
 
 
 def _defaulted_parameters(path):
